@@ -215,6 +215,59 @@ class Workload:
         chk.check(all(np.allclose(a, b, rtol=0.0, atol=1e-12) for a, b in zip(got, want)),
                   f"{label}: fuzzified inputs differ from the reference triangles")
 
+    def retrain_classification(self, cfg):
+        """The protocol's network, trained again through network.train_dataset."""
+        nf = self.nf
+        ex = nf.experiments
+        table = nf.benchmarks.CLASSIFICATION[cfg.dataset]
+        ux = nf.fuzzy.universe_from_count(0.0, 1.0, table["nx"])
+        uy = nf.fuzzy.universe_from_count(0.0, 1.0, table["ny"])
+        net_cfg = nf.network.NetworkConfig(
+            groups=(nf.network.InputGroup("x", ux, ex.input_half_support(cfg, ux.resolution)),
+                    nf.network.InputGroup("y", uy, ex.input_half_support(cfg, uy.resolution))),
+            output_universe=nf.fuzzy.universe_from_count(0.0, 1.0, 2), p=cfg.p,
+            alpha=cfg.alpha, novelty_threshold=0.35, output_half_support=0.0)
+        state = nf.network.NetworkState(net_cfg)
+        pts, labels = nf.benchmarks.gen_classification_dataset(cfg.dataset, cfg.n_train, cfg.seed)
+        mats = self.fuzzify(state, pts)
+        samples = (([nf.fuzzy.MembershipVector(g.universe, mats[i][k])
+                     for i, g in enumerate(net_cfg.groups)], float(labels[k]))
+                   for k in range(cfg.n_train))
+        nf.network.train_dataset(state, samples)
+        return state, pts, mats
+
+    def check_classification(self, chk, label, cfg, n_minterms, rate, familiar=False):
+        """A classification run's min-terms and rate against the state trained
+        again through network.train_dataset and the reference argmax."""
+        ex = self.nf.experiments
+        state, pts, mats = self.retrain_classification(cfg)
+        chk.check(state.n_minterms == n_minterms,
+                  f"{label}: protocol stored {n_minterms} min-terms, "
+                  f"network.train_dataset {state.n_minterms}")
+        self.check_fuzzifier(chk, label, state, pts)
+        ref.check_training(chk, label, state, mats, cfg.n_train, familiar=familiar)
+        test, truth = self.nf.benchmarks.gen_classification_dataset(
+            cfg.dataset, cfg.n_test, cfg.seed + ex.CLASS_TEST_SEED_OFFSET)
+        labels, ties = ref.argmax(ref.state_forward(state, self.fuzzify(state, test)))
+        ref_rate = 100.0 * float((labels == truth).mean())
+        chk.check(abs(ref_rate - rate) <= 100.0 * ties.sum() / len(truth) + 1e-9,
+                  f"{label}: protocol rate {rate}% but reference argmax gives {ref_rate}%")
+
+    def check_table1_band(self, chk, functions):
+        """Table 1's band, on the paper's protocol as criterion 1 runs it.
+
+        The band is a claim about the protocol's seed: at other training
+        seeds single-pass training can leave it, so the workloads' own states
+        are checked against the reference instead.
+        """
+        ex = self.nf.experiments
+        table1 = self.nf.benchmarks.TABLE1
+        for fn in functions:
+            fvu = ex.run_modeling(ex.paper_modeling_config(fn)).fvu_or_rate
+            chk.check(fvu <= ref.TABLE1_BAND * table1[fn]["fvu"],
+                      f"{fn} at the protocol seed: FVU {fvu:.3f} above "
+                      f"{ref.TABLE1_BAND} x {table1[fn]['fvu']}")
+
     def regression_fvu(self, state, cfg):
         """Reference FVU of a state on cfg's test set, as the protocol scores it."""
         bm = self.nf.benchmarks
@@ -299,46 +352,13 @@ class TrainFamiliar(Workload):
             log.fp[cfg.dataset] = (r.n_minterms, r.fvu_or_rate, r.n_unclassified)
         self.probe.run(log)
 
-    def retrain(self, cfg):
-        """The protocol's network, trained again through network.train_dataset."""
-        nf = self.nf
-        ex = nf.experiments
-        table = nf.benchmarks.CLASSIFICATION[cfg.dataset]
-        ux = nf.fuzzy.universe_from_count(0.0, 1.0, table["nx"])
-        uy = nf.fuzzy.universe_from_count(0.0, 1.0, table["ny"])
-        net_cfg = nf.network.NetworkConfig(
-            groups=(nf.network.InputGroup("x", ux, ex.input_half_support(cfg, ux.resolution)),
-                    nf.network.InputGroup("y", uy, ex.input_half_support(cfg, uy.resolution))),
-            output_universe=nf.fuzzy.universe_from_count(0.0, 1.0, 2), p=cfg.p,
-            alpha=cfg.alpha, novelty_threshold=0.35, output_half_support=0.0)
-        state = nf.network.NetworkState(net_cfg)
-        pts, labels = nf.benchmarks.gen_classification_dataset(cfg.dataset, cfg.n_train, cfg.seed)
-        mats = self.fuzzify(state, pts)
-        samples = (([nf.fuzzy.MembershipVector(g.universe, mats[i][k])
-                     for i, g in enumerate(net_cfg.groups)], float(labels[k]))
-                   for k in range(cfg.n_train))
-        nf.network.train_dataset(state, samples)
-        return state, pts, mats
-
     def check(self, out, chk):
-        ex = self.nf.experiments
         for cfg in self.cfgs:
             label = f"set {cfg.dataset}"
             n_minterms, rate, _ = out["fp"][cfg.dataset]
             chk.check(rate >= ref.CLASS_FLOORS[cfg.dataset],
                       f"{label}: rate {rate:.2f}% below {ref.CLASS_FLOORS[cfg.dataset]}%")
-            state, pts, mats = self.retrain(cfg)
-            chk.check(state.n_minterms == n_minterms,
-                      f"{label}: protocol stored {n_minterms} min-terms, "
-                      f"network.train_dataset {state.n_minterms}")
-            self.check_fuzzifier(chk, label, state, pts)
-            ref.check_training(chk, label, state, mats, cfg.n_train, familiar=True)
-            test, truth = self.nf.benchmarks.gen_classification_dataset(
-                cfg.dataset, cfg.n_test, cfg.seed + ex.CLASS_TEST_SEED_OFFSET)
-            labels, ties = ref.argmax(ref.state_forward(state, self.fuzzify(state, test)))
-            ref_rate = 100.0 * float((labels == truth).mean())
-            chk.check(abs(ref_rate - rate) <= 100.0 * ties.sum() / len(truth) + 1e-9,
-                      f"{label}: protocol rate {rate}% but reference argmax gives {ref_rate}%")
+            self.check_classification(chk, label, cfg, n_minterms, rate, familiar=True)
         self.probe.check(out, chk)
 
 
@@ -450,14 +470,11 @@ class Readout(Workload):
 
     def check(self, out, chk):
         nf = self.nf
-        table1 = nf.benchmarks.TABLE1
         for fn, state in self.states.items():
             mats, pred, _ = out["scored"][fn]
             uz = state.config.output_universe
             score = ref.fvu(np.where(np.isnan(pred), (uz.lo + uz.hi) / 2.0, pred), self.actual[fn])
-            if self.size["n_test"] >= 10_000:
-                chk.check(score <= ref.TABLE1_BAND * table1[fn]["fvu"],
-                          f"{fn}: FVU {score:.3f} above {ref.TABLE1_BAND} x {table1[fn]['fvu']}")
+            chk.check(score < 1.0, f"{fn}: FVU {score:.3f} >= 1")
             self.check_scored(chk, fn, state, out["scored"][fn], out["pristine"][fn])
             cb1, cb2, _, faulty_pred = out["faulty"][fn]
             before = [cb.x for cb in self.distorted[fn]]
@@ -466,6 +483,7 @@ class Readout(Workload):
                       f"{fn} distorted: a crossbar output is not finite")
             cfg = nf.experiments.paper_modeling_config(fn, seed=self.seed)
             self.check_regression_state(chk, fn, state, cfg)
+        self.check_table1_band(chk, self.FUNCTIONS)
         coarse, fine = out["sweeps"]
         self.check_sweep(chk, "sweep dt", coarse)
         self.check_sweep(chk, "sweep dt/2", fine, dt=nf.crossbar.MemristorParams().dt / 2)
@@ -537,20 +555,23 @@ class CliSession(Workload):
             chk.check(got and ",".join(got[0]) == header, f"{name}: header is not {header}")
 
         g1 = self.table1_state("g1")
-        table1 = nf.benchmarks.TABLE1["g1"]
         if len(model) == 2:
             fvu = float(model[1][columns.index("fvu_or_rate")])
-            chk.check(fvu <= ref.TABLE1_BAND * table1["fvu"],
-                      f"model g1: FVU {fvu:.3f} above {ref.TABLE1_BAND} x {table1['fvu']}")
+            want = self.regression_fvu(g1, nf.experiments.paper_modeling_config("g1", seed=self.seed))
+            chk.check(fvu < 1.0 and np.isclose(fvu, want, rtol=1e-9, atol=0.0),
+                      f"model g1: FVU {fvu} but the reference gives {want}")
             chk.check(int(model[1][columns.index("n_minterms")]) == g1.n_minterms,
                       "model g1: min-term count differs from the Table 1 protocol")
         chk.check(len(suite) == 5 and all(r[-1] == "ok" for r in suite[1:]),
                   "suite: a classification row did not finish ok")
+        # criterion 3's floors are checked on train-familiar's long streams; at
+        # the suite's paper sizes set 1 falls below its floor on some seeds
         for r in suite[1:]:
             ds = int(r[0].removeprefix("set"))
-            rate = float(r[columns.index("fvu_or_rate")])
-            chk.check(rate >= ref.CLASS_FLOORS[ds],
-                      f"suite set {ds}: rate {rate:.2f}% below {ref.CLASS_FLOORS[ds]}%")
+            cfg = nf.experiments.paper_classification_config(ds, seed=self.seed)
+            self.check_classification(chk, f"suite set {ds}", cfg,
+                                      int(r[columns.index("n_minterms")]),
+                                      float(r[columns.index("fvu_or_rate")]))
         deviation = rows("crossbar_compare_g1.csv")[1:]
         chk.check(deviation and max(float(r[1]) for r in deviation) < ref.CROSSBAR_RTOL,
                   "crossbar-compare: a probe deviates beyond criterion 7")
