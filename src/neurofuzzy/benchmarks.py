@@ -97,35 +97,6 @@ FAULT = {
     "g5": {"fvu": 0.228, "minterms": 139},
 }
 
-# published accuracies of other learners on the same functions; kept purely
-# as comparison constants, none of these methods is implemented here
-BASELINE_FVU = {
-    "BPL Gauss-Newton (5 hidden)": {"g1": 0.001, "g2": 0.065, "g3": 0.506, "g4": 0.080, "g5": 0.142},
-    "BPL Gauss-Newton (10 hidden)": {"g1": 0.001, "g2": 0.002, "g3": 0.183, "g4": 0.003, "g5": 0.021},
-    "PPL supersmoother (3 hidden)": {"g1": 0.000, "g2": 0.010, "g3": 0.355, "g4": 0.021, "g5": 0.135},
-    "PPL supersmoother (5 hidden)": {"g1": 0.000, "g2": 0.007, "g3": 0.248, "g4": 0.000, "g5": 0.028},
-    "PPL Hermite (3 hidden)": {"g1": 0.000, "g2": 0.009, "g3": 0.075, "g4": 0.001, "g5": 0.049},
-    "PPL Hermite (5 hidden)": {"g1": 0.000, "g2": 0.000, "g3": 0.000, "g4": 0.001, "g5": 0.015},
-    "CFNN S1": {"g1": 0.021, "g2": 0.029, "g3": 0.269, "g4": 0.036, "g5": 0.121},
-    "CFNN sqrt(S1)": {"g1": 0.011, "g2": 0.028, "g3": 0.247, "g4": 0.037, "g5": 0.111},
-    "CFNN S2": {"g1": 0.095, "g2": 0.426, "g3": 0.547, "g4": 0.636, "g5": 0.610},
-    "CFNN sqrt(S2)": {"g1": 0.024, "g2": 0.031, "g3": 0.275, "g4": 0.031, "g5": 0.134},
-    "CFNN S3": {"g1": 0.003, "g2": 0.020, "g3": 0.306, "g4": 0.027, "g5": 0.160},
-    "CFNN sqrt(S3)": {"g1": 0.003, "g2": 0.018, "g3": 0.288, "g4": 0.030, "g5": 0.167},
-    "CFNN S_cascor": {"g1": 0.025, "g2": 0.027, "g3": 0.265, "g4": 0.031, "g5": 0.121},
-    "CFNN S_fujita": {"g1": 0.004, "g2": 0.047, "g3": 0.444, "g4": 0.070, "g5": 0.246},
-    "CFNN S_sqr": {"g1": 0.007, "g2": 0.038, "g3": 0.573, "g4": 0.185, "g5": 0.294},
-    "CFNN sigmoidal (10 hidden)": {"g1": 0.048, "g2": 0.097, "g3": 0.551, "g4": 0.073, "g5": 0.206},
-    "CFNN Hermite (10 hidden)": {"g1": 0.031, "g2": 0.027, "g3": 0.197, "g4": 0.076, "g5": 0.095},
-    "CFNN sigmoidal (20 hidden)": {"g1": 0.043, "g2": 0.048, "g3": 0.303, "g4": 0.050, "g5": 0.111},
-    "CFNN Hermite (20 hidden)": {"g1": 0.026, "g2": 0.019, "g3": 0.082, "g4": 0.027, "g5": 0.039},
-    "ALM 6 partitions": {"g1": 0.014, "g2": 0.031, "g3": 0.153, "g4": 0.057, "g5": 0.076},
-    "ALM 7 partitions": {"g1": 0.015, "g2": 0.027, "g3": 0.132, "g4": 0.060, "g5": 0.062},
-    "ALM 8 partitions": {"g1": 0.021, "g2": 0.032, "g3": 0.129, "g4": 0.061, "g5": 0.063},
-    "ALM 9 partitions": {"g1": 0.027, "g2": 0.035, "g3": 0.122, "g4": 0.067, "g5": 0.064},
-    "ANFIS 9 rules": {"g1": 0.000, "g2": 0.002, "g3": 0.033, "g4": 0.008, "g5": 0.089},
-}
-
 
 # --- data generators ---------------------------------------------------------
 

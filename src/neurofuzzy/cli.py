@@ -171,12 +171,13 @@ def _out_dir(args) -> Path:
     return path
 
 
-def atomic_write(path: Path, text: str) -> None:
+def atomic_write(path: Path, data: str | bytes) -> None:
     """Write via temp file + rename so interrupted runs never truncate output."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+        with (os.fdopen(fd, "wb") if isinstance(data, bytes)
+              else os.fdopen(fd, "w", newline="")) as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -184,17 +185,16 @@ def atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def report_csv_text(reports, with_runtime: bool) -> str:
+def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for r in reports:
-        writer.writerow(r.csv_row(with_runtime=with_runtime))
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
 def _emit_report(args, reports, filename: str) -> Path:
-    text = report_csv_text(reports, with_runtime=args.timing)
+    text = _csv_text(REPORT_COLUMNS, (r.csv_row(with_runtime=args.timing) for r in reports))
     out = _out_dir(args) / filename
     atomic_write(out, text)
     sys.stdout.write(text)
@@ -209,45 +209,29 @@ def cmd_model(args, file_cfg) -> int:
     cfg = build_experiment_config(args, file_cfg, needs="function")
     _progress(f"modeling {cfg.function}: {cfg.n_train} train / {cfg.n_test} test, "
               f"seed {cfg.seed}, backend {cfg.backend}")
-    report = experiments.run_modeling(cfg)
+    report, state = experiments.train_and_score(cfg)
     _emit_report(args, [report], f"model_{cfg.function}.csv")
-    if args.surface or args.save_state:
-        state = experiments.rebuild_trained_state(cfg)
-        if args.surface:
-            rows = experiments.surface_grid(cfg, state)
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["x", "y", "predicted", "actual"])
-            for row in rows:
-                writer.writerow([repr(float(v)) for v in row])
-            out = _out_dir(args) / f"surface_{cfg.function}.csv"
-            atomic_write(out, buf.getvalue())
-            _progress(f"wrote {out}")
-        if args.save_state:
-            Path(args.save_state).write_bytes(network.serialize(state))
-            _progress(f"wrote {args.save_state}")
+    if args.surface:
+        rows = experiments.surface_grid(cfg, state)
+        out = _out_dir(args) / f"surface_{cfg.function}.csv"
+        atomic_write(out, _csv_text(["x", "y", "predicted", "actual"],
+                                   ([repr(float(v)) for v in row] for row in rows)))
+        _progress(f"wrote {out}")
+    if args.save_state:
+        atomic_write(Path(args.save_state), network.serialize(state))
+        _progress(f"wrote {args.save_state}")
     return 0
 
 
-def cmd_noise(args, file_cfg) -> int:
-    if getattr(args, "noise_variance", None) is None and \
-            "noise_variance" not in file_cfg.get("experiment", {}):
-        args.noise_variance = 0.01
+def cmd_study(args, file_cfg) -> int:
+    """noise / fault: a modeling run whose study key defaults to a nonzero value."""
+    name, key, default = args.study
+    if getattr(args, key) is None and key not in file_cfg.get("experiment", {}):
+        setattr(args, key, default)
     cfg = build_experiment_config(args, file_cfg, needs="function")
-    _progress(f"noise study {cfg.function}: variance {cfg.noise_variance}")
-    report = experiments.run_noise(cfg)
-    _emit_report(args, [report], f"noise_{cfg.function}.csv")
-    return 0
-
-
-def cmd_fault(args, file_cfg) -> int:
-    if getattr(args, "fault_fraction", None) is None and \
-            "fault_fraction" not in file_cfg.get("experiment", {}):
-        args.fault_fraction = 0.2
-    cfg = build_experiment_config(args, file_cfg, needs="function")
-    _progress(f"fault study {cfg.function}: fraction {cfg.fault_fraction}")
-    report = experiments.run_fault(cfg)
-    _emit_report(args, [report], f"fault_{cfg.function}.csv")
+    _progress(f"{name} study {cfg.function}: {key} {getattr(cfg, key)}")
+    report = experiments.run_modeling(cfg)
+    _emit_report(args, [report], f"{name}_{cfg.function}.csv")
     return 0
 
 
@@ -319,19 +303,15 @@ def cmd_crossbar_compare(args, file_cfg) -> int:
     probes = rng.uniform(0.0, 1.0, size=(args.n_probes, 2))
     mats = [triangular_matrix(g.universe, probes[:, i], g.half_support)
             for i, g in enumerate(state.config.groups)]
-    ideal_hidden = network._hidden_batch(state, mats)
-    ideal_out = ideal_hidden @ state.w_out.T
+    _, ideal_out = network.forward_batch(state, mats)
     cb_out = crossbar.crossbar_forward_batch(cb1, cb2, mapping, mats)
     scale = np.abs(ideal_out).max(axis=1, keepdims=True)
     denom = np.maximum(np.abs(ideal_out), 1e-9 * np.maximum(scale, 1e-300))
     rel = np.abs(cb_out - ideal_out) / denom
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["probe", "max_rel_deviation", "mean_rel_deviation"])
-    for i in range(args.n_probes):
-        writer.writerow([i, repr(float(rel[i].max())), repr(float(rel[i].mean()))])
     out = out_dir / f"crossbar_compare_{cfg.function}.csv"
-    atomic_write(out, buf.getvalue())
+    atomic_write(out, _csv_text(["probe", "max_rel_deviation", "mean_rel_deviation"],
+                               ([i, repr(float(r.max())), repr(float(r.mean()))]
+                                for i, r in enumerate(rel))))
     _progress(f"wrote {out}")
     print(f"max relative output deviation over {args.n_probes} probes: {rel.max():.3e}")
     return 0
@@ -408,13 +388,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_noise)
     _add_model_flags(p_noise)
     p_noise.add_argument("--noise-variance", type=float, dest="noise_variance")
-    p_noise.set_defaults(func=cmd_noise)
+    p_noise.set_defaults(func=cmd_study, study=("noise", "noise_variance", 0.01))
 
     p_fault = subs.add_parser("fault", help="distorted-cross-point study")
     _add_common(p_fault)
     _add_model_flags(p_fault)
     p_fault.add_argument("--fault-fraction", type=float, dest="fault_fraction")
-    p_fault.set_defaults(func=cmd_fault)
+    p_fault.set_defaults(func=cmd_study, study=("fault", "fault_fraction", 0.2))
 
     p_suite = subs.add_parser("suite", help="reproduce every table")
     _add_common(p_suite)

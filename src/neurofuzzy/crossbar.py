@@ -29,7 +29,7 @@ from .errors import (
     VoltageEncodingOutOfRange,
     WeightOutOfRange,
 )
-from .fuzzy import cosines, pow2_scale
+from .fuzzy import centroid, pow2_scale, power_activation
 
 HEBBIAN_PULSE_SECONDS = 0.05
 
@@ -250,7 +250,7 @@ def distort(cb: Crossbar, fraction: float, seed: int) -> Crossbar:
 
 @dataclass
 class CrossbarMapping:
-    """Calibration data produced by map_network and consumed by crossbar_forward."""
+    """Calibration data produced by map_network and consumed by crossbar_forward_batch."""
 
     group_slices: list
     scale_in: float
@@ -259,8 +259,8 @@ class CrossbarMapping:
     v_read: float
     p: int
     output_grid: np.ndarray
-    row_norms: list = field(default_factory=list)   # per group, from read-back
-    row_shifts: list = field(default_factory=list)  # per group, see network._row_norm
+    row_norms: list = field(default_factory=list)   # per group, of the read-back rows:
+    row_shifts: list = field(default_factory=list)  # norms and exponents from pow2_scale
 
     def logical_in(self, cb1: Crossbar, g: int) -> np.ndarray:
         """Read-back logical first-layer weights for group g."""
@@ -281,9 +281,9 @@ def _x_for_weight(w_scaled: np.ndarray, params: MemristorParams, r_f: float) -> 
 
 
 def _program_targets(cb: Crossbar, x_targets: np.ndarray) -> None:
-    # program-with-verify: full write pulses plus one final pulse whose width
-    # is chosen to land exactly on the target state (a single Euler step is
-    # linear in dt, so the landing is exact); distorted cells are untouched
+    # stands in for program-and-verify: every writable cell is set to its
+    # target state directly, no write pulse is integrated; distorted cells
+    # keep their stuck state
     writable = ~cb.fault_mask
     cb.x[writable] = x_targets[writable]
 
@@ -299,7 +299,7 @@ def map_network(state, params: MemristorParams | None = None, r_f: float | None 
     weight lands on R_on unless overridden.  Pre-distorted crossbars may be
     passed in; their stuck cells are skipped.  Returns (cb1, cb2, mapping).
     """
-    from .network import NetworkState, _row_norm  # local import to avoid a cycle
+    from .network import NetworkState  # local import to avoid a cycle
 
     if not isinstance(state, NetworkState):
         raise TypeError("map_network expects a trained NetworkState")
@@ -348,10 +348,9 @@ def map_network(state, params: MemristorParams | None = None, r_f: float | None 
     # calibration norms come from the hardware state, so distorted rows are
     # normalized by what is actually stored, not by the ideal pattern
     for g in range(len(counts)):
-        logical = mapping.logical_in(cb1, g)[:n_v]
-        pairs = [_row_norm(r) for r in logical]
-        mapping.row_norms.append(np.array([n for n, _ in pairs]))
-        mapping.row_shifts.append(np.array([e for _, e in pairs], dtype=np.int32))
+        _, norms, e = pow2_scale(mapping.logical_in(cb1, g)[:n_v])
+        mapping.row_norms.append(norms)
+        mapping.row_shifts.append(e)
     return cb1, cb2, mapping
 
 
@@ -359,53 +358,35 @@ def crossbar_forward_batch(cb1: Crossbar, cb2: Crossbar, mapping: CrossbarMappin
                            group_mats) -> np.ndarray:
     """Analog forward pass for a batch of fuzzified inputs.
 
-    One sub-threshold read per input group recovers the per-group dot
-    products (linearity of the summing stage), the wrapper normalizes them
-    into cosines with the calibration norms, applies the power activation,
-    and a final read through cb2 yields the raw fuzzy output, rescaled back
-    to logical units.
+    One sub-threshold read of each group's columns of cb1 recovers the
+    per-group dot products (linearity of the summing stage), the wrapper
+    normalizes them into cosines with the calibration norms, applies the
+    power activation, and a final read through cb2 yields the raw fuzzy
+    output, rescaled back to logical units.  Each crossbar's conductance is
+    read once per call.
     """
-    mats = [np.asarray(m, dtype=np.float64) for m in group_mats]
-    batch = mats[0].shape[0]
-    acc = None
-    for g, (sl, mat) in enumerate(zip(mapping.group_slices, mats)):
-        volts = np.zeros((batch, cb1.cols))
-        volts[:, sl] = mat * mapping.v_read
+    n_v = mapping.row_norms[0].size
+    w1 = cb1.weights()[:n_v]
+    groups = []
+    for sl, mat, norms, shifts in zip(mapping.group_slices, group_mats,
+                                      mapping.row_norms, mapping.row_shifts):
+        mat = np.asarray(mat, dtype=np.float64)
+        volts = mat * mapping.v_read
         if np.any(np.abs(volts) >= cb1.params.v_threshold):
             raise ReadDisturbRisk("encoded input reaches the device threshold")
-        currents = -(volts @ cb1.weights().T)          # (batch, rows)
+        currents = -(volts @ w1[:, sl].T)              # (batch, n_v)
         dots = (-currents / mapping.v_read - mapping.floor * mat.sum(axis=1)[:, None])
         dots /= mapping.scale_in
-        # the read used the raw inputs; the norms use them scaled by 2**-e,
-        # so the recovered dot products take the same power of two
-        scaled, e = pow2_scale(mat)
-        in_norms = np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
-        norms, shifts = mapping.row_norms[g], mapping.row_shifts[g]
-        sims = cosines(dots[:, : norms.size], in_norms, norms,
-                       e[:, None] + shifts[None, :])
-        acc = sims if acc is None else acc + sims
-    hidden = (acc / len(mats)) ** mapping.p
-    volts2 = np.zeros((batch, cb2.cols))
-    volts2[:, : hidden.shape[1]] = hidden * mapping.v_read
-    currents2 = -(volts2 @ cb2.weights().T)
+        # the read used the raw inputs and rows; the norms are of both scaled
+        # by 2**-e, so the recovered dot products take the same powers of two
+        _, in_norms, e = pow2_scale(mat)
+        groups.append((np.ldexp(dots, -(e[:, None] + shifts[None, :])), in_norms, norms))
+    hidden = power_activation(groups, mapping.p)
+    currents2 = -((hidden * mapping.v_read) @ cb2.weights()[:, :n_v].T)
     out = (-currents2 / mapping.v_read - mapping.floor * hidden.sum(axis=1)[:, None])
     return out / mapping.scale_out
 
 
-def crossbar_forward(cb1: Crossbar, cb2: Crossbar, mapping: CrossbarMapping,
-                     inputs) -> np.ndarray:
-    """Single-sample analog forward pass; inputs are per-group membership rows."""
-    mats = [np.asarray(mv.values if hasattr(mv, "values") else mv)[None, :]
-            for mv in inputs]
-    return crossbar_forward_batch(cb1, cb2, mapping, mats)[0]
-
-
 def crossbar_infer_crisp_batch(cb1, cb2, mapping, group_mats):
     """Centroid readout of the analog forward pass; NaN where nothing fires."""
-    out = crossbar_forward_batch(cb1, cb2, mapping, group_mats)
-    total = out.sum(axis=1)
-    activated = total > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pred = np.where(activated, (out @ mapping.output_grid)
-                        / np.where(activated, total, 1.0), np.nan)
-    return pred, activated
+    return centroid(crossbar_forward_batch(cb1, cb2, mapping, group_mats), mapping.output_grid)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import benchmarks, crossbar, network
+from . import benchmarks, crossbar, fuzzy, network
 from .benchmarks import (
     CLASSIFICATION,
     FAULT,
@@ -185,20 +185,22 @@ def _train(cfg: ExperimentConfig, net_cfg: NetworkConfig, pts, targets) -> Netwo
     return state
 
 
-def _evaluate_regression(cfg: ExperimentConfig, net_cfg: NetworkConfig, state: NetworkState):
-    """FVU on a fresh test set; unactivated points score as the output midpoint."""
-    test = gen_uniform_samples(cfg.n_test, cfg.test_seed)
-    actual = benchmarks.eval_benchmark(cfg.function, test[:, 0], test[:, 1])
-    mats = [triangular_matrix(g.universe, test[:, i], g.half_support)
-            for i, g in enumerate(net_cfg.groups)]
+def _backend_forward(cfg: ExperimentConfig, state: NetworkState):
+    """Raw outputs of the configured backend: fuzzified (B, count_g) batches -> (B, nz)."""
     if cfg.backend == "crossbar":
         cb1, cb2, mapping = _map_with_faults(cfg, state)
-        pred, activated = crossbar.crossbar_infer_crisp_batch(cb1, cb2, mapping, mats)
-    else:
-        pred, activated = network.infer_crisp_batch(state, mats)
-    uz = net_cfg.output_universe
-    pred = np.where(activated, pred, (uz.lo + uz.hi) / 2.0)
-    return fvu(pred, actual), int((~activated).sum())
+        return lambda mats: crossbar.crossbar_forward_batch(cb1, cb2, mapping, mats)
+    return lambda mats: network.forward_batch(state, mats)[1]
+
+
+def _regression_readout(cfg: ExperimentConfig, state: NetworkState, pts):
+    """Centroid predictions at pts through the configured backend, and the count
+    of unactivated points, which score as the output midpoint."""
+    mats = [triangular_matrix(g.universe, pts[:, i], g.half_support)
+            for i, g in enumerate(state.config.groups)]
+    uz = state.config.output_universe
+    pred, activated = fuzzy.centroid(_backend_forward(cfg, state)(mats), uz.grid())
+    return np.where(activated, pred, (uz.lo + uz.hi) / 2.0), int((~activated).sum())
 
 
 def _map_with_faults(cfg: ExperimentConfig, state: NetworkState):
@@ -231,13 +233,18 @@ def _map_with_faults(cfg: ExperimentConfig, state: NetworkState):
     return cb1, cb2, mapping
 
 
-def run_modeling(cfg: ExperimentConfig) -> ExperimentReport:
-    """Single-pass training on one benchmark function, scored by FVU."""
+def train_and_score(cfg: ExperimentConfig):
+    """Single-pass training on one benchmark function, scored by FVU: (report, state).
+
+    noise_variance > 0 trains on noisy data (clean test set); fault_fraction
+    > 0 sticks weight cells before training (at 1.0 the report flags it).
+    """
     t0 = time.perf_counter()
-    net_cfg = _network_config(cfg)
-    pts, targets = _training_data(cfg, net_cfg)
-    state = _train(cfg, net_cfg, pts, targets)
-    score, n_dead = _evaluate_regression(cfg, net_cfg, state)
+    state = rebuild_trained_state(cfg)
+    net_cfg = state.config
+    test = gen_uniform_samples(cfg.n_test, cfg.test_seed)
+    pred, n_dead = _regression_readout(cfg, state, test)
+    score = fvu(pred, benchmarks.eval_benchmark(cfg.function, test[:, 0], test[:, 1]))
     kind = "modeling"
     ref = TABLE1[cfg.function]["fvu"] if cfg.n_train == 225 else \
         TABLE3.get(cfg.function, {}).get(cfg.n_train, (None,))[0]
@@ -255,22 +262,12 @@ def run_modeling(cfg: ExperimentConfig) -> ExperimentReport:
         runtime_ms=(time.perf_counter() - t0) * 1e3, backend=cfg.backend,
         n_unactivated=n_dead,
         all_faulted=(cfg.fault_fraction >= 1.0),
-    )
+    ), state
 
 
-def run_noise(cfg: ExperimentConfig) -> ExperimentReport:
-    """Modeling run with noisy training data (clean test set)."""
-    return run_modeling(cfg)
-
-
-def run_fault(cfg: ExperimentConfig) -> ExperimentReport:
-    """Modeling run with a fraction of weight cells stuck at random values.
-
-    Faults are drawn over the full provisioned capacity before training and
-    excluded from every write; with fraction 1.0 the run still completes and
-    the report flags the all-faulted condition.
-    """
-    return run_modeling(cfg)
+def run_modeling(cfg: ExperimentConfig) -> ExperimentReport:
+    """The report of train_and_score; the state is dropped with the run."""
+    return train_and_score(cfg)[0]
 
 
 def run_classification(cfg: ExperimentConfig) -> ExperimentReport:
@@ -297,7 +294,7 @@ def run_classification(cfg: ExperimentConfig) -> ExperimentReport:
         cfg.dataset, cfg.n_test, cfg.seed + CLASS_TEST_SEED_OFFSET)
     mats = [triangular_matrix(g.universe, test_pts[:, i], g.half_support)
             for i, g in enumerate(net_cfg.groups)]
-    predicted = network.classify_batch(state, mats)
+    predicted = fuzzy.argmax(_backend_forward(cfg, state)(mats))
     correct = predicted == test_labels
     rate = 100.0 * float(correct.mean())
     counts = tuple(int((test_labels == c).sum()) for c in (0, 1))
@@ -355,16 +352,11 @@ def run_job(kind: str, cfg: ExperimentConfig) -> ExperimentReport:
 
 def surface_grid(cfg: ExperimentConfig, state: NetworkState, n_side: int = 101):
     """(x, y, predicted, actual) rows over a regular grid, for plot emission."""
-    net_cfg = state.config
     axis = np.linspace(0.0, 1.0, n_side)
     xx, yy = np.meshgrid(axis, axis)
     flat = np.stack([xx.ravel(), yy.ravel()], axis=1)
     actual = benchmarks.eval_benchmark(cfg.function, flat[:, 0], flat[:, 1])
-    mats = [triangular_matrix(g.universe, flat[:, i], g.half_support)
-            for i, g in enumerate(net_cfg.groups)]
-    pred, activated = network.infer_crisp_batch(state, mats)
-    uz = net_cfg.output_universe
-    pred = np.where(activated, pred, (uz.lo + uz.hi) / 2.0)
+    pred, _ = _regression_readout(cfg, state, flat)
     return np.stack([flat[:, 0], flat[:, 1], pred, actual], axis=1)
 
 

@@ -40,38 +40,72 @@ COSINE_SNAP = 1e-12
 def pow2_scale(rows):
     """Scale each row (last axis) by 2**-e, e the frexp exponent of its largest magnitude.
 
-    Returns (scaled, e).  Every nonzero row, subnormal ones included, has its
-    largest entry in [0.5, 1) afterwards, so squares and dot products of
-    scaled rows cannot underflow to zero (Blue's scaled 2-norm, ACM TOMS 4(1),
-    1978); all-zero rows stay zero with e = 0.  Multiplying by a power of two
-    is exact for normal floats, so a cosine formed from scaled rows is bit
-    for bit the unscaled one wherever the unscaled one did not underflow.
+    Returns (scaled, norms, e), norms the 2-norms of the scaled rows.  Every
+    nonzero row, subnormal ones included, has its largest entry in [0.5, 1)
+    afterwards, so squares and dot products of scaled rows cannot underflow
+    to zero (Blue's scaled 2-norm, ACM TOMS 4(1), 1978); all-zero rows stay
+    zero with norm 0 and e = 0.  Multiplying by a power of two is exact for
+    normal floats, so a cosine formed from scaled rows is bit for bit the
+    unscaled one wherever the unscaled one did not underflow.
     """
     rows = np.asarray(rows, dtype=np.float64)
     _, e = np.frexp(np.abs(rows).max(axis=-1))
-    return np.ldexp(rows, -e[..., None]), e
+    scaled = np.ldexp(rows, -e[..., None])
+    return scaled, np.sqrt(np.einsum("...j,...j->...", scaled, scaled)), e
 
 
-def cosines(dots, x_norms, w_norms, shifts=0):
+def cosines(dots, x_norms, w_norms):
     """Snapped cosines of every x row against every w row.
 
     x_norms[i] and w_norms[j] are the norms of power-of-two-scaled rows
-    (pow2_scale), and dots[i, j] * 2**-shifts[i, j] is the dot product of those
-    same scaled rows; a pair involving an all-zero row scores 0.
+    (pow2_scale), and dots[i, j] is the dot product of those same scaled
+    rows; a pair involving an all-zero row scores 0.
     """
     denom = x_norms[:, None] * w_norms[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sims = np.where(denom > 0.0, np.ldexp(dots, -shifts) / denom, 0.0)
-    return np.where(sims >= 1.0 - COSINE_SNAP, 1.0, np.maximum(sims, 0.0))
+    sims = np.divide(dots, denom, out=np.zeros_like(denom), where=denom > 0.0)
+    sims[sims >= 1.0 - COSINE_SNAP] = 1.0
+    return np.maximum(sims, 0.0, out=sims)
 
 
 def pair_cosine(a, b):
     """Snapped cosine of two vectors through the scaled kernel; None if either is all zero."""
-    rows, _ = pow2_scale(np.stack([a, b]))
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    rows, norms, _ = pow2_scale(np.stack([a, b]))
     if not norms.all():
         return None
     return float(cosines(rows[:1] @ rows[1:].T, norms[:1], norms[1:])[0, 0])
+
+
+def power_activation(groups, p: int) -> np.ndarray:
+    """Hidden activations ((s^1 + ... + s^G) / G) ** p.
+
+    groups holds one (dots, x_norms, w_norms) triple per input group, as
+    cosines takes them; s^g is that group's (B, N) cosine block.
+    """
+    acc = None
+    for dots, x_norms, w_norms in groups:
+        sims = cosines(dots, x_norms, w_norms)
+        acc = sims if acc is None else np.add(acc, sims, out=acc)
+    acc /= len(groups)
+    acc **= p
+    return acc
+
+
+def centroid(out, grid):
+    """Centroid readout of raw outputs (..., n) over grid.
+
+    Returns (predictions, fired): a row fires when its outputs sum above 0,
+    and its prediction is NaN otherwise.  The centroid is scale invariant,
+    so unbounded raw outputs need no normalization.
+    """
+    total = out.sum(axis=-1)
+    fired = total > 0.0
+    # dividing by NaN gives NaN without a floating-point warning
+    return (out @ grid) / np.where(fired, total, np.nan), fired
+
+
+def argmax(out):
+    """Index of the largest raw output per row, ties to the lower index; -1 where none fires."""
+    return np.where(out.max(axis=-1) > 0.0, np.argmax(out, axis=-1), -1)
 
 
 @dataclass(frozen=True)
@@ -83,10 +117,14 @@ class Universe:
     resolution: float
     count: int
 
-    def grid(self) -> np.ndarray:
+    def __post_init__(self):
+        # built once: training reads the output grid for every sample
         g = self.lo + self.resolution * np.arange(self.count)
         g.flags.writeable = False
-        return g
+        object.__setattr__(self, "_grid", g)
+
+    def grid(self) -> np.ndarray:
+        return self._grid
 
     @property
     def span(self) -> float:
@@ -192,10 +230,10 @@ def fuzzify_triangular(u: Universe, crisp: float, half_support: float) -> Member
 
 def defuzzify_centroid(mv: MembershipVector) -> float:
     """Membership-weighted mean grid position; scale invariant by construction."""
-    total = float(mv.values.sum())
-    if total <= 0.0:
+    pred, fired = centroid(mv.values, mv.universe.grid())
+    if not fired:
         raise AllZeroMembership("no activation anywhere on the universe")
-    return float(mv.values @ mv.universe.grid()) / total
+    return float(pred)
 
 
 def similarity(a: MembershipVector, b: MembershipVector) -> float:

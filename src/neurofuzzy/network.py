@@ -44,16 +44,6 @@ from .fuzzy import MembershipVector, TNorm, Universe
 _FORMAT = "neurofuzzy-state-v1"
 
 
-def _row_norm(row: np.ndarray) -> tuple:
-    # single definition so insertion-time and load-time norms agree bitwise.
-    # Returns (norm, e): the norm is taken on the power-of-two-scaled row
-    # row * 2**-e (fuzzy.pow2_scale), so any nonzero non-negative row,
-    # subnormal ones included, gets a nonzero norm and a defined cosine; only
-    # an all-zero row has norm 0, the one case ZeroVector stands for
-    scaled, e = fuzzy.pow2_scale(row)
-    return float(np.sqrt(np.dot(scaled, scaled))), int(e)
-
-
 @dataclass(frozen=True)
 class InputGroup:
     """One input variable: its universe and default fuzzification width."""
@@ -159,9 +149,11 @@ class NetworkState:
         cap = faults.capacity if faults is not None else 16
         self._capacity = cap
         self._w_in = [np.zeros((cap, g.universe.count)) for g in config.groups]
+        # each stored row scaled by fuzzy.pow2_scale and the norm of the
+        # scaled row, so a forward pass dots inputs against rows that cannot
+        # underflow, subnormal ones included
+        self._scaled = [np.zeros((cap, g.universe.count)) for g in config.groups]
         self._norms = [np.zeros(cap) for g in config.groups]
-        # int32 like np.frexp exponents: np.ldexp runs several times slower on int64
-        self._shifts = [np.zeros(cap, dtype=np.int32) for g in config.groups]
         self._w_out = np.zeros((config.output_universe.count, cap))
         if faults is not None:
             if len(faults.in_masks) != len(config.groups):
@@ -179,12 +171,13 @@ class NetworkState:
     def w_out(self) -> np.ndarray:
         return self._w_out[:, : self.n_minterms]
 
-    def row_norms(self, g: int) -> np.ndarray:
-        """Norms of the stored rows after scaling each by 2**-row_shifts(g)."""
-        return self._norms[g][: self.n_minterms]
+    def scaled_rows(self, g: int) -> np.ndarray:
+        """Stored rows of group g, each scaled by fuzzy.pow2_scale."""
+        return self._scaled[g][: self.n_minterms]
 
-    def row_shifts(self, g: int) -> np.ndarray:
-        return self._shifts[g][: self.n_minterms]
+    def row_norms(self, g: int) -> np.ndarray:
+        """Norms of scaled_rows(g)."""
+        return self._norms[g][: self.n_minterms]
 
     # --- helpers ----------------------------------------------------------
 
@@ -204,8 +197,8 @@ class NetworkState:
         dup.n_minterms = self.n_minterms
         dup._capacity = self._capacity
         dup._w_in = [w.copy() for w in self._w_in]
+        dup._scaled = [w.copy() for w in self._scaled]
         dup._norms = [n.copy() for n in self._norms]
-        dup._shifts = [e.copy() for e in self._shifts]
         dup._w_out = self._w_out.copy()
         return dup
 
@@ -220,8 +213,8 @@ class NetworkState:
             return np.pad(a, [(0, extra)] + [(0, 0)] * (a.ndim - 1))
 
         self._w_in = [grow_rows(w) for w in self._w_in]
+        self._scaled = [grow_rows(w) for w in self._scaled]
         self._norms = [grow_rows(n) for n in self._norms]
-        self._shifts = [grow_rows(e) for e in self._shifts]
         self._w_out = np.pad(self._w_out, [(0, 0), (0, extra)])
         self._capacity += extra
 
@@ -235,7 +228,7 @@ class NetworkState:
                 self._w_in[g][r][keep] = x[keep]
             else:
                 self._w_in[g][r] = x
-            self._norms[g][r], self._shifts[g][r] = _row_norm(self._w_in[g][r])
+            self._scaled[g][r], self._norms[g][r], _ = fuzzy.pow2_scale(self._w_in[g][r])
         self.n_minterms += 1
         return r
 
@@ -255,42 +248,46 @@ def states_equal(a: NetworkState, b: NetworkState) -> bool:
 # --- forward pass ----------------------------------------------------------
 
 
-def _check_inputs(state: NetworkState, inputs) -> list:
+def _sample_mats(state: NetworkState, inputs) -> list:
+    """Checked 1-row batches (one per group) of one fuzzified sample."""
     if len(inputs) != len(state.config.groups):
         raise UniverseMismatch(
             f"expected {len(state.config.groups)} input groups, got {len(inputs)}"
         )
-    xs = []
+    mats = []
     for g, mv in zip(state.config.groups, inputs):
         if mv.universe != g.universe:
             raise UniverseMismatch(f"input universe does not match group {g.name!r}")
-        xs.append(mv.values)
-    return xs
+        if not np.any(mv.values):
+            raise ZeroVector("all-zero input membership vector")
+        mats.append(mv.values[None, :])
+    return mats
 
 
 def _hidden_batch(state: NetworkState, mats) -> np.ndarray:
     """Hidden activations for a batch; mats[g] has shape (B, count_g)."""
-    n_groups = len(mats)
-    acc = None
+    groups = []
     for g, X in enumerate(mats):
-        xs, _ = fuzzy.pow2_scale(X)
-        x_norms = np.sqrt(np.einsum("ij,ij->i", xs, xs))
-        sims = fuzzy.cosines(xs @ state.w_in(g).T, x_norms, state.row_norms(g),
-                             state.row_shifts(g)[None, :])
-        acc = sims if acc is None else acc + sims
-    return (acc / n_groups) ** state.config.p
+        xs, x_norms, _ = fuzzy.pow2_scale(X)
+        groups.append((xs @ state.scaled_rows(g).T, x_norms, state.row_norms(g)))
+    return fuzzy.power_activation(groups, state.config.p)
+
+
+def forward_batch(state: NetworkState, mats):
+    """Hidden activations (B, N) and raw fuzzy outputs (B, nz) of a batch.
+
+    mats[g] is a (B, count_g) matrix of membership rows for input group g.
+    """
+    if state.n_minterms == 0:
+        raise UntrainedNetwork("network has no min-terms yet")
+    hidden = _hidden_batch(state, mats)
+    return hidden, hidden @ state.w_out.T
 
 
 def forward(state: NetworkState, inputs):
     """Hidden activations and raw fuzzy output for one fuzzified sample."""
-    if state.n_minterms == 0:
-        raise UntrainedNetwork("network has no min-terms yet")
-    xs = _check_inputs(state, inputs)
-    for x in xs:
-        if not np.any(x):
-            raise ZeroVector("all-zero input membership vector")
-    hidden = _hidden_batch(state, [x[None, :] for x in xs])[0]
-    return hidden, state.w_out @ hidden
+    hidden, out = forward_batch(state, _sample_mats(state, inputs))
+    return hidden[0], out[0]
 
 
 def infer_crisp(state: NetworkState, inputs) -> float:
@@ -300,19 +297,18 @@ def infer_crisp(state: NetworkState, inputs) -> float:
     rather than through a [0,1]-checked MembershipVector; scale invariance
     of the centroid makes the magnitude irrelevant.
     """
-    _, out = forward(state, inputs)
-    total = float(out.sum())
-    if total <= 0.0:
+    pred, activated = infer_crisp_batch(state, _sample_mats(state, inputs))
+    if not activated[0]:
         raise AllZeroMembership("no output neuron is activated for this input")
-    return float(out @ state.config.output_universe.grid()) / total
+    return float(pred[0])
 
 
 def classify(state: NetworkState, inputs) -> int:
     """Index of the most activated output neuron; ties go to the lower index."""
-    _, out = forward(state, inputs)
-    if not np.any(out > 0.0):
+    label = int(classify_batch(state, _sample_mats(state, inputs))[0])
+    if label < 0:
         raise Unclassifiable("no output neuron is activated for this input")
-    return int(np.argmax(out))
+    return label
 
 
 def infer_crisp_batch(state: NetworkState, mats):
@@ -322,26 +318,12 @@ def infer_crisp_batch(state: NetworkState, mats):
     (predictions, activated): predictions hold NaN where no output neuron is
     activated, activated is the corresponding boolean mask.
     """
-    if state.n_minterms == 0:
-        raise UntrainedNetwork("network has no min-terms yet")
-    hidden = _hidden_batch(state, mats)
-    out = hidden @ state.w_out.T
-    total = out.sum(axis=1)
-    activated = total > 0.0
-    grid = state.config.output_universe.grid()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pred = np.where(activated, (out @ grid) / np.where(activated, total, 1.0), np.nan)
-    return pred, activated
+    return fuzzy.centroid(forward_batch(state, mats)[1], state.config.output_universe.grid())
 
 
 def classify_batch(state: NetworkState, mats):
     """Vectorized argmax classification; -1 where no output is activated."""
-    if state.n_minterms == 0:
-        raise UntrainedNetwork("network has no min-terms yet")
-    hidden = _hidden_batch(state, mats)
-    out = hidden @ state.w_out.T
-    labels = np.argmax(out, axis=1)
-    return np.where(out.max(axis=1) > 0.0, labels, -1)
+    return fuzzy.argmax(forward_batch(state, mats)[1])
 
 
 # --- training ---------------------------------------------------------------
@@ -349,11 +331,8 @@ def classify_batch(state: NetworkState, mats):
 
 def _novelty_error(state, out, target_crisp, target_u) -> float:
     if target_crisp is not None:
-        total = out.sum()
-        if total <= 0.0:
-            return np.inf
-        pred = float(out @ state.config.output_universe.grid()) / float(total)
-        return abs(pred - target_crisp)
+        pred, fired = fuzzy.centroid(out, state.config.output_universe.grid())
+        return abs(float(pred) - target_crisp) if fired else np.inf
     cos = fuzzy.pair_cosine(out, target_u)
     return np.inf if cos is None else 1.0 - cos
 
@@ -372,10 +351,7 @@ def train_one(state: NetworkState, inputs, target_crisp: float | None = None,
     """
     if (target_crisp is None) == (target_fuzzy is None):
         raise ValueError("give exactly one of target_crisp / target_fuzzy")
-    xs = _check_inputs(state, inputs)
-    for x in xs:
-        if not np.any(x):
-            raise ZeroVector("all-zero input membership vector")
+    mats = _sample_mats(state, inputs)
     out_u = state.config.output_universe
     if target_crisp is not None:
         if not out_u.contains(target_crisp):
@@ -390,17 +366,16 @@ def train_one(state: NetworkState, inputs, target_crisp: float | None = None,
         u = target_fuzzy.values
 
     if state.n_minterms > 0:
-        hidden = _hidden_batch(state, [x[None, :] for x in xs])[0]
-        out = state.w_out @ hidden
-        err = _novelty_error(state, out, target_crisp, u)
+        hidden, out = forward_batch(state, mats)
+        err = _novelty_error(state, out[0], target_crisp, u)
         if err < state.config.novelty_threshold:
             return TrainOutcome(kind="skipped", index=None, pre_update_error=err,
-                                hidden=hidden)
+                                hidden=hidden[0])
     else:
         err = np.inf
 
-    idx = state._append_row(xs)
-    hidden = _hidden_batch(state, [x[None, :] for x in xs])[0]
+    idx = state._append_row([x[0] for x in mats])
+    hidden = _hidden_batch(state, mats)[0]
     delta = state.config.alpha * fuzzy.pairwise_tnorm(state.config.hebbian_tnorm, u, hidden)
     if state.faults is not None:
         delta[state.faults.out_mask[:, : state.n_minterms]] = 0.0
@@ -517,8 +492,7 @@ def deserialize(payload: bytes) -> NetworkState:
             if rows.shape != (n, groups[g].universe.count):
                 raise MalformedPayload(f"group {g} weight shape {rows.shape} is inconsistent")
             state._w_in[g][:n] = rows
-            for r in range(n):
-                state._norms[g][r], state._shifts[g][r] = _row_norm(state._w_in[g][r])
+            state._scaled[g][:n], state._norms[g][:n], _ = fuzzy.pow2_scale(rows)
         w_out = data["w_out"]
         if w_out.shape != (config.output_universe.count, n):
             raise MalformedPayload(f"output weight shape {w_out.shape} is inconsistent")

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -77,6 +78,38 @@ class TestModelCommand:
         assert len(surface) == 1 + 101 * 101
         assert (tmp_path / "g1.state").stat().st_size > 0
 
+    def test_surface_and_state_train_once(self, tmp_path, monkeypatch):
+        from neurofuzzy import network
+
+        calls = []
+        real = network.train_dataset
+        monkeypatch.setattr(network, "train_dataset",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        rc = cli.main(["model", "--fn", "g1", "--surface", "--save-state",
+                       str(tmp_path / "g1.state"), "--out-dir", str(tmp_path)] + FAST)
+        assert rc == 0
+        assert len(calls) == 1
+
+    def test_save_state_is_atomic(self, tmp_path, monkeypatch):
+        path = tmp_path / "g1.state"
+        path.write_bytes(b"previous state")
+
+        real_replace = os.replace
+
+        def failing_replace(src, dst):
+            if os.fspath(dst) == str(path):
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            cli.main(["model", "--fn", "g1", "--save-state", str(path),
+                      "--out-dir", str(tmp_path / "out")] + FAST)
+        assert path.read_bytes() == b"previous state"
+        # the report was written; no temporary file is left beside the state
+        assert (tmp_path / "out" / "model_g1.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g1.state", "out"]
+
     def test_unknown_function_exit_1(self, tmp_path):
         assert run_cli(["model", "--fn", "g7"], tmp_path) == 1
 
@@ -96,6 +129,23 @@ class TestOtherCommands:
                        "--n-test", "200", "--out-dir", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "classify_set1.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--dataset", "4", "--n-train", "60", "--n-test", "200"],
+        ["suite", "--only", "classification", "--jobs", "1"],
+    ])
+    def test_crossbar_backend_scores_on_crossbars(self, tmp_path, monkeypatch, argv):
+        from neurofuzzy import crossbar
+
+        mapped = []
+        real = crossbar.map_network
+        monkeypatch.setattr(crossbar, "map_network",
+                            lambda *a, **k: mapped.append(1) or real(*a, **k))
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "ideal")]) == 0
+        assert mapped == []
+        assert cli.main(argv + ["--backend", "crossbar",
+                                "--out-dir", str(tmp_path / "crossbar")]) == 0
+        assert len(mapped) == (1 if argv[0] == "classify" else 4)
 
     def test_noise_default_variance(self, tmp_path):
         rc = run_cli(["noise", "--fn", "g1"] + FAST, tmp_path)

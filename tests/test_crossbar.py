@@ -8,7 +8,6 @@ from neurofuzzy.crossbar import (
     Crossbar,
     MemristorParams,
     MemristorState,
-    crossbar_forward,
     crossbar_forward_batch,
     delta_weight_sweep,
     distort,
@@ -295,10 +294,8 @@ class TestCrossbarForward:
         pts = np.random.default_rng(8).uniform(0, 1, size=(20, 2))
         mats = [triangular_matrix(g.universe, pts[:, i], g.half_support)
                 for i, g in enumerate(state.config.groups)]
-        ideal = network._hidden_batch(state, mats)
-        # recompute the analog hidden layer through the mapping internals
+        _, out_ideal = network.forward_batch(state, mats)
         out_cb = crossbar_forward_batch(cb1, cb2, mapping, mats)
-        out_ideal = ideal @ state.w_out.T
         scale = np.abs(out_ideal).max()
         assert np.allclose(out_cb, out_ideal, rtol=0.05, atol=1e-9 * scale)
 
@@ -307,7 +304,7 @@ class TestCrossbarForward:
         pts = np.random.default_rng(21).uniform(0, 1, size=(50, 2))
         mats = [triangular_matrix(g.universe, pts[:, i], g.half_support)
                 for i, g in enumerate(g1_state.config.groups)]
-        ideal = network._hidden_batch(g1_state, mats) @ g1_state.w_out.T
+        _, ideal = network.forward_batch(g1_state, mats)
         got = crossbar_forward_batch(cb1, cb2, mapping, mats)
         scale = np.abs(ideal).max()
         assert np.allclose(got, ideal, rtol=0.05, atol=1e-9 * scale)
@@ -315,7 +312,7 @@ class TestCrossbarForward:
     def test_single_sample_wrapper(self, g1_state):
         cb1, cb2, mapping = map_network(g1_state)
         inputs = g1_state.fuzzify_inputs([0.3, 0.7])
-        out = crossbar_forward(cb1, cb2, mapping, inputs)
+        out = crossbar_forward_batch(cb1, cb2, mapping, [mv.values[None, :] for mv in inputs])[0]
         _, ideal = network.forward(g1_state, inputs)
         scale = np.abs(ideal).max()
         assert np.allclose(out, ideal, rtol=0.05, atol=1e-9 * scale)

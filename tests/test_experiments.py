@@ -11,9 +11,7 @@ from neurofuzzy.experiments import (
     paper_classification_config,
     paper_modeling_config,
     run_classification,
-    run_fault,
     run_modeling,
-    run_noise,
     suite_jobs,
 )
 
@@ -89,13 +87,13 @@ class TestRunModeling:
 class TestRunNoise:
     def test_zero_variance_reduces_to_modeling(self):
         a = run_modeling(quick(seed=3))
-        b = run_noise(quick(seed=3, noise_variance=0.0))
+        b = run_modeling(quick(seed=3, noise_variance=0.0))
         assert a.fvu_or_rate == b.fvu_or_rate
         assert a.n_minterms == b.n_minterms
 
     def test_noise_degrades_but_bounded(self):
         clean = run_modeling(quick(seed=2, n_test=4000))
-        noisy = run_noise(quick(seed=2, n_test=4000, noise_variance=0.01))
+        noisy = run_modeling(quick(seed=2, n_test=4000, noise_variance=0.01))
         assert noisy.kind == "noise"
         assert noisy.paper_reference == 0.281
         assert noisy.fvu_or_rate > clean.fvu_or_rate
@@ -105,27 +103,27 @@ class TestRunNoise:
 class TestRunFault:
     def test_zero_fraction_bit_identical_to_modeling(self):
         a = run_modeling(quick(seed=4))
-        b = run_fault(quick(seed=4, fault_fraction=0.0))
+        b = run_modeling(quick(seed=4, fault_fraction=0.0))
         assert a.fvu_or_rate == b.fvu_or_rate
         assert a.n_minterms == b.n_minterms
 
     def test_twenty_percent(self):
         ff = run_modeling(quick(seed=4, n_test=2000))
-        r = run_fault(quick(seed=4, n_test=2000, fault_fraction=0.2))
+        r = run_modeling(quick(seed=4, n_test=2000, fault_fraction=0.2))
         assert r.kind == "fault"
         assert r.paper_reference == 0.212
         assert r.n_minterms >= ff.n_minterms
         assert r.fvu_or_rate < 0.5
 
     def test_all_faulted_completes_and_flags(self):
-        r = run_fault(quick(n_train=40, n_test=200, fault_fraction=1.0))
+        r = run_modeling(quick(n_train=40, n_test=200, fault_fraction=1.0))
         assert r.all_faulted
         assert np.isfinite(r.fvu_or_rate)
 
     def test_fault_seed_controls_draw(self):
-        a = run_fault(quick(seed=4, fault_fraction=0.2, fault_seed=1))
-        b = run_fault(quick(seed=4, fault_fraction=0.2, fault_seed=1))
-        c = run_fault(quick(seed=4, fault_fraction=0.2, fault_seed=2))
+        a = run_modeling(quick(seed=4, fault_fraction=0.2, fault_seed=1))
+        b = run_modeling(quick(seed=4, fault_fraction=0.2, fault_seed=1))
+        c = run_modeling(quick(seed=4, fault_fraction=0.2, fault_seed=2))
         assert a.fvu_or_rate == b.fvu_or_rate
         assert a.fvu_or_rate != c.fvu_or_rate
 
@@ -156,6 +154,28 @@ class TestRunClassification:
             network.train_one(state, state.fuzzify_inputs([x, y]), target_crisp=label)
         assert network.classify(state, state.fuzzify_inputs([0.2, 0.2])) == 0
         assert network.classify(state, state.fuzzify_inputs([0.8, 0.8])) == 1
+
+    def test_stuck_crossbar_cells_change_only_crossbar_labels(self, monkeypatch):
+        # pristine crossbars agree with the ideal network; cb2's class-1
+        # output line stuck at R_on draws every fired point to class 1
+        from neurofuzzy import crossbar
+
+        cfg = paper_classification_config(3, n_train=200, n_test=400)
+        on_crossbar = dataclasses.replace(cfg, backend="crossbar")
+        ideal = run_classification(cfg).fvu_or_rate
+        assert run_classification(on_crossbar).fvu_or_rate == ideal
+
+        real = crossbar.map_network
+
+        def stuck_map(state, params=None, r_f=None, cb1=None, cb2=None, **kw):
+            cb2.fault_mask[1] = True
+            cb2.x[1] = 1.0
+            return real(state, params, r_f, cb1=cb1, cb2=cb2, **kw)
+
+        monkeypatch.setattr(crossbar, "map_network", stuck_map)
+        stuck = run_classification(on_crossbar)
+        assert stuck.fvu_or_rate < ideal - 25.0
+        assert run_classification(cfg).fvu_or_rate == ideal
 
     def test_unknown_dataset(self):
         with pytest.raises(UnknownDatasetId):

@@ -122,6 +122,19 @@ class TestForward:
         assert hidden.tolist() == [1.0]
         assert np.array_equal(out, state.w_out[:, 0])
 
+    def test_subnormal_stored_row(self):
+        # the stored row's dot product with an input must not underflow
+        u4 = universe_from_count(0.0, 1.0, 4)
+        cfg = NetworkConfig(groups=(InputGroup("x", u4, 0.3),),
+                            output_universe=universe_from_count(0.0, 1.0, 3), p=7)
+        state = NetworkState(cfg)
+        stored, probe = mv(u4, [0, 0, 0, 5e-324]), mv(u4, [0, 0, 0.5, 1])
+        train_one(state, [stored], target_crisp=0.5)
+        hidden, _ = forward(state, [probe])
+        sim = fuzzy.similarity(stored, probe)
+        assert sim == pytest.approx(2 / math.sqrt(5), rel=1e-12)
+        assert hidden[0] == pytest.approx(sim ** 7, rel=1e-12)
+
     def test_untrained_raises(self):
         cfg = small_config()
         state = NetworkState(cfg)
@@ -356,14 +369,9 @@ class TestClassify:
     def test_argmax_and_tie_break(self):
         cfg = small_config(nz=2)
         state = NetworkState(cfg)
-        state.n_minterms = 1
-        state._w_out[:, 0] = [0.9, 0.1]
         inputs = fuzz_sample(cfg, 0.5, 0.5)
-        train = state.w_in(0)
-        state._w_in[0][0] = inputs[0].values
-        state._w_in[1][0] = inputs[1].values
-        state._norms[0][0] = np.sqrt(inputs[0].values @ inputs[0].values)
-        state._norms[1][0] = np.sqrt(inputs[1].values @ inputs[1].values)
+        state._append_row([mv.values for mv in inputs])
+        state._w_out[:, 0] = [0.9, 0.1]
         assert classify(state, inputs) == 0
         state._w_out[:, 0] = [0.5, 0.5]
         assert classify(state, inputs) == 0      # documented tie-break: lower index
