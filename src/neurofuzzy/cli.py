@@ -244,9 +244,12 @@ def cmd_classify(args, file_cfg) -> int:
 
 
 def cmd_suite(args, file_cfg) -> int:
-    seed = args.seed if args.seed is not None else 1
-    backend = args.backend or "ideal"
-    jobs = experiments.suite_jobs(seed=seed, backend=backend)
+    try:
+        jobs = experiments.suite_jobs(
+            seed=_merged(file_cfg, "experiment", "seed", args.seed, 1),
+            backend=_merged(file_cfg, "experiment", "backend", args.backend, "ideal"))
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     if args.only:
         if args.only not in jobs:
             raise ConfigError(f"--only must be one of {sorted(jobs)}, got {args.only!r}")

@@ -175,13 +175,7 @@ def _train(cfg: ExperimentConfig, net_cfg: NetworkConfig, pts, targets) -> Netwo
     state = NetworkState(net_cfg, faults=faults)
     mats = [triangular_matrix(g.universe, pts[:, i], g.half_support)
             for i, g in enumerate(net_cfg.groups)]
-
-    def samples():
-        for k in range(cfg.n_train):
-            yield ([network.MembershipVector(g.universe, mats[i][k])
-                    for i, g in enumerate(net_cfg.groups)], targets[k])
-
-    network.train_dataset(state, samples())
+    network.train_matrix(state, mats, targets)
     return state
 
 

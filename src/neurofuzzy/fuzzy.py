@@ -68,11 +68,12 @@ def cosines(dots, x_norms, w_norms):
 
 
 def pair_cosine(a, b):
-    """Snapped cosine of two vectors through the scaled kernel; None if either is all zero."""
-    rows, norms, _ = pow2_scale(np.stack([a, b]))
-    if not norms.all():
-        return None
-    return float(cosines(rows[:1] @ rows[1:].T, norms[:1], norms[1:])[0, 0])
+    """Snapped cosine of row i of a with row i of b; NaN where either row is all zero."""
+    a, a_norms, _ = pow2_scale(a)
+    b, b_norms, _ = pow2_scale(b)
+    denom = a_norms * b_norms
+    cos = cosines(np.einsum("ij,ij->i", a, b)[:, None], denom, np.ones(1))[:, 0]
+    return np.where(denom > 0.0, cos, np.nan)
 
 
 def power_activation(groups, p: int) -> np.ndarray:
@@ -136,9 +137,10 @@ class Universe:
         i = int(np.ceil(q - 0.5))
         return min(max(i, 0), self.count - 1)
 
-    def contains(self, value: float) -> bool:
+    def contains(self, values):
+        """Elementwise: whether each value lies in [lo, hi] to ALIGN_RTOL."""
         tol = ALIGN_RTOL * max(1.0, abs(self.lo), abs(self.hi))
-        return self.lo - tol <= value <= self.hi + tol
+        return (values >= self.lo - tol) & (values <= self.hi + tol)
 
 
 def build_universe(lo: float, hi: float, resolution: float) -> Universe:
@@ -247,8 +249,8 @@ def similarity(a: MembershipVector, b: MembershipVector) -> float:
     """
     if a.universe != b.universe:
         raise UniverseMismatch("membership vectors live on different universes")
-    cos = pair_cosine(a.values, b.values)
-    if cos is None:
+    cos = float(pair_cosine(a.values[None], b.values[None])[0])
+    if np.isnan(cos):
         raise ZeroVector("similarity of an all-zero membership vector is undefined")
     return cos
 

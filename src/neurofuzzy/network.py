@@ -17,7 +17,8 @@ fuzzified inputs) and then Hebbian-update the full output matrix:
 
     w_ij += alpha * t(v_j, u_i)
 
-with u the fuzzified target and t a configurable soft-AND.
+with u the fuzzified target and t a configurable soft-AND.  train_matrix is
+the one trainer; train_one and train_dataset stack their samples into it.
 """
 
 import io
@@ -133,6 +134,7 @@ class TrainingStats:
     n_samples: int = 0
     n_minterms_added: int = 0
     add_indices: list = field(default_factory=list)
+    errors: np.ndarray | None = None   # each sample's novelty error before its own update
 
 
 class NetworkState:
@@ -264,13 +266,11 @@ def _sample_mats(state: NetworkState, inputs) -> list:
     return mats
 
 
-def _hidden_batch(state: NetworkState, mats) -> np.ndarray:
-    """Hidden activations for a batch; mats[g] has shape (B, count_g)."""
-    groups = []
-    for g, X in enumerate(mats):
-        xs, x_norms, _ = fuzzy.pow2_scale(X)
-        groups.append((xs @ state.scaled_rows(g).T, x_norms, state.row_norms(g)))
-    return fuzzy.power_activation(groups, state.config.p)
+def _hidden(state: NetworkState, scaled, rows=slice(None)) -> np.ndarray:
+    """Hidden activations of the given rows; scaled yields pow2_scale's (rows, norms) per group."""
+    return fuzzy.power_activation(
+        [(xs[rows] @ state.scaled_rows(g).T, norms[rows], state.row_norms(g))
+         for g, (xs, norms) in enumerate(scaled)], state.config.p)
 
 
 def forward_batch(state: NetworkState, mats):
@@ -280,7 +280,8 @@ def forward_batch(state: NetworkState, mats):
     """
     if state.n_minterms == 0:
         raise UntrainedNetwork("network has no min-terms yet")
-    hidden = _hidden_batch(state, mats)
+    # one group's scaled copy at a time: a 10,000 x 100 copy is 8 MB
+    hidden = _hidden(state, (fuzzy.pow2_scale(X)[:2] for X in mats))
     return hidden, hidden @ state.w_out.T
 
 
@@ -328,81 +329,120 @@ def classify_batch(state: NetworkState, mats):
 
 # --- training ---------------------------------------------------------------
 
+# Novelty is checked on up to this many samples per GEMM.  A chunk starts at
+# one sample after each add and doubles while its samples stay familiar, so
+# novel streams waste little work on rows checked against a stale state.
+CHUNK_MAX = 64
 
-def _novelty_error(state, out, target_crisp, target_u) -> float:
-    if target_crisp is not None:
-        pred, fired = fuzzy.centroid(out, state.config.output_universe.grid())
-        return abs(float(pred) - target_crisp) if fired else np.inf
-    cos = fuzzy.pair_cosine(out, target_u)
-    return np.inf if cos is None else 1.0 - cos
+
+def _check_stream(state: NetworkState, mats, targets) -> None:
+    """Validate a whole stream before training writes anything."""
+    out_u, n = state.config.output_universe, targets.shape[0]
+    want = [(n, g.universe.count) for g in state.config.groups]
+    if [X.shape for X in mats] != want or targets.shape[1:] not in ((), (out_u.count,)):
+        raise UniverseMismatch(f"input shapes {[X.shape for X in mats]} and target shape "
+                               f"{targets.shape} do not fit {want} and {out_u.count} outputs")
+    zero = ~np.logical_and.reduce([X.any(axis=1) for X in mats])
+    bad = zero | (~out_u.contains(targets) if targets.ndim == 1 else False)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if zero[k]:
+            raise ZeroVector(f"sample {k}: all-zero input membership vector")
+        raise TargetOutOfRange(f"sample {k}: target {targets[k]} outside output "
+                               f"universe [{out_u.lo}, {out_u.hi}]")
+
+
+def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
+    """Present fuzzified samples in order: skip the familiar, grow on the novel.
+
+    mats[g] is the (B, count_g) matrix of group g's rows; targets is (B,) crisp
+    or (B, nz) fuzzy.  The novelty error is the absolute centroid error (crisp)
+    or one minus the cosine of output and target (fuzzy), inf where nothing
+    fires.  Chunks are scored against the current state in one pass, with the
+    result of presenting the samples one at a time.  The stream is validated
+    first: an invalid sample k raises with "sample k" and changes nothing.
+    """
+    cfg = state.config
+    targets = np.asarray(targets, dtype=np.float64)
+    mats = [np.asarray(X, dtype=np.float64) for X in mats]
+    _check_stream(state, mats, targets)
+    n = targets.shape[0]
+    scaled = [fuzzy.pow2_scale(X)[:2] for X in mats]
+    stats = TrainingStats(n_samples=n, errors=np.full(n, np.inf))
+    i, chunk = 0, 1
+    while i < n:
+        stop = min(i + chunk, n)
+        hidden = _hidden(state, scaled, slice(i, stop))
+        out = hidden @ state.w_out.T
+        if targets.ndim == 1:
+            err = np.abs(fuzzy.centroid(out, cfg.output_universe.grid())[0] - targets[i:stop])
+        else:
+            err = 1.0 - fuzzy.pair_cosine(out, targets[i:stop])
+        err = stats.errors[i:stop] = np.where(np.isnan(err), np.inf, err)  # nothing fired
+        novel = np.flatnonzero(~(err < cfg.novelty_threshold))
+        if novel.size == 0:
+            i, chunk = stop, min(2 * chunk, CHUNK_MAX)
+            continue
+        k = int(novel[0])
+        j, i, chunk = i + k, i + k + 1, 1
+        try:
+            stats.add_indices.append(state._append_row([X[j] for X in mats]))
+        except CapacityExceeded as e:
+            raise CapacityExceeded(f"sample {j}: {e}") from e
+        # the new row copies the input, so without faults it fires at exactly 1
+        v = (np.append(hidden[k], 1.0) if state.faults is None
+             else _hidden(state, scaled, slice(j, j + 1))[0])
+        u = targets[j] if targets.ndim == 2 else fuzzy.triangular_matrix(
+            cfg.output_universe, targets[j:j + 1], cfg.output_half_support)[0]
+        # t(0, v) = 0 for product and min: rows outside the target's support keep their weights
+        support = (np.flatnonzero(u) if cfg.hebbian_tnorm.kind in ("product", "min")
+                   else [0, u.size - 1])
+        if len(support) == 0:
+            continue
+        rows = slice(support[0], support[-1] + 1)
+        delta = cfg.alpha * fuzzy.pairwise_tnorm(cfg.hebbian_tnorm, u[rows], v)
+        if state.faults is not None:
+            delta[state.faults.out_mask[rows, :v.size]] = 0.0
+        state._w_out[rows, :v.size] += delta
+    stats.n_minterms_added = len(stats.add_indices)
+    return stats
 
 
 def train_one(state: NetworkState, inputs, target_crisp: float | None = None,
               target_fuzzy: MembershipVector | None = None) -> TrainOutcome:
-    """Present one sample: skip it if familiar, otherwise grow and update.
+    """One sample through train_matrix; give exactly one of target_crisp / target_fuzzy.
 
-    Exactly one of target_crisp / target_fuzzy must be given.  The novelty
-    error is the absolute defuzzified error for crisp targets and one minus
-    the cosine of the raw output against the target membership for fuzzy
-    ones; errors below the configured threshold leave the state untouched.
-    A novel sample appends one row per group (exact copy of the fuzzified
-    inputs), recomputes the hidden layer including the new neuron, and adds
-    alpha * t(v_j, u_i) to every output weight.
+    The outcome's hidden holds the activations after the sample's own update.
     """
     if (target_crisp is None) == (target_fuzzy is None):
         raise ValueError("give exactly one of target_crisp / target_fuzzy")
-    mats = _sample_mats(state, inputs)
-    out_u = state.config.output_universe
-    if target_crisp is not None:
-        if not out_u.contains(target_crisp):
-            raise TargetOutOfRange(
-                f"target {target_crisp} outside output universe [{out_u.lo}, {out_u.hi}]"
-            )
-        u = fuzzy.triangular_matrix(out_u, np.array([target_crisp]),
-                                    state.config.output_half_support)[0]
-    else:
-        if target_fuzzy.universe != out_u:
-            raise UniverseMismatch("fuzzy target universe does not match the output universe")
-        u = target_fuzzy.values
-
-    if state.n_minterms > 0:
-        hidden, out = forward_batch(state, mats)
-        err = _novelty_error(state, out[0], target_crisp, u)
-        if err < state.config.novelty_threshold:
-            return TrainOutcome(kind="skipped", index=None, pre_update_error=err,
-                                hidden=hidden[0])
-    else:
-        err = np.inf
-
-    idx = state._append_row([x[0] for x in mats])
-    hidden = _hidden_batch(state, mats)[0]
-    delta = state.config.alpha * fuzzy.pairwise_tnorm(state.config.hebbian_tnorm, u, hidden)
-    if state.faults is not None:
-        delta[state.faults.out_mask[:, : state.n_minterms]] = 0.0
-    state._w_out[:, : state.n_minterms] += delta
-    return TrainOutcome(kind="added", index=idx, pre_update_error=err, hidden=hidden)
+    target = float(target_crisp) if target_fuzzy is None else target_fuzzy
+    stats = train_dataset(state, [(inputs, target)])
+    index = stats.add_indices[0] if stats.add_indices else None
+    return TrainOutcome(kind="skipped" if index is None else "added", index=index,
+                        pre_update_error=float(stats.errors[0]),
+                        hidden=forward_batch(state, _sample_mats(state, inputs))[0][0])
 
 
 def train_dataset(state: NetworkState, samples) -> TrainingStats:
-    """Fold train_one over (inputs, target) pairs in order.
-
-    Targets may be floats (crisp) or MembershipVectors (fuzzy).  Per-sample
-    failures abort with the sample index attached.
-    """
-    stats = TrainingStats()
+    """train_matrix over (inputs, target) pairs; targets all floats or all MembershipVectors."""
+    samples = list(samples)
+    fuzzy_targets = [isinstance(t, MembershipVector) for _, t in samples]
+    if any(fuzzy_targets) and not all(fuzzy_targets):
+        raise ValueError("a stream mixes crisp and fuzzy targets")
+    rows = []
     for i, (inputs, target) in enumerate(samples):
         try:
-            if isinstance(target, MembershipVector):
-                outcome = train_one(state, inputs, target_fuzzy=target)
-            else:
-                outcome = train_one(state, inputs, target_crisp=float(target))
+            rows.append(_sample_mats(state, inputs))
+            if fuzzy_targets[i] and target.universe != state.config.output_universe:
+                raise UniverseMismatch("fuzzy target universe does not match the output universe")
         except NeuroFuzzyError as e:
             raise type(e)(f"sample {i}: {e}") from e
-        stats.n_samples += 1
-        if outcome.kind == "added":
-            stats.n_minterms_added += 1
-            stats.add_indices.append(outcome.index)
-    return stats
+    mats = [np.array([r[g][0] for r in rows]).reshape(len(rows), grp.universe.count)
+            for g, grp in enumerate(state.config.groups)]
+    targets = np.array([t.values if f else float(t)
+                        for (_, t), f in zip(samples, fuzzy_targets)])
+    return train_matrix(state, mats, targets)
 
 
 # --- serialization ----------------------------------------------------------
@@ -451,6 +491,17 @@ def serialize(state: NetworkState) -> bytes:
     return buf.getvalue()
 
 
+def _array(data, key: str, shape: tuple, mask: bool = False) -> np.ndarray:
+    """data[key] of the given shape: bool for a mask, else finite and non-negative."""
+    a = data[key]
+    ok = a.dtype == bool if mask else (
+        a.dtype.kind == "f" and np.isfinite(a).all() and (a >= 0.0).all())
+    if a.shape != shape or not ok:
+        raise MalformedPayload(f"{key}: {a.dtype} {a.shape} is no {shape} "
+                               f"{'mask' if mask else 'array of finite non-negative weights'}")
+    return a
+
+
 def deserialize(payload: bytes) -> NetworkState:
     try:
         data = np.load(io.BytesIO(payload), allow_pickle=False)
@@ -474,30 +525,30 @@ def deserialize(payload: bytes) -> NetworkState:
             output_half_support=meta["output_half_support"],
             hebbian_tnorm=TNorm(meta["hebbian_tnorm"]["kind"], meta["hebbian_tnorm"]["p"]),
         )
+        n, nz = int(meta["n_minterms"]), config.output_universe.count
+        counts = [g.universe.count for g in groups]
         faults = None
         if meta["has_faults"]:
+            cap = int(data["fault_capacity"][0])
+            if n > cap:
+                raise MalformedPayload(f"{n} min-terms exceed the fault plan's {cap} rows")
             faults = WeightFaults(
-                capacity=int(data["fault_capacity"][0]),
-                in_masks=[data[f"fault_in_mask_{g}"] for g in range(len(groups))],
-                in_stuck=[data[f"fault_in_stuck_{g}"] for g in range(len(groups))],
-                out_mask=data["fault_out_mask"],
-                out_stuck=data["fault_out_stuck"],
+                capacity=cap,
+                in_masks=[_array(data, f"fault_in_mask_{g}", (cap, c), mask=True)
+                          for g, c in enumerate(counts)],
+                in_stuck=[_array(data, f"fault_in_stuck_{g}", (cap, c))
+                          for g, c in enumerate(counts)],
+                out_mask=_array(data, "fault_out_mask", (nz, cap), mask=True),
+                out_stuck=_array(data, "fault_out_stuck", (nz, cap)),
             )
         state = NetworkState(config, faults=faults)
-        n = int(meta["n_minterms"])
         while state._capacity < n:
             state._grow()
-        for g in range(len(groups)):
-            rows = data[f"w_in_{g}"]
-            if rows.shape != (n, groups[g].universe.count):
-                raise MalformedPayload(f"group {g} weight shape {rows.shape} is inconsistent")
-            state._w_in[g][:n] = rows
+        for g, c in enumerate(counts):
+            rows = state._w_in[g][:n] = _array(data, f"w_in_{g}", (n, c))
             state._scaled[g][:n], state._norms[g][:n], _ = fuzzy.pow2_scale(rows)
-        w_out = data["w_out"]
-        if w_out.shape != (config.output_universe.count, n):
-            raise MalformedPayload(f"output weight shape {w_out.shape} is inconsistent")
-        state._w_out[:, :n] = w_out
+        state._w_out[:, :n] = _array(data, "w_out", (nz, n))
         state.n_minterms = n
-    except (KeyError, ValueError, TypeError) as e:
+    except (KeyError, IndexError, ValueError, TypeError) as e:
         raise MalformedPayload(f"state container is missing or corrupt: {e}") from e
     return state

@@ -1,7 +1,9 @@
+import io
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from neurofuzzy import cli
@@ -37,6 +39,28 @@ class TestConfigFile:
         path.write_text("[network]\np = 5\nalpha = 0.001\n[experiment]\nseed = 3\n")
         cfg = cli.load_config_file(str(path))
         assert cfg == {"network": {"p": 5, "alpha": 0.001}, "experiment": {"seed": 3}}
+
+    def test_suite_reads_seed_from_file(self, tmp_path):
+        def suite_csv(out, *extra):
+            rc = cli.main(["suite", "--only", "classification", "--jobs", "1",
+                           "--out-dir", str(tmp_path / out), *extra])
+            assert rc == 0
+            return (tmp_path / out / "suite_classification.csv").read_text()
+
+        path = tmp_path / "seed.ini"
+        path.write_text("[experiment]\nseed = 2\n")
+        from_file = suite_csv("file", "--config", str(path))
+        assert from_file == suite_csv("flag", "--seed", "2")
+        assert from_file != suite_csv("default")
+        # a flag beats the file
+        assert suite_csv("both", "--config", str(path), "--seed", "1") == suite_csv("default")
+
+    def test_suite_bad_backend_in_file(self, tmp_path):
+        path = tmp_path / "backend.ini"
+        path.write_text("[experiment]\nbackend = analog\n")
+        rc = cli.main(["suite", "--only", "classification", "--config", str(path),
+                       "--out-dir", str(tmp_path)])
+        assert rc == 1
 
     def test_flags_beat_file(self, tmp_path):
         path = tmp_path / "ok.ini"
@@ -81,9 +105,10 @@ class TestModelCommand:
     def test_surface_and_state_train_once(self, tmp_path, monkeypatch):
         from neurofuzzy import network
 
+        # train_matrix is the one trainer: train_one and train_dataset call it too
         calls = []
-        real = network.train_dataset
-        monkeypatch.setattr(network, "train_dataset",
+        real = network.train_matrix
+        monkeypatch.setattr(network, "train_matrix",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
         rc = cli.main(["model", "--fn", "g1", "--surface", "--save-state",
                        str(tmp_path / "g1.state"), "--out-dir", str(tmp_path)] + FAST)
@@ -189,6 +214,21 @@ class TestOtherCommands:
         assert rc == 0
         assert (tmp_path / "state_w_out.csv").exists()
         assert (tmp_path / "state_w_in_x.csv").exists()
+
+    def test_dump_state_malformed_fault_mask_exit_2(self, tmp_path):
+        from neurofuzzy import experiments, network
+
+        cfg = experiments.paper_modeling_config("g1", n_train=40, n_test=50,
+                                                fault_fraction=0.2)
+        payload = network.serialize(experiments.rebuild_trained_state(cfg))
+        data = dict(np.load(io.BytesIO(payload)))
+        data["fault_out_mask"] = data["fault_out_mask"][:, :-1]
+        buf = io.BytesIO()
+        np.savez(buf, **data)
+        state_path = tmp_path / "net.state"
+        state_path.write_bytes(buf.getvalue())
+        rc = cli.main(["dump-state", "--state", str(state_path), "--out-dir", str(tmp_path)])
+        assert rc == 2
 
     def test_suite_only_table1(self, tmp_path):
         rc = cli.main(["suite", "--only", "table1", "--jobs", "2",

@@ -1,3 +1,5 @@
+import io
+import json
 import math
 
 import numpy as np
@@ -505,3 +507,65 @@ class TestSerialization:
         assert states_equal(state, back)
         assert back.faults is not None
         assert np.array_equal(back.faults.out_mask, faults.out_mask)
+
+
+def _faulted_payload(capacity=4):
+    faults = WeightFaults.draw(9, [4, 4], 5, capacity=capacity, fraction=0.3, out_scale=1e-3)
+    cfg = small_config(threshold=1e-12)
+    state = NetworkState(cfg, faults=faults)
+    rng = np.random.default_rng(2)
+    for _ in range(2):
+        train_one(state, [mv(cfg.groups[0].universe, _nonzero(rng, 4)),
+                          mv(cfg.groups[1].universe, _nonzero(rng, 4))], target_crisp=0.5)
+    return serialize(state)
+
+
+def _rewrite(payload, meta=None, **arrays):
+    """The payload with some meta entries and arrays replaced."""
+    data = dict(np.load(io.BytesIO(payload), allow_pickle=False))
+    if meta:
+        new_meta = {**json.loads(bytes(data["meta"]).decode()), **meta}
+        data["meta"] = np.frombuffer(json.dumps(new_meta).encode(), dtype=np.uint8)
+    data.update(arrays)
+    buf = io.BytesIO()
+    np.savez(buf, **data)
+    return buf.getvalue()
+
+
+class TestDeserializeValidation:
+    def test_minterms_beyond_fault_capacity(self):
+        # a consistent container, except that it holds 5 rows for a 4-row plan
+        payload = _faulted_payload(capacity=4)
+        rng = np.random.default_rng(0)
+        bad = _rewrite(payload, meta={"n_minterms": 5},
+                       w_in_0=rng.uniform(0, 1, (5, 4)), w_in_1=rng.uniform(0, 1, (5, 4)),
+                       w_out=rng.uniform(0, 1e-3, (5, 5)))
+        with pytest.raises(MalformedPayload, match="5 min-terms"):
+            deserialize(bad)
+
+    @pytest.mark.parametrize("key", ["w_in_0", "w_in_1", "w_out"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1e-3])
+    def test_weight_not_finite_or_negative(self, key, value):
+        payload = _faulted_payload()
+        weights = np.load(io.BytesIO(payload))[key].copy()
+        weights[-1, -1] = value
+        with pytest.raises(MalformedPayload, match=key):
+            deserialize(_rewrite(payload, **{key: weights}))
+
+    @pytest.mark.parametrize("key", ["fault_in_mask_0", "fault_in_stuck_1",
+                                     "fault_out_mask", "fault_out_stuck"])
+    def test_fault_array_of_wrong_shape(self, key):
+        payload = _faulted_payload()
+        arr = np.load(io.BytesIO(payload))[key]
+        with pytest.raises(MalformedPayload, match=key):
+            deserialize(_rewrite(payload, **{key: arr[:-1]}))
+
+    def test_empty_fault_capacity(self):
+        with pytest.raises(MalformedPayload):
+            deserialize(_rewrite(_faulted_payload(), fault_capacity=np.array([], dtype=int)))
+
+    def test_fault_mask_must_be_boolean(self):
+        payload = _faulted_payload()
+        mask = np.load(io.BytesIO(payload))["fault_out_mask"]
+        with pytest.raises(MalformedPayload, match="fault_out_mask"):
+            deserialize(_rewrite(payload, fault_out_mask=mask.astype(np.int64)))

@@ -1,0 +1,258 @@
+"""train_matrix against a per-sample oracle, and its validation contract."""
+
+import numpy as np
+import pytest
+
+from neurofuzzy import fuzzy, network
+from neurofuzzy.errors import TargetOutOfRange, UniverseMismatch, ZeroVector
+from neurofuzzy.fuzzy import MembershipVector, TNorm, universe_from_count
+from neurofuzzy.network import (
+    InputGroup,
+    NetworkConfig,
+    NetworkState,
+    WeightFaults,
+    states_equal,
+    train_dataset,
+    train_matrix,
+    train_one,
+)
+
+TNORMS = [fuzzy.MIN, fuzzy.PRODUCT, TNorm.power_sum(3), fuzzy.TANSIG]
+N_IN, N_OUT = 6, 5
+
+
+def config(tnorm=fuzzy.PRODUCT, threshold=0.15):
+    ux = universe_from_count(0.0, 1.0, N_IN)
+    return NetworkConfig(
+        groups=(InputGroup("x", ux, 0.3), InputGroup("y", ux, 0.3)),
+        output_universe=universe_from_count(0.0, 1.0, N_OUT), p=7, alpha=5e-4,
+        novelty_threshold=threshold, output_half_support=0.3, hebbian_tnorm=tnorm)
+
+
+def oracle_train(state, mats, targets):
+    """The per-sample trainer: one forward pass to test novelty, then, for a
+    novel sample, an append, a second forward pass and a Hebbian update of
+    every output row.  Returns (stream positions added, novelty errors)."""
+    cfg = state.config
+    out_u = cfg.output_universe
+    added, errors = [], []
+    for k in range(len(targets)):
+        xs = [X[k:k + 1] for X in mats]
+        if targets.ndim == 1:
+            u = fuzzy.triangular_matrix(out_u, targets[k:k + 1], cfg.output_half_support)[0]
+        else:
+            u = targets[k]
+        err = np.inf
+        if state.n_minterms > 0:
+            out = network.forward_batch(state, xs)[1][0]
+            if targets.ndim == 1:
+                total = out.sum()
+                if total > 0.0:
+                    err = abs(float(out @ out_u.grid()) / total - targets[k])
+            else:
+                rows, norms, _ = fuzzy.pow2_scale(np.stack([out, u]))
+                if norms.all():
+                    err = 1.0 - float(fuzzy.cosines(rows[:1] @ rows[1:].T,
+                                                    norms[:1], norms[1:])[0, 0])
+        errors.append(err)
+        if err < cfg.novelty_threshold:
+            continue
+        state._append_row([x[0] for x in xs])
+        hidden = network.forward_batch(state, xs)[0][0]
+        delta = cfg.alpha * fuzzy.pairwise_tnorm(cfg.hebbian_tnorm, u, hidden)
+        if state.faults is not None:
+            delta[state.faults.out_mask[:, : state.n_minterms]] = 0.0
+        state._w_out[:, : state.n_minterms] += delta
+        added.append(k)
+    return added, np.array(errors)
+
+
+def random_stream(cfg, seed, n, fuzzy_targets=False):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 1.0, size=(n, 2))
+    mats = [fuzzy.triangular_matrix(g.universe, pts[:, i], g.half_support)
+            for i, g in enumerate(cfg.groups)]
+    crisp = (pts[:, 0] + pts[:, 1]) / 2.0
+    if fuzzy_targets:
+        return mats, fuzzy.triangular_matrix(cfg.output_universe, crisp, 0.3)
+    return mats, crisp
+
+
+def faults_for(cfg, n, seed=3):
+    return WeightFaults.draw(seed, [N_IN, N_IN], N_OUT, capacity=n, fraction=0.2,
+                             out_scale=cfg.alpha)
+
+
+def assert_matches_oracle(cfg, mats, targets, faults=None, prefix=None):
+    """train_matrix and the oracle on fresh states (after an optional prefix
+    stream) add the same samples and end in the same weights."""
+    fast, slow = NetworkState(cfg, faults=faults), NetworkState(cfg, faults=faults)
+    if prefix is not None:
+        train_matrix(fast, *prefix)
+        oracle_train(slow, *prefix)
+    n0 = fast.n_minterms
+    stats = train_matrix(fast, mats, targets)
+    added, errors = oracle_train(slow, mats, targets)
+    assert stats.n_samples == len(targets)
+    assert stats.n_minterms_added == len(added)
+    assert stats.add_indices == list(range(n0, n0 + len(added)))
+    assert fast.n_minterms == slow.n_minterms
+    assert list(np.flatnonzero(~(stats.errors < cfg.novelty_threshold))) == added
+    np.testing.assert_allclose(stats.errors, errors, rtol=1e-12, atol=1e-15)
+    for g in range(len(cfg.groups)):
+        assert np.array_equal(fast.w_in(g), slow.w_in(g))
+    # the reused hidden row may differ from a recomputed one in the last bit
+    np.testing.assert_allclose(fast.w_out, slow.w_out, rtol=1e-12, atol=0.0)
+    return added
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("faulted", [False, True], ids=["pristine", "faulted"])
+@pytest.mark.parametrize("tnorm", TNORMS, ids=lambda t: t.kind)
+@pytest.mark.parametrize("fuzzy_targets", [False, True], ids=["crisp", "fuzzy"])
+def test_random_streams_match_oracle(fuzzy_targets, tnorm, faulted, seed):
+    cfg = config(tnorm, threshold=0.4 if fuzzy_targets else 0.1)
+    n = 150
+    mats, targets = random_stream(cfg, seed, n, fuzzy_targets)
+    added = assert_matches_oracle(cfg, mats, targets,
+                                  faults_for(cfg, n) if faulted else None)
+    assert 0 < len(added) < n      # the streams exercise both adds and skips
+
+
+def block_stream(novel_at, n):
+    """A stream of one familiar sample with novel ones at the given positions."""
+    cfg = config(threshold=0.05)
+    xs = np.zeros((n, N_IN))
+    xs[:, 0] = 1.0
+    targets = np.full(n, 0.25)
+    for j, pos in enumerate(novel_at):
+        xs[pos] = 0.0
+        xs[pos, 2 + j] = 1.0
+        targets[pos] = 0.75
+    return cfg, [xs, xs.copy()], targets
+
+
+@pytest.mark.parametrize("novel_at, n", [
+    # chunks run [0] [1] [2,3] [4..7]: 7 ends a chunk, then [8] [9,10]: 9 starts one
+    ((7, 9), 12),
+    # a long familiar run reaches CHUNK_MAX chunks before the late adds
+    ((150, 299), 300),
+])
+def test_adds_at_chunk_edges(novel_at, n):
+    cfg, mats, targets = block_stream(novel_at, n)
+    assert network.CHUNK_MAX < 150
+    assert assert_matches_oracle(cfg, mats, targets) == [0, *novel_at]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_stream_shorter_than_a_chunk(n):
+    cfg = config(threshold=0.1)
+    prefix = random_stream(cfg, 7, 40)
+    mats, targets = random_stream(cfg, 8, n)
+    assert_matches_oracle(cfg, mats, targets, prefix=prefix)
+
+
+def test_empty_stream():
+    cfg = config()
+    state = NetworkState(cfg)
+    train_matrix(state, *random_stream(cfg, 1, 10))
+    before = state.copy()
+    stats = train_matrix(state, [np.empty((0, N_IN))] * 2, np.empty(0))
+    assert (stats.n_samples, stats.n_minterms_added, stats.add_indices) == (0, 0, [])
+    assert states_equal(before, state)
+
+
+class TestAtomicValidation:
+    def _trained(self):
+        cfg = config()
+        state = NetworkState(cfg)
+        train_matrix(state, *random_stream(cfg, 2, 20))
+        return cfg, state, state.copy()
+
+    @pytest.mark.parametrize("k", [0, 6, 11])
+    def test_zero_input_row(self, k):
+        cfg, state, before = self._trained()
+        mats, targets = random_stream(cfg, 3, 12)
+        mats[1][k] = 0.0
+        with pytest.raises(ZeroVector, match=rf"sample {k}\b"):
+            train_matrix(state, mats, targets)
+        assert states_equal(before, state)
+
+    def test_earliest_invalid_sample_is_reported(self):
+        cfg, state, before = self._trained()
+        mats, targets = random_stream(cfg, 3, 12)
+        mats[0][9] = 0.0
+        targets[4] = 1.5
+        with pytest.raises(TargetOutOfRange, match=r"sample 4\b"):
+            train_matrix(state, mats, targets)
+        assert states_equal(before, state)
+
+    def test_shape_mismatch(self):
+        cfg, state, before = self._trained()
+        mats, targets = random_stream(cfg, 3, 12)
+        with pytest.raises(UniverseMismatch):
+            train_matrix(state, [mats[0], mats[1][:, :4]], targets)
+        with pytest.raises(UniverseMismatch):
+            train_matrix(state, mats, np.ones((12, N_OUT + 1)))
+        assert states_equal(before, state)
+
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_dataset_stream_untouched_by_late_bad_sample(self, k):
+        # the per-sample trainer applied samples 0..k-1 before it failed on k
+        cfg, state, before = self._trained()
+        mats, targets = random_stream(cfg, 4, 10)
+        samples = [([MembershipVector(g.universe, mats[i][s])
+                     for i, g in enumerate(cfg.groups)], float(targets[s]))
+                   for s in range(10)]
+        samples[k] = (samples[k][0], 7.0)
+        with pytest.raises(TargetOutOfRange, match=rf"sample {k}\b"):
+            train_dataset(state, samples)
+        assert states_equal(before, state)
+
+    def test_dataset_fuzzy_target_universe(self):
+        cfg, state, before = self._trained()
+        mats, _ = random_stream(cfg, 4, 4)
+        wrong = universe_from_count(0.0, 2.0, N_OUT)
+        samples = [([MembershipVector(g.universe, mats[i][s])
+                     for i, g in enumerate(cfg.groups)],
+                    MembershipVector(wrong if s == 2 else cfg.output_universe,
+                                     np.eye(N_OUT)[s]))
+                   for s in range(4)]
+        with pytest.raises(UniverseMismatch, match=r"sample 2\b"):
+            train_dataset(state, samples)
+        assert states_equal(before, state)
+
+    def test_mixed_target_kinds_rejected(self):
+        cfg, state, before = self._trained()
+        inputs = [MembershipVector(g.universe, np.eye(N_IN)[1]) for g in cfg.groups]
+        fuzzy_target = MembershipVector(cfg.output_universe, np.eye(N_OUT)[0])
+        with pytest.raises(ValueError, match="mixes"):
+            train_dataset(state, [(inputs, 0.5), (inputs, fuzzy_target)])
+        assert states_equal(before, state)
+
+
+@pytest.mark.parametrize("faulted", [False, True], ids=["pristine", "faulted"])
+def test_train_one_outcome_matches_oracle(faulted):
+    cfg = config(threshold=0.1)
+    mats, targets = random_stream(cfg, 5, 60)
+    state = NetworkState(cfg, faults=faults_for(cfg, 60) if faulted else None)
+    oracle = NetworkState(cfg, faults=faults_for(cfg, 60) if faulted else None)
+    kinds = set()
+    for k in range(60):
+        inputs = [MembershipVector(g.universe, mats[i][k]) for i, g in enumerate(cfg.groups)]
+        pre_hidden = network.forward_batch(state, [X[k:k + 1] for X in mats])[0][0] \
+            if state.n_minterms else np.empty(0)
+        out = train_one(state, inputs, target_crisp=float(targets[k]))
+        added, errors = oracle_train(oracle, [X[k:k + 1] for X in mats], targets[k:k + 1])
+        kinds.add(out.kind)
+        assert out.kind == ("added" if added else "skipped")
+        assert out.pre_update_error == pytest.approx(errors[0], rel=1e-12, abs=1e-15)
+        if out.kind == "added":
+            assert out.index == state.n_minterms - 1
+            if not faulted:
+                assert out.hidden[out.index] == 1.0
+        else:
+            assert out.index is None
+            assert np.array_equal(out.hidden, pre_hidden)
+        assert out.hidden.shape == (state.n_minterms,)
+    assert kinds == {"added", "skipped"}
