@@ -306,7 +306,7 @@ def cmd_crossbar_compare(args, file_cfg) -> int:
     probes = rng.uniform(0.0, 1.0, size=(args.n_probes, 2))
     mats = [triangular_matrix(g.universe, probes[:, i], g.half_support)
             for i, g in enumerate(state.config.groups)]
-    _, ideal_out = network.forward_batch(state, mats)
+    ideal_out = network.output_batch(state, mats)
     cb_out = crossbar.crossbar_forward_batch(cb1, cb2, mapping, mats)
     scale = np.abs(ideal_out).max(axis=1, keepdims=True)
     denom = np.maximum(np.abs(ideal_out), 1e-9 * np.maximum(scale, 1e-300))

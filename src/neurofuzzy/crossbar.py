@@ -29,7 +29,7 @@ from .errors import (
     VoltageEncodingOutOfRange,
     WeightOutOfRange,
 )
-from .fuzzy import centroid, pow2_scale, power_activation
+from .fuzzy import SCORE_ROWS, centroid, inverse_norms, power_activation
 
 HEBBIAN_PULSE_SECONDS = 0.05
 
@@ -134,18 +134,20 @@ class Crossbar:
         return "\n".join(lines) + "\n"
 
 
-def vmm(cb: Crossbar, input_voltages: np.ndarray) -> np.ndarray:
-    """Analog vector-matrix multiply: out_i = -sum_j (R_f/M_ij) I_j.
+def vmm(cb: Crossbar, input_voltages: np.ndarray, cols=slice(None)) -> np.ndarray:
+    """Analog vector-matrix multiply out_i = -sum_j (R_f/M_ij) I_j, on one row or a batch.
 
-    Inputs must stay strictly below the device threshold so the read cannot
-    disturb stored states; device states are untouched.
+    The voltages drive the columns in cols; the others are grounded.  Inputs
+    must stay strictly below the device threshold so the read cannot disturb
+    stored states; device states are untouched.
     """
     volts = np.asarray(input_voltages, dtype=np.float64)
-    if volts.shape[0] != cb.cols:
-        raise DimensionMismatch(f"expected {cb.cols} input voltages, got {volts.shape[0]}")
+    w = cb.weights()[:, cols]
+    if volts.shape[-1] != w.shape[1]:
+        raise DimensionMismatch(f"expected {w.shape[1]} input voltages, got {volts.shape[-1]}")
     if np.any(np.abs(volts) >= cb.params.v_threshold):
         raise ReadDisturbRisk("read voltage at or above the device threshold")
-    return -(cb.weights() @ volts)
+    return -(volts @ w.T)
 
 
 def program_row(cb: Crossbar, row: int, target_profile: np.ndarray,
@@ -259,8 +261,7 @@ class CrossbarMapping:
     v_read: float
     p: int
     output_grid: np.ndarray
-    row_norms: list = field(default_factory=list)   # per group, of the read-back rows:
-    row_shifts: list = field(default_factory=list)  # norms and exponents from pow2_scale
+    inv_norms: list = field(default_factory=list)   # per group, 1 / norm of each read-back row
 
     def logical_in(self, cb1: Crossbar, g: int) -> np.ndarray:
         """Read-back logical first-layer weights for group g."""
@@ -321,70 +322,52 @@ def map_network(state, params: MemristorParams | None = None, r_f: float | None 
 
     w_span = r_f / params.r_on - r_f / params.r_off
     s_in = w_span / 1.0 if scale_in is None else scale_in   # memberships are <= 1
-    w_out = state.w_out
-    w_max = float(w_out.max()) if w_out.size else 0.0
-    if scale_out is None:
-        s_out = w_span / w_max if w_max > 0.0 else 1.0
-    else:
-        s_out = scale_out
+    w_max = float(state.w_out.max()) if n_v else 0.0
+    s_out = (w_span / w_max if w_max > 0.0 else 1.0) if scale_out is None else scale_out
 
-    slices, start = [], 0
     w1 = np.zeros((cb1.rows, total_cols))
-    for g, n in enumerate(counts):
-        sl = slice(start, start + n)
-        slices.append(sl)
-        w1[:n_v, sl] = state.w_in(g)
-        start += n
+    w1[:n_v] = np.hstack([state.w_in(g) for g in range(len(counts))])
     _program_targets(cb1, _x_for_weight(w1 * s_in, params, r_f))
     w2 = np.zeros((nz, cb2.cols))
-    w2[:, :n_v] = w_out
+    w2[:, :n_v] = state.w_out
     _program_targets(cb2, _x_for_weight(w2 * s_out, params, r_f))
 
+    ends = np.cumsum(counts).tolist()
     mapping = CrossbarMapping(
-        group_slices=slices, scale_in=s_in, scale_out=s_out,
+        group_slices=[slice(e - c, e) for e, c in zip(ends, counts)],
+        scale_in=s_in, scale_out=s_out,
         floor=r_f / params.r_off, v_read=0.5 * params.v_threshold,
         p=state.config.p, output_grid=state.config.output_universe.grid(),
     )
     # calibration norms come from the hardware state, so distorted rows are
     # normalized by what is actually stored, not by the ideal pattern
-    for g in range(len(counts)):
-        _, norms, e = pow2_scale(mapping.logical_in(cb1, g)[:n_v])
-        mapping.row_norms.append(norms)
-        mapping.row_shifts.append(e)
+    mapping.inv_norms = [inverse_norms(mapping.logical_in(cb1, g)[:n_v])
+                         for g in range(len(counts))]
     return cb1, cb2, mapping
 
 
 def crossbar_forward_batch(cb1: Crossbar, cb2: Crossbar, mapping: CrossbarMapping,
                            group_mats) -> np.ndarray:
-    """Analog forward pass for a batch of fuzzified inputs.
+    """Analog forward pass for a batch of fuzzified inputs, SCORE_ROWS rows at a time.
 
-    One sub-threshold read of each group's columns of cb1 recovers the
-    per-group dot products (linearity of the summing stage), the wrapper
-    normalizes them into cosines with the calibration norms, applies the
-    power activation, and a final read through cb2 yields the raw fuzzy
-    output, rescaled back to logical units.  Each crossbar's conductance is
-    read once per call.
-    """
-    n_v = mapping.row_norms[0].size
-    w1 = cb1.weights()[:n_v]
-    groups = []
-    for sl, mat, norms, shifts in zip(mapping.group_slices, group_mats,
-                                      mapping.row_norms, mapping.row_shifts):
-        mat = np.asarray(mat, dtype=np.float64)
-        volts = mat * mapping.v_read
-        if np.any(np.abs(volts) >= cb1.params.v_threshold):
-            raise ReadDisturbRisk("encoded input reaches the device threshold")
-        currents = -(volts @ w1[:, sl].T)              # (batch, n_v)
-        dots = (-currents / mapping.v_read - mapping.floor * mat.sum(axis=1)[:, None])
-        dots /= mapping.scale_in
-        # the read used the raw inputs and rows; the norms are of both scaled
-        # by 2**-e, so the recovered dot products take the same powers of two
-        _, in_norms, e = pow2_scale(mat)
-        groups.append((np.ldexp(dots, -(e[:, None] + shifts[None, :])), in_norms, norms))
-    hidden = power_activation(groups, mapping.p)
-    currents2 = -((hidden * mapping.v_read) @ cb2.weights()[:, :n_v].T)
-    out = (-currents2 / mapping.v_read - mapping.floor * hidden.sum(axis=1)[:, None])
-    return out / mapping.scale_out
+    A sub-threshold read (vmm) of each group's columns of cb1 recovers the
+    per-group dot products, which the input and calibration norms turn into
+    cosines; after the power activation a read of cb2 gives the raw fuzzy
+    output, rescaled back to logical units."""
+    n_v, v, n = mapping.inv_norms[0].size, mapping.v_read, len(group_mats[0])
+    out = np.empty((n, cb2.rows))
+    for i in range(0, n, SCORE_ROWS):
+        sums = 0.0
+        for sl, mat, inv_w in zip(mapping.group_slices, group_mats, mapping.inv_norms):
+            mat = np.asarray(mat[i:i + SCORE_ROWS], dtype=np.float64)
+            # the read also sees every device's floor conductance
+            dots = vmm(cb1, mat * v, sl)[:, :n_v] / -v - mapping.floor * mat.sum(axis=1)[:, None]
+            sums = sums + dots * (inverse_norms(mat) / mapping.scale_in)[:, None] * inv_w
+        hidden = power_activation(sums, len(group_mats), mapping.p)
+        raw = vmm(cb2, hidden * v, slice(0, n_v)) / -v
+        raw -= mapping.floor * hidden.sum(axis=1)[:, None]
+        out[i:i + len(raw)] = raw / mapping.scale_out
+    return out
 
 
 def crossbar_infer_crisp_batch(cb1, cb2, mapping, group_mats):

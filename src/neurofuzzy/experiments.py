@@ -184,7 +184,7 @@ def _backend_forward(cfg: ExperimentConfig, state: NetworkState):
     if cfg.backend == "crossbar":
         cb1, cb2, mapping = _map_with_faults(cfg, state)
         return lambda mats: crossbar.crossbar_forward_batch(cb1, cb2, mapping, mats)
-    return lambda mats: network.forward_batch(state, mats)[1]
+    return lambda mats: network.output_batch(state, mats)
 
 
 def _regression_readout(cfg: ExperimentConfig, state: NetworkState, pts):
@@ -206,13 +206,8 @@ def _map_with_faults(cfg: ExperimentConfig, state: NetworkState):
     cb2 = crossbar.Crossbar(state.config.output_universe.count, n_v, params)
     if state.faults is not None:
         w_span = cb1.r_f / params.r_on - cb1.r_f / params.r_off
-        start = 0
-        in_mask = np.zeros((n_v, sum(counts)), dtype=bool)
-        in_stuck = np.zeros((n_v, sum(counts)))
-        for g, n in enumerate(counts):
-            in_mask[:, start:start + n] = state.faults.in_masks[g][:n_v]
-            in_stuck[:, start:start + n] = state.faults.in_stuck[g][:n_v]
-            start += n
+        in_mask = np.hstack([m[:n_v] for m in state.faults.in_masks])
+        in_stuck = np.hstack([s[:n_v] for s in state.faults.in_stuck])
         cb1.fault_mask = in_mask
         cb1.x = np.where(in_mask, crossbar._x_for_weight(in_stuck * w_span, params, cb1.r_f), 0.0)
         out_mask = state.faults.out_mask[:, :n_v]

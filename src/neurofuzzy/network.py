@@ -21,6 +21,7 @@ with u the fuzzified target and t a configurable soft-AND.  train_matrix is
 the one trainer; train_one and train_dataset stack their samples into it.
 """
 
+import copy
 import io
 import json
 from dataclasses import dataclass, field
@@ -151,11 +152,9 @@ class NetworkState:
         cap = faults.capacity if faults is not None else 16
         self._capacity = cap
         self._w_in = [np.zeros((cap, g.universe.count)) for g in config.groups]
-        # each stored row scaled by fuzzy.pow2_scale and the norm of the
-        # scaled row, so a forward pass dots inputs against rows that cannot
-        # underflow, subnormal ones included
-        self._scaled = [np.zeros((cap, g.universe.count)) for g in config.groups]
-        self._norms = [np.zeros(cap) for g in config.groups]
+        # each min-term's stored rows as unit rows side by side (_unit_concat),
+        # so one GEMM of concatenated unit inputs sums the group cosines
+        self._unit = np.zeros((cap, sum(g.universe.count for g in config.groups)))
         self._w_out = np.zeros((config.output_universe.count, cap))
         if faults is not None:
             if len(faults.in_masks) != len(config.groups):
@@ -173,13 +172,9 @@ class NetworkState:
     def w_out(self) -> np.ndarray:
         return self._w_out[:, : self.n_minterms]
 
-    def scaled_rows(self, g: int) -> np.ndarray:
-        """Stored rows of group g, each scaled by fuzzy.pow2_scale."""
-        return self._scaled[g][: self.n_minterms]
-
-    def row_norms(self, g: int) -> np.ndarray:
-        """Norms of scaled_rows(g)."""
-        return self._norms[g][: self.n_minterms]
+    def unit_rows(self) -> np.ndarray:
+        """Each min-term's stored rows, all groups, as _unit_concat gives them."""
+        return self._unit[: self.n_minterms]
 
     # --- helpers ----------------------------------------------------------
 
@@ -193,14 +188,9 @@ class NetworkState:
                 for g, c in zip(self.config.groups, crisps)]
 
     def copy(self) -> "NetworkState":
-        dup = NetworkState.__new__(NetworkState)
-        dup.config = self.config
-        dup.faults = self.faults
-        dup.n_minterms = self.n_minterms
-        dup._capacity = self._capacity
+        dup = copy.copy(self)
         dup._w_in = [w.copy() for w in self._w_in]
-        dup._scaled = [w.copy() for w in self._scaled]
-        dup._norms = [n.copy() for n in self._norms]
+        dup._unit = self._unit.copy()
         dup._w_out = self._w_out.copy()
         return dup
 
@@ -215,12 +205,12 @@ class NetworkState:
             return np.pad(a, [(0, extra)] + [(0, 0)] * (a.ndim - 1))
 
         self._w_in = [grow_rows(w) for w in self._w_in]
-        self._scaled = [grow_rows(w) for w in self._scaled]
-        self._norms = [grow_rows(n) for n in self._norms]
+        self._unit = grow_rows(self._unit)
         self._w_out = np.pad(self._w_out, [(0, 0), (0, extra)])
         self._capacity += extra
 
-    def _append_row(self, xs) -> int:
+    def _append_row(self, xs, unit=None) -> int:
+        """Store one min-term; unit is _unit_concat of xs where the caller holds it."""
         if self.n_minterms == self._capacity:
             self._grow()
         r = self.n_minterms
@@ -230,7 +220,9 @@ class NetworkState:
                 self._w_in[g][r][keep] = x[keep]
             else:
                 self._w_in[g][r] = x
-            self._scaled[g][r], self._norms[g][r], _ = fuzzy.pow2_scale(self._w_in[g][r])
+        # stuck cells change what is stored, so it is normalized as stored
+        self._unit[r] = (unit if unit is not None and self.faults is None
+                         else _unit_concat([w[r] for w in self._w_in]))
         self.n_minterms += 1
         return r
 
@@ -239,12 +231,9 @@ def states_equal(a: NetworkState, b: NetworkState) -> bool:
     """Bitwise equality of configuration and all logical weights."""
     if a.config != b.config or a.n_minterms != b.n_minterms:
         return False
-    for g in range(len(a.config.groups)):
-        if not np.array_equal(a.w_in(g), b.w_in(g)):
-            return False
-        if not np.array_equal(a.row_norms(g), b.row_norms(g)):
-            return False
-    return np.array_equal(a.w_out, b.w_out)
+    pairs = [(a.w_in(g), b.w_in(g)) for g in range(len(a.config.groups))]
+    pairs += [(a.unit_rows(), b.unit_rows()), (a.w_out, b.w_out)]
+    return all(np.array_equal(x, y) for x, y in pairs)
 
 
 # --- forward pass ----------------------------------------------------------
@@ -266,23 +255,43 @@ def _sample_mats(state: NetworkState, inputs) -> list:
     return mats
 
 
-def _hidden(state: NetworkState, scaled, rows=slice(None)) -> np.ndarray:
-    """Hidden activations of the given rows; scaled yields pow2_scale's (rows, norms) per group."""
-    return fuzzy.power_activation(
-        [(xs[rows] @ state.scaled_rows(g).T, norms[rows], state.row_norms(g))
-         for g, (xs, norms) in enumerate(scaled)], state.config.p)
+def _unit_concat(mats, out=None):
+    """Each group's rows as fuzzy.unit_rows, side by side (last axis), into out if given."""
+    counts = [np.shape(X)[-1] for X in mats]
+    out = np.empty(np.shape(mats[0])[:-1] + (sum(counts),)) if out is None else out
+    for X, start, c in zip(mats, np.cumsum([0] + counts), counts):
+        fuzzy.unit_rows(X, out[..., start:start + c])
+    return out
+
+
+def _hidden(state: NetworkState, units, out=None, work=None) -> np.ndarray:
+    """Hidden activations of rows of concatenated unit inputs (_unit_concat)."""
+    return fuzzy.power_activation(np.matmul(units, state.unit_rows().T, out=out),
+                                  len(state.config.groups), state.config.p, work)
+
+
+def output_batch(state: NetworkState, mats, hidden=None) -> np.ndarray:
+    """Raw fuzzy outputs (B, nz) of a batch, fuzzy.SCORE_ROWS rows at a time in
+    the same buffers; hidden, if given, receives the (B, N) activations."""
+    if state.n_minterms == 0:
+        raise UntrainedNetwork("network has no min-terms yet")
+    n, step = len(mats[0]), fuzzy.SCORE_ROWS
+    out = np.empty((n, state.config.output_universe.count))
+    units = np.empty((min(n, step), state._unit.shape[1]))
+    buf = np.empty((2, min(n, step), state.n_minterms))
+    for i in range(0, n, step):
+        c = min(step, n - i)
+        h = buf[0, :c] if hidden is None else hidden[i:i + c]
+        _hidden(state, _unit_concat([X[i:i + c] for X in mats], units[:c]), h, buf[1, :c])
+        np.matmul(h, state.w_out.T, out=out[i:i + c])
+    return out
 
 
 def forward_batch(state: NetworkState, mats):
-    """Hidden activations (B, N) and raw fuzzy outputs (B, nz) of a batch.
-
-    mats[g] is a (B, count_g) matrix of membership rows for input group g.
-    """
-    if state.n_minterms == 0:
-        raise UntrainedNetwork("network has no min-terms yet")
-    # one group's scaled copy at a time: a 10,000 x 100 copy is 8 MB
-    hidden = _hidden(state, (fuzzy.pow2_scale(X)[:2] for X in mats))
-    return hidden, hidden @ state.w_out.T
+    """Hidden activations (B, N) and raw fuzzy outputs (B, nz) of a batch; mats[g]
+    is the (B, count_g) matrix of membership rows for input group g."""
+    hidden = np.empty((len(mats[0]), state.n_minterms))
+    return hidden, output_batch(state, mats, hidden)
 
 
 def forward(state: NetworkState, inputs):
@@ -319,12 +328,12 @@ def infer_crisp_batch(state: NetworkState, mats):
     (predictions, activated): predictions hold NaN where no output neuron is
     activated, activated is the corresponding boolean mask.
     """
-    return fuzzy.centroid(forward_batch(state, mats)[1], state.config.output_universe.grid())
+    return fuzzy.centroid(output_batch(state, mats), state.config.output_universe.grid())
 
 
 def classify_batch(state: NetworkState, mats):
     """Vectorized argmax classification; -1 where no output is activated."""
-    return fuzzy.argmax(forward_batch(state, mats)[1])
+    return fuzzy.argmax(output_batch(state, mats))
 
 
 # --- training ---------------------------------------------------------------
@@ -367,12 +376,12 @@ def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
     mats = [np.asarray(X, dtype=np.float64) for X in mats]
     _check_stream(state, mats, targets)
     n = targets.shape[0]
-    scaled = [fuzzy.pow2_scale(X)[:2] for X in mats]
+    units = _unit_concat(mats)
     stats = TrainingStats(n_samples=n, errors=np.full(n, np.inf))
     i, chunk = 0, 1
     while i < n:
         stop = min(i + chunk, n)
-        hidden = _hidden(state, scaled, slice(i, stop))
+        hidden = _hidden(state, units[i:stop])
         out = hidden @ state.w_out.T
         if targets.ndim == 1:
             err = np.abs(fuzzy.centroid(out, cfg.output_universe.grid())[0] - targets[i:stop])
@@ -386,12 +395,12 @@ def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
         k = int(novel[0])
         j, i, chunk = i + k, i + k + 1, 1
         try:
-            stats.add_indices.append(state._append_row([X[j] for X in mats]))
+            stats.add_indices.append(state._append_row([X[j] for X in mats], units[j]))
         except CapacityExceeded as e:
             raise CapacityExceeded(f"sample {j}: {e}") from e
         # the new row copies the input, so without faults it fires at exactly 1
         v = (np.append(hidden[k], 1.0) if state.faults is None
-             else _hidden(state, scaled, slice(j, j + 1))[0])
+             else _hidden(state, units[j:j + 1])[0])
         u = targets[j] if targets.ndim == 2 else fuzzy.triangular_matrix(
             cfg.output_universe, targets[j:j + 1], cfg.output_half_support)[0]
         # t(0, v) = 0 for product and min: rows outside the target's support keep their weights
@@ -545,8 +554,8 @@ def deserialize(payload: bytes) -> NetworkState:
         while state._capacity < n:
             state._grow()
         for g, c in enumerate(counts):
-            rows = state._w_in[g][:n] = _array(data, f"w_in_{g}", (n, c))
-            state._scaled[g][:n], state._norms[g][:n], _ = fuzzy.pow2_scale(rows)
+            state._w_in[g][:n] = _array(data, f"w_in_{g}", (n, c))
+        state._unit[:n] = _unit_concat([w[:n] for w in state._w_in])
         state._w_out[:, :n] = _array(data, "w_out", (nz, n))
         state.n_minterms = n
     except (KeyError, IndexError, ValueError, TypeError) as e:

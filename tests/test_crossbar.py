@@ -118,6 +118,26 @@ class TestVmm:
         vmm(cb, np.full(5, 0.3))
         assert np.array_equal(before, cb.x)
 
+    def test_batch_rows_are_single_reads(self):
+        cb = Crossbar(3, 6)
+        rng = np.random.default_rng(2)
+        cb.x = rng.uniform(0, 1, cb.x.shape)
+        volts = rng.uniform(0, 0.9, (5, 6))
+        np.testing.assert_allclose(vmm(cb, volts), [vmm(cb, v) for v in volts],
+                                   rtol=1e-13, atol=0)
+
+    def test_columns_outside_the_read_are_grounded(self):
+        cb = Crossbar(3, 6)
+        rng = np.random.default_rng(3)
+        cb.x = rng.uniform(0, 1, cb.x.shape)
+        volts = rng.uniform(0, 0.9, (4, 2))
+        padded = np.zeros((4, 6))
+        padded[:, 2:4] = volts
+        np.testing.assert_allclose(vmm(cb, volts, slice(2, 4)), vmm(cb, padded),
+                                   rtol=1e-13, atol=0)
+        with pytest.raises(DimensionMismatch):
+            vmm(cb, volts, slice(2, 5))
+
     def test_linearity(self):
         cb = Crossbar(3, 6)
         rng = np.random.default_rng(0)
@@ -340,6 +360,31 @@ class TestCrossbarForward:
         mapping.v_read = 1.5 * PARAMS.v_threshold
         with pytest.raises(ReadDisturbRisk):
             crossbar_forward_batch(cb1, cb2, mapping, [hot, hot])
+
+
+    def test_read_disturb_on_the_output_read(self, g1_state):
+        # inputs stay below the threshold, but a copy of a stored row fires its
+        # hidden neuron at 1, which drives cb2 at the full read voltage
+        cb1, cb2, mapping = map_network(g1_state)
+        mapping.v_read = 1.5 * PARAMS.v_threshold
+        rows = [0.6 * g1_state.w_in(g)[:1] for g in range(2)]
+        assert max(r.max() for r in rows) * mapping.v_read < PARAMS.v_threshold
+        with pytest.raises(ReadDisturbRisk):
+            crossbar_forward_batch(cb1, cb2, mapping, rows)
+
+    def test_chunk_plus_one_rows_match_single_row_calls(self, g1_state):
+        cb1, cb2, mapping = map_network(g1_state)
+        n = crossbar.SCORE_ROWS + 1
+        pts = np.random.default_rng(8).uniform(0, 1, size=(n, 2))
+        mats = [triangular_matrix(g.universe, pts[:, i], g.half_support)
+                for i, g in enumerate(g1_state.config.groups)]
+        got = crossbar_forward_batch(cb1, cb2, mapping, mats)
+        rows = [crossbar_forward_batch(cb1, cb2, mapping, [X[k:k + 1] for X in mats])
+                for k in (0, n - 2, n - 1)]
+        # the cb2 read subtracts the floor current, so near-zero outputs carry
+        # rounding noise of the GEMM shape; it is far below the largest output
+        np.testing.assert_allclose(got[[0, n - 2, n - 1]], np.vstack(rows), rtol=1e-13,
+                                   atol=1e-15 * np.abs(got).max())
 
 
 class TestCsv:

@@ -113,6 +113,36 @@ class TestFuzzify:
         assert got == u.grid()[u.nearest_index(crisp)]
 
 
+class TestFuzzifyInPlace:
+    @pytest.mark.parametrize("hs_mult", [0.5, 1.0, 2.5, 7.0])
+    def test_bit_identical_to_the_closed_form(self, hs_mult):
+        u = universe_from_count(-1.0, 3.0, 41)
+        crisps = np.random.default_rng(3).uniform(-1.0, 3.0, 500)
+        hs = hs_mult * u.resolution
+        want = np.maximum(0.0, 1.0 - np.abs(u.grid()[None, :] - crisps[:, None]) / hs)
+        assert np.array_equal(fuzzy.triangular_matrix(u, crisps, hs), want)
+
+
+class TestIntPower:
+    @pytest.mark.parametrize("p", range(1, 10))
+    def test_within_4_ulp_of_pow(self, p):
+        rng = np.random.default_rng(p)
+        x = np.concatenate([np.zeros(50), np.ones(50), rng.uniform(0.0, 1.0, 100_000),
+                            np.full(50, 1e-60),                   # x**p underflows for p >= 6
+                            rng.uniform(1e-50, 1e-40, 1000)])     # subnormal or zero results
+        want = x ** p
+        got = fuzzy.int_power(x.copy(), p)
+        np.testing.assert_array_max_ulp(got, want, maxulp=4)
+
+    @pytest.mark.parametrize("p", range(1, 10))
+    def test_exact_at_zero_and_one(self, p):
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        work = np.empty_like(x)
+        got = fuzzy.int_power(x, p, work)
+        assert got is x
+        assert x.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
 class TestDefuzzify:
     def test_singleton_centroid(self):
         u = build_universe(0, 1, 0.5)

@@ -179,6 +179,86 @@ def _nonzero(rng, n):
     return v
 
 
+def _unit(rows):
+    # plain-numpy unit rows for rows of normal-range entries
+    norms = np.sqrt((rows * rows).sum(axis=1))[:, None]
+    return np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 0)
+
+
+class TestChunkedScoring:
+    """Batches are scored fuzzy.SCORE_ROWS rows at a time."""
+
+    def _trained(self, seed=0):
+        cfg = small_config(nx=7, ny=5, nz=6, threshold=0.05)
+        state = NetworkState(cfg)
+        rng = np.random.default_rng(seed)
+        for _ in range(12):
+            train_one(state, fuzz_sample(cfg, *rng.uniform(0, 1, 2)),
+                      target_crisp=float(rng.uniform(0, 1)))
+        return cfg, state
+
+    def _mats(self, cfg, pts):
+        return [fuzzy.triangular_matrix(g.universe, pts[:, i], g.half_support)
+                for i, g in enumerate(cfg.groups)]
+
+    def test_chunk_plus_one_rows_match_single_row_calls(self):
+        cfg, state = self._trained()
+        n = fuzzy.SCORE_ROWS + 1
+        mats = self._mats(cfg, np.random.default_rng(1).uniform(0, 1, (n, 2)))
+        hidden, out = network.forward_batch(state, mats)
+        rows = [network.forward_batch(state, [X[k:k + 1] for X in mats]) for k in range(n)]
+        np.testing.assert_allclose(hidden, np.vstack([h for h, _ in rows]), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(out, np.vstack([o for _, o in rows]), rtol=1e-13, atol=0)
+        assert np.array_equal(network.output_batch(state, mats), out)
+
+    def test_stored_row_fires_at_one_on_both_sides_of_a_chunk_boundary(self):
+        cfg, state = self._trained(seed=2)
+        n = fuzzy.SCORE_ROWS + 2
+        mats = self._mats(cfg, np.random.default_rng(3).uniform(0, 1, (n, 2)))
+        k = state.n_minterms // 2
+        for row in (fuzzy.SCORE_ROWS - 1, fuzzy.SCORE_ROWS):
+            for g, X in enumerate(mats):
+                X[row] = state.w_in(g)[k]
+        hidden, _ = network.forward_batch(state, mats)
+        assert hidden[fuzzy.SCORE_ROWS - 1, k] == 1.0
+        assert hidden[fuzzy.SCORE_ROWS, k] == 1.0
+
+    def test_empty_batch(self):
+        cfg, state = self._trained()
+        hidden, out = network.forward_batch(state, [np.zeros((0, 7)), np.zeros((0, 5))])
+        assert hidden.shape == (0, state.n_minterms) and out.shape == (0, 6)
+
+
+class TestUnitRows:
+    def test_trained_rows_equal_rows_normalized_on_load(self):
+        cfg = small_config(nx=6, ny=6, threshold=0.05)
+        state = NetworkState(cfg)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            train_one(state, fuzz_sample(cfg, *rng.uniform(0, 1, 2)),
+                      target_crisp=float(rng.uniform(0, 1)))
+        # the trainer stores its own unit row; loading normalizes the stored rows
+        assert np.array_equal(state.unit_rows(),
+                              deserialize(serialize(state)).unit_rows())
+        want = np.hstack([_unit(state.w_in(g)) for g in range(2)])
+        np.testing.assert_allclose(state.unit_rows(), want, rtol=1e-15, atol=0)
+
+    def test_faulted_rows_normalized_as_stored(self):
+        faults = WeightFaults.draw(3, [4, 4], 5, capacity=6, fraction=0.5, out_scale=1e-3)
+        cfg = small_config(threshold=1e-12)
+        state = NetworkState(cfg, faults=faults)
+        rng = np.random.default_rng(1)
+        inputs = []
+        for _ in range(6):
+            inputs.append([_nonzero(rng, 4), _nonzero(rng, 4)])
+            train_one(state, [mv(g.universe, x) for g, x in zip(cfg.groups, inputs[-1])],
+                      target_crisp=float(rng.uniform(0, 1)))
+        stored = np.hstack([_unit(state.w_in(g)) for g in range(2)])
+        fed = np.hstack([_unit(np.array([x[g] for x in inputs])) for g in range(2)])
+        np.testing.assert_allclose(state.unit_rows(), stored, rtol=1e-15, atol=0)
+        assert not np.allclose(state.unit_rows(), fed)     # stuck cells changed the rows
+
+
 class TestInferCrisp:
     def test_scale_free_singleton_column(self):
         cfg = small_config(nz=3, out_hs=0.0)

@@ -29,6 +29,14 @@ def config(tnorm=fuzzy.PRODUCT, threshold=0.15):
         novelty_threshold=threshold, output_half_support=0.3, hebbian_tnorm=tnorm)
 
 
+def snapped_cosine(a, b):
+    """Cosine of two nonzero rows, each scaled by a power of two to a largest
+    entry in [0.5, 1) before its norm is taken; within 1e-12 of 1 it is 1."""
+    a, b = (np.ldexp(r, -np.frexp(np.abs(r).max())[1]) for r in (a, b))
+    cos = float((a / np.sqrt(a @ a)) @ (b / np.sqrt(b @ b)))
+    return 1.0 if cos >= 1.0 - 1e-12 else max(cos, 0.0)
+
+
 def oracle_train(state, mats, targets):
     """The per-sample trainer: one forward pass to test novelty, then, for a
     novel sample, an append, a second forward pass and a Hebbian update of
@@ -50,10 +58,8 @@ def oracle_train(state, mats, targets):
                 if total > 0.0:
                     err = abs(float(out @ out_u.grid()) / total - targets[k])
             else:
-                rows, norms, _ = fuzzy.pow2_scale(np.stack([out, u]))
-                if norms.all():
-                    err = 1.0 - float(fuzzy.cosines(rows[:1] @ rows[1:].T,
-                                                    norms[:1], norms[1:])[0, 0])
+                if out.any() and u.any():
+                    err = 1.0 - snapped_cosine(out, u)
         errors.append(err)
         if err < cfg.novelty_threshold:
             continue
