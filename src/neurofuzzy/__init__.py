@@ -1,13 +1,12 @@
 """Optimization-free neuro-fuzzy computing with a memristor-crossbar backend."""
 
 from . import benchmarks, crossbar, errors, experiments, fuzzy, network
-from .crossbar import Crossbar, MemristorParams, MemristorState
+from .crossbar import Crossbar, MemristorParams
 from .experiments import ExperimentConfig, ExperimentReport
 from .fuzzy import (
     MembershipVector,
     TNorm,
     Universe,
-    apply_tnorm,
     build_universe,
     defuzzify_centroid,
     fuzzify_triangular,

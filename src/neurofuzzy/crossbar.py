@@ -8,8 +8,8 @@ above the device threshold drives
 
 integrated by explicit Euler at a fixed step.  Voltages at or below the
 threshold never move the state, which is what makes sub-threshold reads
-non-destructive and gives the Hebbian write pulse its soft-AND character:
-a device only switches when the row and column drives fire together.
+non-destructive; delta_weight_sweep traces the weight change of one write
+pulse, zero up to the threshold and rising above it.
 
 A crossbar read is the usual op-amp summing stage, out_i = -sum_j (R_f/M_ij) I_j.
 Logical weights are carried as conductance above the pristine floor
@@ -25,8 +25,6 @@ from .errors import (
     CapacityExceeded,
     DimensionMismatch,
     ReadDisturbRisk,
-    RowInUse,
-    VoltageEncodingOutOfRange,
     WeightOutOfRange,
 )
 from .fuzzy import SCORE_ROWS, centroid, inverse_norms, power_activation
@@ -56,43 +54,12 @@ class MemristorParams:
         return self.mu_v * self.r_on / (self.d * self.d)
 
 
-@dataclass(frozen=True)
-class MemristorState:
-    """Single-device state: doped fraction x in [0, 1]."""
-
-    x: float
-
-    def memristance(self, params: MemristorParams) -> float:
-        return params.r_on * self.x + params.r_off * (1.0 - self.x)
-
-
-def step_device(s: MemristorState, params: MemristorParams, v: float,
-                dt: float | None = None) -> MemristorState:
-    """One explicit-Euler step; sub-threshold voltages leave the state alone."""
-    dt = params.dt if dt is None else dt
-    if abs(v) <= params.v_threshold:
-        return s
-    m = s.memristance(params)
-    x = s.x + params.drift_gain * (v / m) * dt
-    return MemristorState(x=min(1.0, max(0.0, x)))
-
-
-def pulse_device(s: MemristorState, params: MemristorParams, v: float,
-                 duration: float) -> MemristorState:
-    """Constant-voltage pulse integrated as round(duration/dt) Euler steps."""
-    n = int(round(duration / params.dt))
-    for _ in range(n):
-        s = step_device(s, params, v)
-    return s
-
-
 def _pulse_array(x: np.ndarray, volts: np.ndarray, params: MemristorParams,
-                 duration: float, frozen: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized pulse on an array of device states under per-device voltages."""
+                 duration: float) -> np.ndarray:
+    """Vectorized pulse on an array of device states under per-device voltages,
+    integrated as round(duration/dt) Euler steps; sub-threshold devices keep their state."""
     x = x.copy()
     active = np.abs(volts) > params.v_threshold
-    if frozen is not None:
-        active &= ~frozen
     if not np.any(active):
         return x
     n = int(round(duration / params.dt))
@@ -129,10 +96,6 @@ class Crossbar:
         """Raw stored weights R_f / M_ij (the pristine floor is R_f / R_off)."""
         return self.r_f / self.memristance()
 
-    def memristance_csv(self) -> str:
-        lines = [",".join(repr(float(v)) for v in row) for row in self.memristance()]
-        return "\n".join(lines) + "\n"
-
 
 def vmm(cb: Crossbar, input_voltages: np.ndarray, cols=slice(None)) -> np.ndarray:
     """Analog vector-matrix multiply out_i = -sum_j (R_f/M_ij) I_j, on one row or a batch.
@@ -148,58 +111,6 @@ def vmm(cb: Crossbar, input_voltages: np.ndarray, cols=slice(None)) -> np.ndarra
     if np.any(np.abs(volts) >= cb.params.v_threshold):
         raise ReadDisturbRisk("read voltage at or above the device threshold")
     return -(volts @ w.T)
-
-
-def program_row(cb: Crossbar, row: int, target_profile: np.ndarray,
-                duration: float = HEBBIAN_PULSE_SECONDS,
-                v_write_base: float | None = None, v_write_span: float = 1.0):
-    """Store a membership profile on an unused row, amplitude encoded.
-
-    Column j is driven at v_write_base + profile_j * v_write_span while the
-    row is grounded; the base sits at the threshold so zero-profile columns
-    never write.  The resulting conductance is monotone in the profile but
-    not proportional to it (the drift is nonlinear), matching the behaviour
-    of fixed-duration programming.  Returns the column indices skipped
-    because their cross-point is distorted.
-    """
-    profile = np.asarray(target_profile, dtype=np.float64)
-    if profile.shape[0] != cb.cols:
-        raise DimensionMismatch(f"expected {cb.cols} profile entries, got {profile.shape[0]}")
-    if np.any(profile < 0.0) or np.any(profile > 1.0):
-        raise VoltageEncodingOutOfRange("profile entries must lie in [0, 1]")
-    if not 0 <= row < cb.rows:
-        raise DimensionMismatch(f"row {row} outside crossbar with {cb.rows} rows")
-    used = (cb.x[row] != 0.0) & ~cb.fault_mask[row]
-    if np.any(used):
-        raise RowInUse(f"row {row} already holds data")
-    base = cb.params.v_threshold if v_write_base is None else v_write_base
-    volts = base + profile * v_write_span
-    cb.x[row] = _pulse_array(cb.x[row], volts, cb.params, duration,
-                             frozen=cb.fault_mask[row])
-    return np.nonzero(cb.fault_mask[row] & (profile > 0.0))[0]
-
-
-def hebbian_pulse(cb: Crossbar, row_voltages: np.ndarray, col_voltages: np.ndarray,
-                  duration: float = HEBBIAN_PULSE_SECONDS,
-                  v_max: float | None = None) -> None:
-    """Joint-firing write: device (i, j) sees row_voltages[i] + col_voltages[j].
-
-    Each terminal is capped at v_max <= v_threshold, so one side alone can
-    never switch a device; only cross-points whose two neurons fire strongly
-    together cross the threshold and gain weight.
-    """
-    u = np.asarray(row_voltages, dtype=np.float64)
-    v = np.asarray(col_voltages, dtype=np.float64)
-    if u.shape[0] != cb.rows or v.shape[0] != cb.cols:
-        raise DimensionMismatch("drive vectors do not match crossbar dimensions")
-    cap = cb.params.v_threshold if v_max is None else v_max
-    if cap > cb.params.v_threshold:
-        raise VoltageEncodingOutOfRange("v_max above the device threshold")
-    for name, arr in (("row", u), ("column", v)):
-        if np.any(arr < 0.0) or np.any(arr > cap):
-            raise VoltageEncodingOutOfRange(f"{name} voltages outside [0, {cap}]")
-    volts = u[:, None] + v[None, :]
-    cb.x = _pulse_array(cb.x, volts, cb.params, duration, frozen=cb.fault_mask)
 
 
 def delta_weight_sweep(params: MemristorParams | None = None, r_f: float | None = None,
@@ -230,6 +141,19 @@ def sweep_csv(volts: np.ndarray, delta_w: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _stuck_cells(rng: np.random.Generator, shape, fraction: float):
+    """The package's one stuck-cell draw: floor(fraction * cells) distinct cells of
+    an array of the given shape, and a uniform device state for each (0 elsewhere)."""
+    mask = np.zeros(shape, dtype=bool)
+    x = np.zeros(shape)
+    k = int(fraction * mask.size)
+    if k > 0:
+        idx = rng.choice(mask.size, size=k, replace=False)
+        mask.flat[idx] = True
+        x.flat[idx] = rng.uniform(0.0, 1.0, k)
+    return mask, x
+
+
 def distort(cb: Crossbar, fraction: float, seed: int) -> Crossbar:
     """Mark floor(fraction * cells) distinct cross-points as permanently stuck.
 
@@ -238,12 +162,9 @@ def distort(cb: Crossbar, fraction: float, seed: int) -> Crossbar:
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
-    k = int(fraction * cb.rows * cb.cols)
-    if k > 0:
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(cb.rows * cb.cols, size=k, replace=False)
-        cb.fault_mask.flat[idx] = True
-        cb.x.flat[idx] = rng.uniform(0.0, 1.0, k)
+    mask, x = _stuck_cells(np.random.default_rng(seed), cb.x.shape, fraction)
+    cb.fault_mask |= mask
+    cb.x[mask] = x[mask]
     return cb
 
 
@@ -266,9 +187,6 @@ class CrossbarMapping:
     def logical_in(self, cb1: Crossbar, g: int) -> np.ndarray:
         """Read-back logical first-layer weights for group g."""
         return (cb1.weights()[:, self.group_slices[g]] - self.floor) / self.scale_in
-
-    def logical_out(self, cb2: Crossbar) -> np.ndarray:
-        return (cb2.weights() - self.floor) / self.scale_out
 
 
 def _x_for_weight(w_scaled: np.ndarray, params: MemristorParams, r_f: float) -> np.ndarray:
@@ -298,7 +216,9 @@ def map_network(state, params: MemristorParams | None = None, r_f: float | None 
     neuron), cb2 the output matrix.  Logical weights map linearly onto
     conductance above the pristine floor; the scale is chosen so the largest
     weight lands on R_on unless overridden.  Pre-distorted crossbars may be
-    passed in; their stuck cells are skipped.  Returns (cb1, cb2, mapping).
+    passed in; their stuck cells are skipped.  A faulted state already holds
+    its stuck weights, so the crossbars made here are programmed with them and
+    then take the fault plan's masks.  Returns (cb1, cb2, mapping).
     """
     from .network import NetworkState  # local import to avoid a cycle
 
@@ -311,6 +231,7 @@ def map_network(state, params: MemristorParams | None = None, r_f: float | None 
     total_cols = sum(counts)
     nz = state.config.output_universe.count
 
+    made = (cb1 is None, cb2 is None)
     if cb1 is None:
         cb1 = Crossbar(n_v, total_cols, params, r_f)
     if cb2 is None:
@@ -331,6 +252,11 @@ def map_network(state, params: MemristorParams | None = None, r_f: float | None 
     w2 = np.zeros((nz, cb2.cols))
     w2[:, :n_v] = state.w_out
     _program_targets(cb2, _x_for_weight(w2 * s_out, params, r_f))
+    plan = state.faults
+    if plan is not None and made[0]:
+        cb1.fault_mask = np.hstack([m[:n_v] for m in plan.in_masks])
+    if plan is not None and made[1]:
+        cb2.fault_mask = plan.out_mask[:, :n_v].copy()
 
     ends = np.cumsum(counts).tolist()
     mapping = CrossbarMapping(

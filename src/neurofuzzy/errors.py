@@ -45,10 +45,6 @@ class ZeroVector(NeuroFuzzyError):
 
 # --- operators ---
 
-class EmptyOperands(NeuroFuzzyError):
-    pass
-
-
 class OperandOutOfRange(NeuroFuzzyError):
     pass
 
@@ -86,14 +82,6 @@ class ReadDisturbRisk(NeuroFuzzyError):
 
 
 class DimensionMismatch(NeuroFuzzyError):
-    pass
-
-
-class RowInUse(NeuroFuzzyError):
-    pass
-
-
-class VoltageEncodingOutOfRange(NeuroFuzzyError):
     pass
 
 

@@ -182,7 +182,7 @@ def _train(cfg: ExperimentConfig, net_cfg: NetworkConfig, pts, targets) -> Netwo
 def _backend_forward(cfg: ExperimentConfig, state: NetworkState):
     """Raw outputs of the configured backend: fuzzified (B, count_g) batches -> (B, nz)."""
     if cfg.backend == "crossbar":
-        cb1, cb2, mapping = _map_with_faults(cfg, state)
+        cb1, cb2, mapping = crossbar.map_network(state, cfg.device)
         return lambda mats: crossbar.crossbar_forward_batch(cb1, cb2, mapping, mats)
     return lambda mats: network.output_batch(state, mats)
 
@@ -195,31 +195,6 @@ def _regression_readout(cfg: ExperimentConfig, state: NetworkState, pts):
     uz = state.config.output_universe
     pred, activated = fuzzy.centroid(_backend_forward(cfg, state)(mats), uz.grid())
     return np.where(activated, pred, (uz.lo + uz.hi) / 2.0), int((~activated).sum())
-
-
-def _map_with_faults(cfg: ExperimentConfig, state: NetworkState):
-    """Program the trained state onto crossbars, carrying over any fault plan."""
-    params = cfg.device
-    n_v = state.n_minterms
-    counts = [g.universe.count for g in state.config.groups]
-    cb1 = crossbar.Crossbar(n_v, sum(counts), params)
-    cb2 = crossbar.Crossbar(state.config.output_universe.count, n_v, params)
-    if state.faults is not None:
-        w_span = cb1.r_f / params.r_on - cb1.r_f / params.r_off
-        in_mask = np.hstack([m[:n_v] for m in state.faults.in_masks])
-        in_stuck = np.hstack([s[:n_v] for s in state.faults.in_stuck])
-        cb1.fault_mask = in_mask
-        cb1.x = np.where(in_mask, crossbar._x_for_weight(in_stuck * w_span, params, cb1.r_f), 0.0)
-        out_mask = state.faults.out_mask[:, :n_v]
-        out_stuck = state.faults.out_stuck[:, :n_v]
-        w_max = float(state.w_out.max())
-        s_out = w_span / w_max if w_max > 0 else 1.0
-        cb2.fault_mask = out_mask.copy()
-        cb2.x = np.where(out_mask,
-                         crossbar._x_for_weight(np.minimum(out_stuck * s_out, w_span), params, cb2.r_f),
-                         0.0)
-    cb1, cb2, mapping = crossbar.map_network(state, params, cb1=cb1, cb2=cb2)
-    return cb1, cb2, mapping
 
 
 def train_and_score(cfg: ExperimentConfig):

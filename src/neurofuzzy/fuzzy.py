@@ -9,7 +9,6 @@ two sampled curves, so every per-variable similarity is itself a confidence
 degree in [0, 1].
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,6 @@ import numpy as np
 from .errors import (
     AllZeroMembership,
     DegenerateFuzzification,
-    EmptyOperands,
     EmptyRange,
     MisalignedRange,
     NegativeSupport,
@@ -141,12 +139,6 @@ class Universe:
     def span(self) -> float:
         return self.hi - self.lo
 
-    def nearest_index(self, value: float) -> int:
-        """Index of the grid point closest to ``value``; ties go to the lower index."""
-        q = (value - self.lo) / self.resolution
-        i = int(np.ceil(q - 0.5))
-        return min(max(i, 0), self.count - 1)
-
     def contains(self, values):
         """Elementwise: whether each value lies in [lo, hi] to ALIGN_RTOL."""
         tol = ALIGN_RTOL * max(1.0, abs(self.lo), abs(self.hi))
@@ -197,13 +189,6 @@ class MembershipVector:
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    def to_csv(self) -> str:
-        """One ``grid_value,membership`` line per grid point (plot emission)."""
-        buf = io.StringIO()
-        for g, m in zip(self.universe.grid(), self.values):
-            buf.write(f"{float(g)!r},{float(m)!r}\n")
-        return buf.getvalue()
 
 
 def triangular_matrix(u: Universe, crisps: np.ndarray, half_support: float) -> np.ndarray:
@@ -274,8 +259,8 @@ class TNorm:
 
     kind is one of ``min``, ``product``, ``power_sum`` and ``tansig``.
     ``power_sum`` raises the operand mean to the integer power ``p`` (so the
-    all-ones input maps to 1 regardless of arity); ``tansig`` is the shifted
-    tanh activation rescaled onto [0, 1] over the operand range.
+    all-ones input maps to 1); ``tansig`` is the shifted tanh activation
+    rescaled onto [0, 1] over the operand range.
     """
 
     kind: str
@@ -297,37 +282,10 @@ PRODUCT = TNorm("product")
 TANSIG = TNorm("tansig")
 
 
-def _tansig_rescaled(total, n):
-    # tansig(s) = 2/(1+exp(-2s)) - 1 = tanh(s); shift mirrors the 2-operand
-    # tanh(a+b-3) shape, then min-max rescale onto [0,1] over the operand range
-    # so all-zero operands map to 0 and all-one operands map to 1.
-    raw = np.tanh(total - (n + 1.0))
-    lo = np.tanh(-(n + 1.0))
-    hi = np.tanh(-1.0)
-    return (raw - lo) / (hi - lo)
-
-
-def apply_tnorm(op: TNorm, operands) -> float:
-    """Apply a t-norm operator to one or more confidence degrees in [0, 1]."""
-    vals = np.asarray(operands, dtype=np.float64)
-    if vals.ndim != 1 or vals.size == 0:
-        raise EmptyOperands("need at least one operand")
-    if np.any(vals < 0.0) or np.any(vals > 1.0):
-        raise OperandOutOfRange(f"operands must lie in [0, 1], got {vals}")
-    n = vals.size
-    if op.kind == "min":
-        return float(vals.min())
-    if op.kind == "product":
-        return float(vals.prod())
-    if op.kind == "power_sum":
-        return float((vals.sum() / n) ** op.p)
-    return float(_tansig_rescaled(vals.sum(), n))
-
-
 def pairwise_tnorm(op: TNorm, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """t(a_i, b_j) for all pairs; returns a (len(a), len(b)) matrix.
 
-    Vectorized 2-operand form of apply_tnorm, used by the Hebbian update.
+    The 2-operand t-norm of every pair, used by the Hebbian update.
     """
     a = np.asarray(a, dtype=np.float64)[:, None]
     b = np.asarray(b, dtype=np.float64)[None, :]
@@ -337,4 +295,7 @@ def pairwise_tnorm(op: TNorm, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a * b
     if op.kind == "power_sum":
         return ((a + b) / 2.0) ** op.p
-    return _tansig_rescaled(a + b, 2)
+    # tansig(s) = 2/(1+exp(-2s)) - 1 = tanh(s), shifted to tanh(a+b-3) and
+    # min-max rescaled onto [0,1] over the operand range, so t(0,0) = 0 and t(1,1) = 1
+    lo, hi = np.tanh(-3.0), np.tanh(-1.0)
+    return (np.tanh(a + b - 3.0) - lo) / (hi - lo)

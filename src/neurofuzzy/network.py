@@ -29,9 +29,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fuzzy
+from .crossbar import _stuck_cells
 from .errors import (
     AllZeroMembership,
     CapacityExceeded,
+    DegenerateFuzzification,
     MalformedPayload,
     NeuroFuzzyError,
     TargetOutOfRange,
@@ -83,10 +85,11 @@ class NetworkConfig:
 class WeightFaults:
     """Stuck-cell plan mirroring distorted crossbar cross-points.
 
-    Masked cells hold a fixed random value and ignore every write.  Stuck
-    values follow a uniformly random device state fed through the memristance
-    map, scale / (x + ratio*(1-x)), so most distorted cells sit near the
-    conductance floor with a heavy tail up to the full scale.
+    Masked cells hold a fixed random value and ignore every write.  The cells
+    and their uniformly random device states x are crossbar's stuck-cell draw;
+    each x is fed through the memristance map, scale / (x + ratio*(1-x)), so
+    most distorted cells sit near the conductance floor with a heavy tail up
+    to the full scale.
     """
 
     capacity: int
@@ -100,26 +103,14 @@ class WeightFaults:
              out_scale: float, memristance_ratio: float = 160.0) -> "WeightFaults":
         """Seeded fault plan over provisioned capacity (rows or columns)."""
         rng = np.random.default_rng(seed)
-        in_masks, in_stuck = [], []
-        specs = [((capacity, n), 1.0) for n in group_counts]
-        specs.append(((nz, capacity), out_scale))
+        specs = [((capacity, n), 1.0) for n in group_counts] + [((nz, capacity), out_scale)]
         drawn = []
         for shape, scale in specs:
-            mask = np.zeros(shape, dtype=bool)
-            stuck = np.zeros(shape)
-            k = int(fraction * mask.size)
-            if k > 0:
-                idx = rng.choice(mask.size, size=k, replace=False)
-                mask.flat[idx] = True
-                x = rng.uniform(0.0, 1.0, k)
-                stuck.flat[idx] = scale / (x + memristance_ratio * (1.0 - x))
-            drawn.append((mask, stuck))
-        for mask, stuck in drawn[:-1]:
-            in_masks.append(mask)
-            in_stuck.append(stuck)
-        out_mask, out_stuck = drawn[-1]
-        return WeightFaults(capacity=capacity, in_masks=in_masks, in_stuck=in_stuck,
-                            out_mask=out_mask, out_stuck=out_stuck)
+            mask, x = _stuck_cells(rng, shape, fraction)
+            drawn.append((mask, np.where(mask, scale / (x + memristance_ratio * (1.0 - x)), 0.0)))
+        *groups, (out_mask, out_stuck) = drawn
+        return WeightFaults(capacity=capacity, in_masks=[m for m, _ in groups],
+                            in_stuck=[s for _, s in groups], out_mask=out_mask, out_stuck=out_stuck)
 
 
 @dataclass
@@ -225,15 +216,6 @@ class NetworkState:
                          else _unit_concat([w[r] for w in self._w_in]))
         self.n_minterms += 1
         return r
-
-
-def states_equal(a: NetworkState, b: NetworkState) -> bool:
-    """Bitwise equality of configuration and all logical weights."""
-    if a.config != b.config or a.n_minterms != b.n_minterms:
-        return False
-    pairs = [(a.w_in(g), b.w_in(g)) for g in range(len(a.config.groups))]
-    pairs += [(a.unit_rows(), b.unit_rows()), (a.w_out, b.w_out)]
-    return all(np.array_equal(x, y) for x, y in pairs)
 
 
 # --- forward pass ----------------------------------------------------------
@@ -344,8 +326,9 @@ def classify_batch(state: NetworkState, mats):
 CHUNK_MAX = 64
 
 
-def _check_stream(state: NetworkState, mats, targets) -> None:
-    """Validate a whole stream before training writes anything."""
+def _check_stream(state: NetworkState, mats, targets) -> np.ndarray:
+    """Validate a whole stream before training writes anything; returns the
+    (B, nz) fuzzy targets, crisp ones fuzzified here."""
     out_u, n = state.config.output_universe, targets.shape[0]
     want = [(n, g.universe.count) for g in state.config.groups]
     if [X.shape for X in mats] != want or targets.shape[1:] not in ((), (out_u.count,)):
@@ -359,6 +342,15 @@ def _check_stream(state: NetworkState, mats, targets) -> None:
             raise ZeroVector(f"sample {k}: all-zero input membership vector")
         raise TargetOutOfRange(f"sample {k}: target {targets[k]} outside output "
                                f"universe [{out_u.lo}, {out_u.hi}]")
+    if targets.ndim == 2:
+        return targets
+    hs = state.config.output_half_support
+    try:
+        return fuzzy.triangular_matrix(out_u, targets, hs)
+    except DegenerateFuzzification as e:
+        # the rows triangular_matrix found all zero: every |grid - t| / hs >= 1
+        k = int(np.argmax((np.abs(out_u.grid() - targets[:, None]) / hs).min(axis=1) >= 1.0))
+        raise DegenerateFuzzification(f"sample {k}: target {targets[k]}: {e}") from e
 
 
 def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
@@ -374,7 +366,7 @@ def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
     cfg = state.config
     targets = np.asarray(targets, dtype=np.float64)
     mats = [np.asarray(X, dtype=np.float64) for X in mats]
-    _check_stream(state, mats, targets)
+    fuzzy_targets = _check_stream(state, mats, targets)
     n = targets.shape[0]
     units = _unit_concat(mats)
     stats = TrainingStats(n_samples=n, errors=np.full(n, np.inf))
@@ -401,8 +393,7 @@ def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
         # the new row copies the input, so without faults it fires at exactly 1
         v = (np.append(hidden[k], 1.0) if state.faults is None
              else _hidden(state, units[j:j + 1])[0])
-        u = targets[j] if targets.ndim == 2 else fuzzy.triangular_matrix(
-            cfg.output_universe, targets[j:j + 1], cfg.output_half_support)[0]
+        u = fuzzy_targets[j]
         # t(0, v) = 0 for product and min: rows outside the target's support keep their weights
         support = (np.flatnonzero(u) if cfg.hebbian_tnorm.kind in ("product", "min")
                    else [0, u.size - 1])

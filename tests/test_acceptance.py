@@ -21,6 +21,7 @@ from neurofuzzy.experiments import (
 )
 from neurofuzzy.fuzzy import triangular_matrix, universe_from_count
 from neurofuzzy.network import InputGroup, NetworkConfig, NetworkState, train_one
+from oracles import ion_drift_x, states_equal
 
 
 @contextlib.contextmanager
@@ -144,7 +145,7 @@ def test_criterion_6_property_suite():
         assert train_one(state, inputs, target_crisp=0.5).kind == "added"
         before = state.copy()
         assert train_one(state, inputs, target_crisp=0.5).kind == "skipped"
-        assert network.states_equal(before, state)
+        assert states_equal(before, state)
 
         # 10,000 random training steps: non-negativity and growth bound
         cfg = _tiny_config(threshold=0.1)
@@ -241,15 +242,17 @@ def test_criterion_8_integrator_convergence():
         params = MemristorParams()
         fine = MemristorParams(dt=params.dt / 2)
         volts = np.linspace(0.0, 2.0 * params.v_threshold, 81)
-        worst = 0.0
         _, dw_a = delta_weight_sweep(params, voltages=volts)
         _, dw_b = delta_weight_sweep(fine, voltages=volts)
-        for a, b in zip(dw_a, dw_b):
-            xa = _x_from_dw(a, params)
-            xb = _x_from_dw(b, params)
-            worst = max(worst, abs(xa - xb))
+        xa, xb = _x_from_dw(dw_a, params), _x_from_dw(dw_b, params)
+        worst = np.abs(xa - xb).max()
         assert worst < 1e-3, f"dt halving moved x by {worst:.2e}"
-        print(f"  max |x(dt) - x(dt/2)| across sweep: {worst:.2e}")
+        # both step sizes track the closed-form ion-drift solution
+        exact = ion_drift_x(params, volts, crossbar.HEBBIAN_PULSE_SECONDS)
+        off = max(np.abs(xa - exact).max(), np.abs(xb - exact).max())
+        assert off < 1e-5, f"Euler states are {off:.2e} from the closed form"
+        print(f"  max |x(dt) - x(dt/2)| across sweep: {worst:.2e}; "
+              f"max distance to the closed form: {off:.2e}")
 
 
 def _x_from_dw(dw, params):

@@ -7,26 +7,21 @@ from neurofuzzy import crossbar, experiments, fuzzy, network
 from neurofuzzy.crossbar import (
     Crossbar,
     MemristorParams,
-    MemristorState,
+    _pulse_array,
     crossbar_forward_batch,
     delta_weight_sweep,
     distort,
-    hebbian_pulse,
     map_network,
-    program_row,
-    pulse_device,
-    step_device,
     vmm,
 )
 from neurofuzzy.errors import (
     CapacityExceeded,
     DimensionMismatch,
     ReadDisturbRisk,
-    RowInUse,
-    VoltageEncodingOutOfRange,
     WeightOutOfRange,
 )
 from neurofuzzy.fuzzy import triangular_matrix
+from oracles import ion_drift_x
 
 PARAMS = MemristorParams()
 
@@ -35,36 +30,42 @@ PARAMS = MemristorParams()
 GOLDEN_X_2V_005S = 0.06457172362023814
 
 
+def pulse(x, v, duration):
+    """One device's state after a constant-voltage pulse."""
+    return float(_pulse_array(np.array([x]), np.array([v]), PARAMS, duration)[0])
+
+
 class TestDevice:
     def test_sub_threshold_unchanged(self):
-        s = MemristorState(x=0.37)
-        assert step_device(s, PARAMS, 0.5 * PARAMS.v_threshold) is s
-        assert pulse_device(s, PARAMS, PARAMS.v_threshold, 0.01).x == s.x
+        assert pulse(0.37, 0.5 * PARAMS.v_threshold, 0.01) == 0.37
+        assert pulse(0.37, PARAMS.v_threshold, 0.01) == 0.37
+        _, dw = delta_weight_sweep(PARAMS, voltages=[0.5, PARAMS.v_threshold])
+        assert not dw.any()
 
     def test_saturation_clamp(self):
-        s = MemristorState(x=1.0)
-        out = pulse_device(s, PARAMS, 5.0, 0.01)
-        assert out.x == 1.0
+        assert pulse(1.0, 5.0, 0.01) == 1.0
 
     def test_golden_pulse_against_fine_step_oracle(self):
-        out = pulse_device(MemristorState(x=0.0), PARAMS, 2.0, 0.05)
-        assert abs(out.x - GOLDEN_X_2V_005S) < 1e-5
+        assert abs(pulse(0.0, 2.0, 0.05) - GOLDEN_X_2V_005S) < 1e-5
+        _, dw = delta_weight_sweep(PARAMS, voltages=[2.0], duration=0.05)
+        assert abs(_x_from_dw(dw)[0] - GOLDEN_X_2V_005S) < 1e-5
+        assert abs(ion_drift_x(PARAMS, 2.0, 0.05) - GOLDEN_X_2V_005S) < 1e-9
 
     def test_memristance_bounds(self):
-        for x in (0.0, 0.3, 1.0):
-            m = MemristorState(x=x).memristance(PARAMS)
-            assert PARAMS.r_on <= m <= PARAMS.r_off
+        cb = Crossbar(1, 3)
+        cb.x[0] = [0.0, 0.3, 1.0]
+        m = cb.memristance()
+        assert m[0, 0] == PARAMS.r_off and m[0, 2] == PARAMS.r_on
+        assert (PARAMS.r_on <= m).all() and (m <= PARAMS.r_off).all()
 
     def test_negative_voltage_decreases_state(self):
-        s = MemristorState(x=0.5)
-        out = pulse_device(s, PARAMS, -2.0, 0.01)
-        assert out.x < 0.5
+        assert pulse(0.5, -2.0, 0.01) < 0.5
 
     @given(st.floats(0, 1), st.floats(1.01, 2.0))
     @settings(max_examples=30, deadline=None)
     def test_state_stays_in_unit_interval(self, x0, v):
-        out = pulse_device(MemristorState(x=x0), PARAMS, v, 0.02)
-        assert 0.0 <= out.x <= 1.0
+        assert 0.0 <= pulse(x0, v, 0.02) <= 1.0
+        assert 0.0 <= pulse(x0, -v, 0.02) <= 1.0
 
     def test_integrator_convergence_halved_dt(self):
         volts = np.linspace(0.0, 2.0, 81)
@@ -150,60 +151,8 @@ class TestVmm:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
-class TestProgramRow:
-    def test_zero_profile_is_noop(self):
-        cb = Crossbar(2, 5)
-        program_row(cb, 0, np.zeros(5))
-        assert not cb.x.any()
-
-    def test_conductance_monotone_in_profile(self):
-        cb = Crossbar(1, 3)
-        program_row(cb, 0, np.array([1.0, 0.5, 0.0]))
-        g = 1.0 / cb.memristance()[0]
-        assert g[0] > g[1] > g[2]
-
-    def test_row_in_use(self):
-        cb = Crossbar(2, 3)
-        program_row(cb, 0, np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(RowInUse):
-            program_row(cb, 0, np.array([0.0, 1.0, 0.0]))
-        program_row(cb, 1, np.array([0.0, 1.0, 0.0]))   # other rows still free
-
-    def test_faulted_cells_flagged_and_unchanged(self):
-        cb = Crossbar(1, 4)
-        cb.fault_mask[0, 2] = True
-        cb.x[0, 2] = 0.77
-        skipped = program_row(cb, 0, np.array([0.0, 0.0, 1.0, 0.5]))
-        assert skipped.tolist() == [2]
-        assert cb.x[0, 2] == 0.77
-
-
 class TestHebbianPulse:
-    def test_one_sided_firing_cannot_write(self):
-        cb = Crossbar(3, 3)
-        before = cb.x.copy()
-        hebbian_pulse(cb, np.zeros(3), np.full(3, PARAMS.v_threshold))
-        assert np.array_equal(before, cb.x)
-
-    def test_joint_firing_writes(self):
-        cb = Crossbar(1, 1)
-        hebbian_pulse(cb, np.array([PARAMS.v_threshold]), np.array([PARAMS.v_threshold]))
-        assert cb.x[0, 0] > 0.0
-
-    def test_encoding_guard(self):
-        cb = Crossbar(1, 1)
-        with pytest.raises(VoltageEncodingOutOfRange):
-            hebbian_pulse(cb, np.array([1.5]), np.array([0.0]))
-        with pytest.raises(VoltageEncodingOutOfRange):
-            hebbian_pulse(cb, np.array([0.5]), np.array([0.5]), v_max=2.0)
-
-    def test_faulted_cell_untouched(self):
-        cb = Crossbar(1, 2)
-        cb.fault_mask[0, 0] = True
-        cb.x[0, 0] = 0.2
-        hebbian_pulse(cb, np.array([1.0]), np.array([1.0, 1.0]))
-        assert cb.x[0, 0] == 0.2
-        assert cb.x[0, 1] > 0.0
+    """The weight change one Hebbian write pulse gives a pristine device."""
 
     def test_sweep_zero_below_threshold_then_increasing(self):
         volts, dw = delta_weight_sweep(PARAMS)
@@ -211,29 +160,10 @@ class TestHebbianPulse:
         assert np.all(dw[below] == 0.0)
         assert np.all(np.diff(dw[~below]) > 0.0)
 
-    def test_superadditive_at_firing_corner(self):
-        vmax = PARAMS.v_threshold
-
-        def dw(u, v):
-            cb = Crossbar(1, 1)
-            hebbian_pulse(cb, np.array([u]), np.array([v]))
-            return cb.weights()[0, 0] - cb.r_f / PARAMS.r_off
-
-        assert dw(vmax, vmax) > dw(vmax, 0.0) + dw(0.0, vmax)
-
     def test_hebbian_delta_monotone_in_each_drive(self):
         volts, dw = delta_weight_sweep(PARAMS, voltages=np.linspace(0, 2, 41))
         # u + v enters only through the sum, so monotone sweep covers both axes
         assert all(b >= a for a, b in zip(dw, dw[1:]))
-
-    def test_identical_schedules_bit_identical(self):
-        def run():
-            cb = Crossbar(4, 4)
-            hebbian_pulse(cb, np.full(4, 0.8), np.full(4, 0.9))
-            hebbian_pulse(cb, np.linspace(0, 1, 4), np.linspace(1, 0, 4))
-            return cb.x
-
-        assert np.array_equal(run(), run())
 
 
 class TestDistort:
@@ -281,7 +211,8 @@ class TestMapNetwork:
         for g in (0, 1):
             got = mapping.logical_in(cb1, g)
             np.testing.assert_allclose(got, state.w_in(g), atol=1e-9)
-        np.testing.assert_allclose(mapping.logical_out(cb2), state.w_out, atol=1e-12)
+        np.testing.assert_allclose((cb2.weights() - mapping.floor) / mapping.scale_out,
+                                   state.w_out, atol=1e-12)
 
     def test_weight_out_of_range(self, g1_state):
         span = PARAMS.r_off / PARAMS.r_on - 1.0
@@ -387,6 +318,33 @@ class TestCrossbarForward:
                                    atol=1e-15 * np.abs(got).max())
 
 
+class TestFaultedState:
+    """A state trained under a fault plan, scored on the crossbars it maps to."""
+
+    @pytest.fixture(scope="class")
+    def mapped(self):
+        cfg = experiments.paper_modeling_config("g1", fault_fraction=0.2)
+        state = experiments.rebuild_trained_state(cfg)
+        return state, map_network(state, cfg.device)
+
+    def test_forward_matches_ideal(self, mapped):
+        state, (cb1, cb2, mapping) = mapped
+        pts = np.random.default_rng(4242).uniform(0, 1, size=(100, 2))
+        mats = [triangular_matrix(g.universe, pts[:, i], g.half_support)
+                for i, g in enumerate(state.config.groups)]
+        ideal = network.output_batch(state, mats)
+        got = crossbar_forward_batch(cb1, cb2, mapping, mats)
+        # criterion 7's tolerances
+        assert np.isclose(got, ideal, rtol=0.05, atol=1e-9 * np.abs(ideal).max()).all()
+
+    def test_crossbars_carry_the_plan_masks(self, mapped):
+        state, (cb1, cb2, _) = mapped
+        n, plan = state.n_minterms, state.faults
+        assert plan.out_mask.any() and all(m[:n].any() for m in plan.in_masks)
+        assert np.array_equal(cb1.fault_mask, np.hstack([m[:n] for m in plan.in_masks]))
+        assert np.array_equal(cb2.fault_mask, plan.out_mask[:, :n])
+
+
 class TestCsv:
     def test_sweep_csv_shape(self):
         volts, dw = delta_weight_sweep(PARAMS, voltages=np.linspace(0, 2, 5))
@@ -394,9 +352,3 @@ class TestCsv:
         lines = text.strip().split("\n")
         assert lines[0] == "voltage,delta_weight"
         assert len(lines) == 6
-
-    def test_memristance_csv(self):
-        cb = Crossbar(2, 2)
-        text = cb.memristance_csv()
-        rows = [r.split(",") for r in text.strip().split("\n")]
-        assert float(rows[0][0]) == PARAMS.r_off

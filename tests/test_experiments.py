@@ -167,10 +167,11 @@ class TestRunClassification:
 
         real = crossbar.map_network
 
-        def stuck_map(state, params=None, r_f=None, cb1=None, cb2=None, **kw):
+        def stuck_map(state, params, **kw):
+            cb2 = crossbar.Crossbar(state.config.output_universe.count, state.n_minterms, params)
             cb2.fault_mask[1] = True
             cb2.x[1] = 1.0
-            return real(state, params, r_f, cb1=cb1, cb2=cb2, **kw)
+            return real(state, params, cb2=cb2, **kw)
 
         monkeypatch.setattr(crossbar, "map_network", stuck_map)
         stuck = run_classification(on_crossbar)

@@ -29,10 +29,10 @@ from neurofuzzy.network import (
     forward,
     infer_crisp,
     serialize,
-    states_equal,
     train_dataset,
     train_one,
 )
+from oracles import states_equal
 
 
 def mv(u, values):

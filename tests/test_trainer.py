@@ -1,21 +1,28 @@
 """train_matrix against a per-sample oracle, and its validation contract."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from neurofuzzy import fuzzy, network
-from neurofuzzy.errors import TargetOutOfRange, UniverseMismatch, ZeroVector
+from neurofuzzy.errors import (
+    DegenerateFuzzification,
+    TargetOutOfRange,
+    UniverseMismatch,
+    ZeroVector,
+)
 from neurofuzzy.fuzzy import MembershipVector, TNorm, universe_from_count
 from neurofuzzy.network import (
     InputGroup,
     NetworkConfig,
     NetworkState,
     WeightFaults,
-    states_equal,
     train_dataset,
     train_matrix,
     train_one,
 )
+from oracles import states_equal
 
 TNORMS = [fuzzy.MIN, fuzzy.PRODUCT, TNorm.power_sum(3), fuzzy.TANSIG]
 N_IN, N_OUT = 6, 5
@@ -192,6 +199,16 @@ class TestAtomicValidation:
         with pytest.raises(TargetOutOfRange, match=r"sample 4\b"):
             train_matrix(state, mats, targets)
         assert states_equal(before, state)
+
+    def test_degenerate_crisp_target(self):
+        # on a 5-point output universe a 0.05 half support leaves 0.6 between
+        # grid points; sample 1 is novel, so a late check would have added it
+        state = NetworkState(dataclasses.replace(config(), output_half_support=0.05))
+        before = state.copy()
+        mats = [np.eye(N_IN)[[0, 5]]] * 2
+        with pytest.raises(DegenerateFuzzification, match=r"sample 1\b"):
+            train_matrix(state, mats, np.array([0.5, 0.6]))
+        assert state.n_minterms == 0 and states_equal(before, state)
 
     def test_shape_mismatch(self):
         cfg, state, before = self._trained()
