@@ -243,7 +243,14 @@ def cmd_classify(args, file_cfg) -> int:
     return 0
 
 
+def _positive(args, name: str, flag: str) -> None:
+    value = getattr(args, name)
+    if value is not None and value < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {value}")
+
+
 def cmd_suite(args, file_cfg) -> int:
+    _positive(args, "jobs", "--jobs")
     try:
         jobs = experiments.suite_jobs(
             seed=_merged(file_cfg, "experiment", "seed", args.seed, 1),
@@ -287,6 +294,7 @@ def _safe_job(kind, cfg):
 
 
 def cmd_crossbar_compare(args, file_cfg) -> int:
+    _positive(args, "n_probes", "--n-probes")
     params, r_f = _device_params(file_cfg)
     out_dir = _out_dir(args)
     volts, dws = crossbar.delta_weight_sweep(params, r_f)

@@ -36,6 +36,7 @@ from .errors import (
     DegenerateFuzzification,
     MalformedPayload,
     NeuroFuzzyError,
+    OperandOutOfRange,
     TargetOutOfRange,
     Unclassifiable,
     UniverseMismatch,
@@ -320,9 +321,9 @@ def classify_batch(state: NetworkState, mats):
 
 # --- training ---------------------------------------------------------------
 
-# Novelty is checked on up to this many samples per GEMM.  A chunk starts at
-# one sample after each add and doubles while its samples stay familiar, so
-# novel streams waste little work on rows checked against a stale state.
+# Novelty is checked CHUNK_MAX samples at a time.  One GEMM per chunk scores
+# its samples against the stored rows; an add inside the chunk then costs one
+# new hidden column and a fold of its Hebbian update into the rows after it.
 CHUNK_MAX = 64
 
 
@@ -334,10 +335,16 @@ def _check_stream(state: NetworkState, mats, targets) -> np.ndarray:
     if [X.shape for X in mats] != want or targets.shape[1:] not in ((), (out_u.count,)):
         raise UniverseMismatch(f"input shapes {[X.shape for X in mats]} and target shape "
                                f"{targets.shape} do not fit {want} and {out_u.count} outputs")
+    # a stored weight must be finite and non-negative, or the state cannot be reloaded
+    memberships = mats + ([targets] if targets.ndim == 2 else [])
+    out_of_range = ~np.logical_and.reduce([(np.isfinite(X) & (X >= 0.0)).all(axis=1)
+                                       for X in memberships])
     zero = ~np.logical_and.reduce([X.any(axis=1) for X in mats])
-    bad = zero | (~out_u.contains(targets) if targets.ndim == 1 else False)
+    bad = out_of_range | zero | (~out_u.contains(targets) if targets.ndim == 1 else False)
     if bad.any():
         k = int(np.argmax(bad))
+        if out_of_range[k]:
+            raise OperandOutOfRange(f"sample {k}: a membership value is negative or not finite")
         if zero[k]:
             raise ZeroVector(f"sample {k}: all-zero input membership vector")
         raise TargetOutOfRange(f"sample {k}: target {targets[k]} outside output "
@@ -359,51 +366,64 @@ def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
     mats[g] is the (B, count_g) matrix of group g's rows; targets is (B,) crisp
     or (B, nz) fuzzy.  The novelty error is the absolute centroid error (crisp)
     or one minus the cosine of output and target (fuzzy), inf where nothing
-    fires.  Chunks are scored against the current state in one pass, with the
-    result of presenting the samples one at a time.  The stream is validated
-    first: an invalid sample k raises with "sample k" and changes nothing.
+    fires.  Each chunk of CHUNK_MAX samples is scored by one GEMM against the
+    stored rows and kept current across its adds, with the result of
+    presenting the samples one at a time.  The stream is validated first: an
+    invalid sample k raises with "sample k" and changes nothing.
     """
-    cfg = state.config
+    cfg, faults = state.config, state.faults
     targets = np.asarray(targets, dtype=np.float64)
     mats = [np.asarray(X, dtype=np.float64) for X in mats]
     fuzzy_targets = _check_stream(state, mats, targets)
     n = targets.shape[0]
     units = _unit_concat(mats)
     stats = TrainingStats(n_samples=n, errors=np.full(n, np.inf))
-    i, chunk = 0, 1
-    while i < n:
-        stop = min(i + chunk, n)
-        hidden = _hidden(state, units[i:stop])
-        out = hidden @ state.w_out.T
-        if targets.ndim == 1:
-            err = np.abs(fuzzy.centroid(out, cfg.output_universe.grid())[0] - targets[i:stop])
-        else:
-            err = 1.0 - fuzzy.pair_cosine(out, targets[i:stop])
-        err = stats.errors[i:stop] = np.where(np.isnan(err), np.inf, err)  # nothing fired
-        novel = np.flatnonzero(~(err < cfg.novelty_threshold))
-        if novel.size == 0:
-            i, chunk = stop, min(2 * chunk, CHUNK_MAX)
-            continue
-        k = int(novel[0])
-        j, i, chunk = i + k, i + k + 1, 1
-        try:
-            stats.add_indices.append(state._append_row([X[j] for X in mats], units[j]))
-        except CapacityExceeded as e:
-            raise CapacityExceeded(f"sample {j}: {e}") from e
-        # the new row copies the input, so without faults it fires at exactly 1
-        v = (np.append(hidden[k], 1.0) if state.faults is None
-             else _hidden(state, units[j:j + 1])[0])
-        u = fuzzy_targets[j]
-        # t(0, v) = 0 for product and min: rows outside the target's support keep their weights
-        support = (np.flatnonzero(u) if cfg.hebbian_tnorm.kind in ("product", "min")
-                   else [0, u.size - 1])
-        if len(support) == 0:
-            continue
-        rows = slice(support[0], support[-1] + 1)
-        delta = cfg.alpha * fuzzy.pairwise_tnorm(cfg.hebbian_tnorm, u[rows], v)
-        if state.faults is not None:
-            delta[state.faults.out_mask[rows, :v.size]] = 0.0
-        state._w_out[rows, :v.size] += delta
+    grid = cfg.output_universe.grid()
+    for i in range(0, n, CHUNK_MAX):
+        stop = min(i + CHUNK_MAX, n)
+        n0 = state.n_minterms
+        # hidden activations of the chunk; a min-term added at chunk row b
+        # fills its column from row b on
+        hid = np.empty((stop - i, n0 + stop - i))
+        _hidden(state, units[i:stop], out=hid[:, :n0])
+        out = hid[:, :n0] @ state.w_out.T
+        start = 0
+        while start < stop - i:
+            if targets.ndim == 1:
+                err = np.abs(fuzzy.centroid(out[start:], grid)[0] - targets[i + start:stop])
+            else:
+                err = 1.0 - fuzzy.pair_cosine(out[start:], targets[i + start:stop])
+            # inf where nothing fired
+            err = stats.errors[i + start:stop] = np.where(np.isnan(err), np.inf, err)
+            novel = np.flatnonzero(~(err < cfg.novelty_threshold))
+            if novel.size == 0:
+                break
+            b = start + int(novel[0])
+            j, start = i + b, b + 1
+            try:
+                m = state._append_row([X[j] for X in mats], units[j])
+            except CapacityExceeded as e:
+                raise CapacityExceeded(f"sample {j}: {e}") from e
+            stats.add_indices.append(m)
+            # scored against the row as stored: without faults it copies the
+            # input, so sample j fires on it at exactly 1
+            hid[b:, m] = fuzzy.power_activation(units[j:stop] @ state._unit[m],
+                                                len(cfg.groups), cfg.p)
+            if faults is not None:
+                # the new column's stuck cells already hold weight
+                out[start:] += np.outer(hid[start:, m], state._w_out[:, m])
+            u = fuzzy_targets[j]
+            # t(0, v) = 0 for product and min: rows outside the target's support keep their weights
+            support = (np.flatnonzero(u) if cfg.hebbian_tnorm.kind in ("product", "min")
+                       else [0, u.size - 1])
+            if len(support) == 0:
+                continue
+            rows = slice(support[0], support[-1] + 1)
+            delta = cfg.alpha * fuzzy.pairwise_tnorm(cfg.hebbian_tnorm, u[rows], hid[b, :m + 1])
+            if faults is not None:
+                delta[faults.out_mask[rows, :m + 1]] = 0.0
+            state._w_out[rows, :m + 1] += delta
+            out[start:, rows] += hid[start:, :m + 1] @ delta.T
     stats.n_minterms_added = len(stats.add_indices)
     return stats
 

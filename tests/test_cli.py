@@ -196,6 +196,20 @@ class TestOtherCommands:
         assert rc == 0
         assert (tmp_path / "crossbar_compare_g1.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["suite", "--only", "table1", "--jobs", "-1"],
+        ["suite", "--only", "table1", "--jobs", "0"],
+        ["crossbar-compare", "--fn", "g1", "--n-probes", "0"],
+        ["crossbar-compare", "--fn", "g1", "--n-probes", "-3"],
+    ], ids=["jobs-1", "jobs0", "probes0", "probes-3"])
+    def test_bad_counts_exit_1_before_writing(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        rc = cli.main(argv + ["--n-train", "20"] * (argv[0] != "suite")
+                      + ["--out-dir", str(out)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_weight_overflow_config_exit_2(self, tmp_path):
         path = tmp_path / "overflow.ini"
         path.write_text("[crossbar]\nscale_in = 1e6\n")

@@ -8,6 +8,7 @@ import pytest
 from neurofuzzy import fuzzy, network
 from neurofuzzy.errors import (
     DegenerateFuzzification,
+    OperandOutOfRange,
     TargetOutOfRange,
     UniverseMismatch,
     ZeroVector,
@@ -133,28 +134,68 @@ def test_random_streams_match_oracle(fuzzy_targets, tnorm, faulted, seed):
 
 
 def block_stream(novel_at, n):
-    """A stream of one familiar sample with novel ones at the given positions."""
+    """A stream of one familiar sample with novel ones at the given positions.
+
+    The novel samples share one input that the familiar one does not fire on,
+    and their targets alternate between 0.75 and 0.25, so each is novel
+    against the min-terms the ones before it added."""
     cfg = config(threshold=0.05)
     xs = np.zeros((n, N_IN))
     xs[:, 0] = 1.0
     targets = np.full(n, 0.25)
     for j, pos in enumerate(novel_at):
-        xs[pos] = 0.0
-        xs[pos, 2 + j] = 1.0
-        targets[pos] = 0.75
+        xs[pos] = np.eye(N_IN)[2]
+        targets[pos] = 0.75 if j % 2 == 0 else 0.25
     return cfg, [xs, xs.copy()], targets
 
 
+C = network.CHUNK_MAX
+
+
 @pytest.mark.parametrize("novel_at, n", [
-    # chunks run [0] [1] [2,3] [4..7]: 7 ends a chunk, then [8] [9,10]: 9 starts one
-    ((7, 9), 12),
-    # a long familiar run reaches CHUNK_MAX chunks before the late adds
+    # adds on the last row of chunk 0, the first and last rows of chunk 1
+    ((C - 1, C, 2 * C - 1), 2 * C + 3),
+    # a run of consecutive adds inside one chunk, familiar rows after it
+    (tuple(range(C + 5, C + 25)), 2 * C + 10),
+    # every row of chunk 1 adds a min-term
+    (tuple(range(C, 2 * C)), 3 * C),
+    # after a long familiar run: mid-chunk, then the last row of a short last chunk
     ((150, 299), 300),
-])
+], ids=["chunk-edges", "consecutive", "all-novel-chunk", "late-adds"])
 def test_adds_at_chunk_edges(novel_at, n):
     cfg, mats, targets = block_stream(novel_at, n)
-    assert network.CHUNK_MAX < 150
     assert assert_matches_oracle(cfg, mats, targets) == [0, *novel_at]
+
+
+def test_stuck_cells_in_a_column_added_mid_chunk():
+    # min-term 2 is added at sample 6, mid-chunk; samples 7 and 8 fire on it
+    cfg, mats, targets = block_stream((5, 6, 7, 8), 20)
+    cap = 20
+    in_masks = [np.zeros((cap, N_IN), dtype=bool) for _ in cfg.groups]
+    in_stuck = [np.zeros((cap, N_IN)) for _ in cfg.groups]
+    # the stored row differs from the input: its hot cell and one more are stuck
+    in_masks[0][2, [2, 4]] = True
+    in_stuck[0][2, [2, 4]] = (0.3, 0.5)
+    out_mask = np.zeros((N_OUT, cap), dtype=bool)
+    out_stuck = np.zeros((N_OUT, cap))
+    # row 4 lies outside the support of both targets, so only its stuck weight moves it
+    out_mask[[1, 4], 2] = True
+    out_stuck[[1, 4], 2] = (2.0 * cfg.alpha, 3.0 * cfg.alpha)
+    faults = WeightFaults(capacity=cap, in_masks=in_masks, in_stuck=in_stuck,
+                          out_mask=out_mask, out_stuck=out_stuck)
+    assert assert_matches_oracle(cfg, mats, targets, faults) == [0, 5, 6, 7, 8]
+
+
+def test_one_stored_row_gemm_per_chunk(monkeypatch):
+    n = 3 * C + 1
+    cfg, mats, targets = block_stream(range(1, n), n)
+    calls = []
+    real = network._hidden
+    monkeypatch.setattr(network, "_hidden",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    stats = train_matrix(NetworkState(cfg), mats, targets)
+    assert stats.n_minterms_added == n
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -197,6 +238,42 @@ class TestAtomicValidation:
         mats[0][9] = 0.0
         targets[4] = 1.5
         with pytest.raises(TargetOutOfRange, match=r"sample 4\b"):
+            train_matrix(state, mats, targets)
+        assert states_equal(before, state)
+
+    @pytest.mark.parametrize("value", [-0.5, np.inf, np.nan])
+    def test_bad_input_membership(self, value):
+        # serialize would write it and deserialize reject it as malformed
+        cfg, state, before = self._trained()
+        mats, targets = random_stream(cfg, 3, 12)
+        mats[1][7, 2] = value
+        with pytest.raises(OperandOutOfRange, match=r"sample 7\b"):
+            train_matrix(state, mats, targets)
+        assert states_equal(before, state)
+
+    @pytest.mark.parametrize("value", [-1.0, np.inf])
+    def test_bad_fuzzy_target(self, value):
+        cfg, state, before = self._trained()
+        mats, targets = random_stream(cfg, 3, 12, fuzzy_targets=True)
+        targets[5, 0] = value
+        with pytest.raises(OperandOutOfRange, match=r"sample 5\b"):
+            train_matrix(state, mats, targets)
+        assert states_equal(before, state)
+
+    def test_earliest_bad_operand_is_reported(self):
+        cfg, state, before = self._trained()
+        mats, targets = random_stream(cfg, 3, 12)
+        mats[0][2, 1] = -1.0
+        mats[1][1] = 0.0
+        targets[0] = 1.5
+        mats[0][9, 0] = np.inf
+        with pytest.raises(TargetOutOfRange, match=r"sample 0\b"):
+            train_matrix(state, mats, targets)
+        targets[0] = 0.5
+        with pytest.raises(ZeroVector, match=r"sample 1\b"):
+            train_matrix(state, mats, targets)
+        mats[1][1] = 0.5
+        with pytest.raises(OperandOutOfRange, match=r"sample 2\b"):
             train_matrix(state, mats, targets)
         assert states_equal(before, state)
 
