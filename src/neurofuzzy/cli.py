@@ -87,12 +87,15 @@ def _merged(file_cfg: dict, section: str, key: str, flag_value, default):
 
 def _device_params(file_cfg: dict) -> tuple:
     cb = file_cfg.get("crossbar", {})
-    params = MemristorParams(
-        r_on=cb.get("r_on", 100.0), r_off=cb.get("r_off", 16e3),
-        d=cb.get("d", 10e-9), mu_v=cb.get("mu_v", 1e-14),
-        v_threshold=cb.get("v_threshold", 1.0), dt=cb.get("dt", 1e-5),
-    )
-    return params, cb.get("r_f", params.r_off)
+    keys = ("r_on", "r_off", "d", "mu_v", "v_threshold", "dt")
+    try:
+        params = MemristorParams(**{k: cb[k] for k in keys if k in cb})
+    except ValueError as e:
+        raise ConfigError(f"bad [crossbar] device constants: {e}") from e
+    r_f = cb.get("r_f", params.r_off)
+    if not 0 < r_f < np.inf:
+        raise ConfigError(f"[crossbar] r_f must be a finite positive resistance, got {r_f}")
+    return params, r_f
 
 
 _PAPER_PINNED = {
@@ -159,9 +162,11 @@ def build_experiment_config(args, file_cfg: dict, needs: str) -> ExperimentConfi
         if fields["n_test"] is None:
             fields["n_test"] = 2000
     try:
-        return ExperimentConfig(**fields)
+        cfg = ExperimentConfig(**fields)
+        experiments._network_config(cfg)      # the network's own checks, before any write
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    return cfg
 
 
 def _out_dir(args) -> Path:
@@ -437,10 +442,7 @@ def main(argv=None) -> int:
     try:
         file_cfg = load_config_file(args.config) if args.config else {}
         return args.func(args, file_cfg)
-    except (ConfigError, UnknownDatasetId) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (ConfigError, UnknownDatasetId, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except NeuroFuzzyError as e:

@@ -6,10 +6,12 @@ above the device threshold drives
 
     dx/dt = (mu_v * R_on / D^2) * v / M(x)
 
-integrated by explicit Euler at a fixed step.  Voltages at or below the
-threshold never move the state, which is what makes sub-threshold reads
-non-destructive; delta_weight_sweep traces the weight change of one write
-pulse, zero up to the threshold and rising above it.
+integrated by explicit Euler at a fixed step.  M is affine in x, so the steps
+are taken on M itself, dM/dt = (R_on - R_off) * dx/dt clamped to [R_on, R_off]:
+the same iterates as stepping x and clamping it to [0, 1], up to rounding.
+Voltages at or below the threshold never move the state, which is what makes
+sub-threshold reads non-destructive; delta_weight_sweep traces the weight
+change of one write pulse, zero up to the threshold and rising above it.
 
 A crossbar read is the usual op-amp summing stage, out_i = -sum_j (R_f/M_ij) I_j.
 Logical weights are carried as conductance above the pristine floor
@@ -17,7 +19,8 @@ Logical weights are carried as conductance above the pristine floor
 analytically - the software stand-in for a reference column.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,6 +47,8 @@ class MemristorParams:
     dt: float = 1e-5             # s, Euler step
 
     def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ValueError("device constants must be finite")
         if not (0 < self.r_on < self.r_off):
             raise ValueError("need 0 < r_on < r_off")
         if self.d <= 0 or self.mu_v <= 0 or self.dt <= 0 or self.v_threshold < 0:
@@ -56,20 +61,23 @@ class MemristorParams:
 
 def _pulse_array(x: np.ndarray, volts: np.ndarray, params: MemristorParams,
                  duration: float) -> np.ndarray:
-    """Vectorized pulse on an array of device states under per-device voltages,
-    integrated as round(duration/dt) Euler steps; sub-threshold devices keep their state."""
+    """Vectorized pulse on an array of device states under per-device voltages: round(duration/dt)
+    in-place Euler steps M += a / M, a = (R_on - R_off) k v dt, clamped to [R_on, R_off] by array
+    bounds (cheaper per call than float scalars); sub-threshold devices keep their state."""
     x = x.copy()
     active = np.abs(volts) > params.v_threshold
     if not np.any(active):
         return x
-    n = int(round(duration / params.dt))
-    k = params.drift_gain
-    xa = x[active]
-    va = volts[active]
-    for _ in range(n):
-        m = params.r_on * xa + params.r_off * (1.0 - xa)
-        xa = np.clip(xa + k * (va / m) * params.dt, 0.0, 1.0)
-    x[active] = xa
+    r_on, r_off = params.r_on, params.r_off
+    m = r_off + (r_on - r_off) * x[active]
+    a = (r_on - r_off) * (params.drift_gain * volts[active] * params.dt)
+    t, lo, hi = np.empty_like(m), np.full_like(m, r_on), np.full_like(m, r_off)
+    for _ in range(int(round(duration / params.dt))):
+        np.divide(a, m, out=t)
+        np.add(m, t, out=m)
+        np.maximum(m, lo, out=m)
+        np.minimum(m, hi, out=m)
+    x[active] = (r_off - m) / (r_off - r_on)
     return x
 
 
@@ -125,8 +133,7 @@ def delta_weight_sweep(params: MemristorParams | None = None, r_f: float | None 
     """
     params = params if params is not None else MemristorParams()
     if dt is not None:
-        params = MemristorParams(r_on=params.r_on, r_off=params.r_off, d=params.d,
-                                 mu_v=params.mu_v, v_threshold=params.v_threshold, dt=dt)
+        params = replace(params, dt=dt)
     r_f = params.r_off if r_f is None else r_f
     volts = np.linspace(0.0, 2.0 * params.v_threshold, 81) if voltages is None \
         else np.asarray(voltages, dtype=np.float64)

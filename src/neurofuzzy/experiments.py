@@ -70,8 +70,8 @@ class ExperimentConfig:
             raise ValueError("set exactly one of function / dataset")
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("need n_train >= 1 and n_test >= 1")
-        if self.noise_variance < 0:
-            raise ValueError("noise variance must be >= 0")
+        if not self.noise_variance >= 0:
+            raise ValueError(f"noise variance must be >= 0, got {self.noise_variance}")
         if not 0.0 <= self.fault_fraction <= 1.0:
             raise ValueError("fault fraction must lie in [0, 1]")
         if self.backend not in ("ideal", "crossbar"):
@@ -128,24 +128,27 @@ def input_half_support(cfg: ExperimentConfig, resolution: float) -> float:
 
 
 def _network_config(cfg: ExperimentConfig):
-    """Resolve universes, supports and threshold for a regression run."""
-    ref = TABLE1.get(cfg.function, {})
+    """Resolve universes, supports and threshold for a regression or classification run."""
+    if cfg.dataset is not None:     # one output neuron per class, singleton targets
+        ref = {**CLASSIFICATION[cfg.dataset], "threshold": 0.35}
+        uz, out_hs = universe_from_count(0.0, 1.0, 2), 0.0
+    else:
+        ref = TABLE1.get(cfg.function, {})
+        nz = cfg.nz if cfg.nz is not None else ref.get("nz", 101)
+        uz = universe_from_count(*OUTPUT_RANGE[cfg.function], nz)
+        out_hs = cfg.output_hs_mult * uz.resolution
     nx = cfg.nx if cfg.nx is not None else ref.get("nx", 100)
     ny = cfg.ny if cfg.ny is not None else ref.get("ny", 100)
-    nz = cfg.nz if cfg.nz is not None else ref.get("nz", 101)
     threshold = cfg.threshold if cfg.threshold is not None else ref.get("threshold", 0.1)
-    lo, hi = OUTPUT_RANGE[cfg.function]
     ux = universe_from_count(0.0, 1.0, nx)
     uy = universe_from_count(0.0, 1.0, ny)
-    uz = universe_from_count(lo, hi, nz)
     groups = (
         InputGroup("x", ux, input_half_support(cfg, ux.resolution)),
         InputGroup("y", uy, input_half_support(cfg, uy.resolution)),
     )
     return NetworkConfig(
         groups=groups, output_universe=uz, p=cfg.p, alpha=cfg.alpha,
-        novelty_threshold=threshold,
-        output_half_support=cfg.output_hs_mult * uz.resolution,
+        novelty_threshold=threshold, output_half_support=out_hs,
     )
 
 
@@ -239,19 +242,7 @@ def run_classification(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.dataset not in CLASSIFICATION:
         raise UnknownDatasetId(f"classification dataset id must be 1..4, got {cfg.dataset}")
     t0 = time.perf_counter()
-    ref = CLASSIFICATION[cfg.dataset]
-    nx = cfg.nx if cfg.nx is not None else ref["nx"]
-    ny = cfg.ny if cfg.ny is not None else ref["ny"]
-    threshold = cfg.threshold if cfg.threshold is not None else 0.35
-    ux = universe_from_count(0.0, 1.0, nx)
-    uy = universe_from_count(0.0, 1.0, ny)
-    uz = universe_from_count(0.0, 1.0, 2)
-    net_cfg = NetworkConfig(
-        groups=(InputGroup("x", ux, input_half_support(cfg, ux.resolution)),
-                InputGroup("y", uy, input_half_support(cfg, uy.resolution))),
-        output_universe=uz, p=cfg.p, alpha=cfg.alpha, novelty_threshold=threshold,
-        output_half_support=0.0,
-    )
+    net_cfg = _network_config(cfg)
     pts, labels = gen_classification_dataset(cfg.dataset, cfg.n_train, cfg.seed)
     state = _train(cfg, net_cfg, pts, labels.astype(np.float64))
     test_pts, test_labels = gen_classification_dataset(
@@ -259,14 +250,14 @@ def run_classification(cfg: ExperimentConfig) -> ExperimentReport:
     mats = [triangular_matrix(g.universe, test_pts[:, i], g.half_support)
             for i, g in enumerate(net_cfg.groups)]
     predicted = fuzzy.argmax(_backend_forward(cfg, state)(mats))
-    correct = predicted == test_labels
-    rate = 100.0 * float(correct.mean())
+    rate = 100.0 * float((predicted == test_labels).mean())
     counts = tuple(int((test_labels == c).sum()) for c in (0, 1))
     return ExperimentReport(
         kind="classification", label=f"set{cfg.dataset}", n_train=cfg.n_train,
         n_test=cfg.n_test, seed=cfg.seed, p=cfg.p, alpha=cfg.alpha,
-        threshold=threshold, nx=nx, ny=ny, nz=2, n_minterms=state.n_minterms,
-        fvu_or_rate=rate, paper_reference=ref["rate"],
+        threshold=net_cfg.novelty_threshold, nx=net_cfg.groups[0].universe.count,
+        ny=net_cfg.groups[1].universe.count, nz=2, n_minterms=state.n_minterms,
+        fvu_or_rate=rate, paper_reference=CLASSIFICATION[cfg.dataset]["rate"],
         runtime_ms=(time.perf_counter() - t0) * 1e3, backend=cfg.backend,
         per_class_counts=counts, n_unclassified=int((predicted == -1).sum()),
     )

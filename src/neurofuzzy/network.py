@@ -74,12 +74,12 @@ class NetworkConfig:
             raise ValueError("need at least one input group")
         if self.p < 1 or int(self.p) != self.p:
             raise ValueError(f"activation exponent must be an integer >= 1, got {self.p}")
-        if self.alpha < 0:
-            raise ValueError(f"learning coefficient must be >= 0, got {self.alpha}")
-        if self.novelty_threshold <= 0:
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError(f"learning coefficient must be finite and >= 0, got {self.alpha}")
+        if not self.novelty_threshold > 0:
             raise ValueError(f"novelty threshold must be > 0, got {self.novelty_threshold}")
-        if self.output_half_support < 0:
-            raise ValueError("output half support must be >= 0")
+        if not 0 <= self.output_half_support < np.inf:
+            raise ValueError("output half support must be finite and >= 0")
 
 
 @dataclass

@@ -44,3 +44,21 @@ def ion_drift_x(params, volts, t):
     # disc falls to R_on^2 exactly where x reaches 1
     x = (params.r_off - np.sqrt(np.maximum(disc, params.r_on ** 2))) / d
     return np.where(volts > params.v_threshold, np.minimum(x, 1.0), 0.0)
+
+
+def euler_pulse_x(x, volts, params, duration):
+    """Device states after a pulse, by explicit Euler on the doped fraction x.
+
+    Each of the round(duration / dt) steps evaluates M(x), adds k v dt / M(x)
+    to x and clamps x to [0, 1]; devices at or below the threshold keep their
+    state.
+    """
+    x = np.array(x, dtype=np.float64)
+    volts = np.asarray(volts, dtype=np.float64)
+    active = np.abs(volts) > params.v_threshold
+    xa, va = x[active], volts[active]
+    for _ in range(int(round(duration / params.dt))):
+        m = params.r_on * xa + params.r_off * (1.0 - xa)
+        xa = np.clip(xa + params.drift_gain * (va / m) * params.dt, 0.0, 1.0)
+    x[active] = xa
+    return x

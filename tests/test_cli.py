@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from neurofuzzy import cli
 from neurofuzzy.errors import ConfigError
 
 FAST = ["--n-train", "40", "--n-test", "200"]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args, tmp_path):
@@ -210,6 +212,34 @@ class TestOtherCommands:
         assert "error:" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("setting", ["dt = nan", "dt = 0", "mu_v = inf", "r_f = nan",
+                                         "r_f = -1"])
+    def test_bad_device_constant_exit_1_before_writing(self, tmp_path, capsys, setting):
+        path = tmp_path / "device.ini"
+        path.write_text(f"[crossbar]\n{setting}\n")
+        out = tmp_path / "out"
+        rc = cli.main(["crossbar-compare", "--sweep-only", "--config", str(path),
+                       "--out-dir", str(out)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["model", "--fn", "g1", "--p", "0"],
+        ["model", "--fn", "g1", "--alpha", "inf", "--save-state", "@STATE@"],
+        ["model", "--fn", "g1", "--threshold", "nan"],
+        ["classify", "--dataset", "1", "--threshold", "nan"],
+        ["noise", "--fn", "g1", "--noise-variance", "nan"],
+    ], ids=["p0", "alpha-inf", "threshold-nan", "classify-threshold-nan", "noise-nan"])
+    def test_bad_network_setting_exit_1_before_writing(self, tmp_path, capsys, argv):
+        out, state = tmp_path / "out", tmp_path / "net.state"
+        rc = cli.main([str(state) if a == "@STATE@" else a for a in argv]
+                      + ["--n-train", "20", "--n-test", "50", "--out-dir", str(out)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not state.exists()
+        assert not out.exists() or not any(out.iterdir())
+
     def test_weight_overflow_config_exit_2(self, tmp_path):
         path = tmp_path / "overflow.ini"
         path.write_text("[crossbar]\nscale_in = 1e6\n")
@@ -285,9 +315,12 @@ class TestOtherCommands:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # a child process does not get pytest's pythonpath: hand it src/ itself
+        paths = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
         proc = subprocess.run(
             [sys.executable, "-m", "neurofuzzy.cli", "model", "--fn", "g1",
              "--n-train", "20", "--n-test", "50", "--out-dir", str(tmp_path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
         assert proc.returncode == 0
         assert "fvu_or_rate" in proc.stdout

@@ -21,7 +21,7 @@ from neurofuzzy.errors import (
     WeightOutOfRange,
 )
 from neurofuzzy.fuzzy import triangular_matrix
-from oracles import ion_drift_x
+from oracles import euler_pulse_x, ion_drift_x
 
 PARAMS = MemristorParams()
 
@@ -82,6 +82,63 @@ def _x_from_dw(dw, params=PARAMS, r_f=PARAMS.r_off):
     w = dw + r_f / params.r_off
     m = r_f / w
     return (params.r_off - m) / (params.r_off - params.r_on)
+
+
+SWEEP_VOLTS = np.linspace(0.0, 2.0 * PARAMS.v_threshold, 81)
+
+
+class TestIntegratorAgainstOracle:
+    """_pulse_array against the per-step Euler loop on x in tests/oracles.py."""
+
+    @pytest.mark.parametrize("dt", [PARAMS.dt, PARAMS.dt / 2], ids=["dt", "dt/2"])
+    def test_default_sweep(self, dt):
+        params = MemristorParams(dt=dt)
+        x0 = np.zeros(SWEEP_VOLTS.shape)
+        got = _pulse_array(x0, SWEEP_VOLTS, params, crossbar.HEBBIAN_PULSE_SECONDS)
+        want = euler_pulse_x(x0, SWEEP_VOLTS, params, crossbar.HEBBIAN_PULSE_SECONDS)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_negative_drives(self):
+        x0 = np.linspace(1.0, 0.2, SWEEP_VOLTS.size)
+        got = _pulse_array(x0, -SWEEP_VOLTS, PARAMS, crossbar.HEBBIAN_PULSE_SECONDS)
+        want = euler_pulse_x(x0, -SWEEP_VOLTS, PARAMS, crossbar.HEBBIAN_PULSE_SECONDS)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        driven = SWEEP_VOLTS > PARAMS.v_threshold
+        assert (got[driven] < x0[driven]).all()
+
+    def test_saturating_drives_reach_the_bounds_exactly(self):
+        x0, volts = np.array([0.999, 0.001]), np.array([5.0, -5.0])
+        for pulse_fn in (_pulse_array, euler_pulse_x):
+            got = pulse_fn(x0, volts, PARAMS, crossbar.HEBBIAN_PULSE_SECONDS)
+            assert got.tolist() == [1.0, 0.0]
+
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1.0, 5.0, exclude_min=True),
+                              st.booleans()), min_size=1, max_size=8))
+    @settings(max_examples=30, deadline=None)
+    def test_drawn_states_and_drives(self, draws):
+        x0 = np.array([x for x, _, _ in draws])
+        volts = np.array([-v if neg else v for _, v, neg in draws])
+        duration = 0.01
+        got = _pulse_array(x0, volts, PARAMS, duration)
+        want = euler_pulse_x(x0, volts, PARAMS, duration)
+        # near x = 0 the relative bound is too tight: M carries up to one ulp of
+        # R_off of rounding per step, which is this much in x over the pulse
+        steps = round(duration / PARAMS.dt)
+        atol = steps * np.spacing(PARAMS.r_off) / (PARAMS.r_off - PARAMS.r_on)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
+
+    def test_sub_threshold_devices_and_the_input_are_untouched(self):
+        rng = np.random.default_rng(3)
+        x0 = rng.uniform(0.0, 1.0, 40)
+        volts = rng.uniform(-2.0, 2.0, 40) * PARAMS.v_threshold
+        volts[:4] = [PARAMS.v_threshold, -PARAMS.v_threshold, 0.0, 3.0]
+        before = x0.copy()
+        got = _pulse_array(x0, volts, PARAMS, crossbar.HEBBIAN_PULSE_SECONDS)
+        assert np.array_equal(x0, before)
+        quiet = np.abs(volts) <= PARAMS.v_threshold
+        assert quiet.sum() > 4 and (~quiet).sum() > 4
+        assert np.array_equal(got[quiet], x0[quiet])
+        assert not np.any(got[~quiet] == x0[~quiet])
 
 
 class TestVmm:
@@ -164,6 +221,19 @@ class TestHebbianPulse:
         volts, dw = delta_weight_sweep(PARAMS, voltages=np.linspace(0, 2, 41))
         # u + v enters only through the sum, so monotone sweep covers both axes
         assert all(b >= a for a, b in zip(dw, dw[1:]))
+
+
+class TestMemristorParams:
+    @pytest.mark.parametrize("key", ["r_on", "r_off", "d", "mu_v", "v_threshold", "dt"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_constants_rejected(self, key, value):
+        with pytest.raises(ValueError, match="finite"):
+            MemristorParams(**{key: value})
+
+    @pytest.mark.parametrize("key", ["d", "mu_v", "dt"])
+    def test_non_positive_constants_rejected(self, key):
+        with pytest.raises(ValueError):
+            MemristorParams(**{key: 0.0})
 
 
 class TestDistort:

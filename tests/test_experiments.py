@@ -245,6 +245,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(function="g1", backend="quantum")
 
+    @pytest.mark.parametrize("variance", [-0.01, np.nan])
+    def test_bad_noise_variance(self, variance):
+        with pytest.raises(ValueError, match="noise variance"):
+            ExperimentConfig(function="g1", noise_variance=variance)
+
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
             ExperimentConfig(function="g1", fault_fraction=1.5)

@@ -649,3 +649,31 @@ class TestDeserializeValidation:
         mask = np.load(io.BytesIO(payload))["fault_out_mask"]
         with pytest.raises(MalformedPayload, match="fault_out_mask"):
             deserialize(_rewrite(payload, fault_out_mask=mask.astype(np.int64)))
+
+    @pytest.mark.parametrize("key,value", [("alpha", np.inf), ("alpha", np.nan),
+                                           ("novelty_threshold", np.nan)])
+    def test_non_finite_learning_constants(self, key, value):
+        with pytest.raises(MalformedPayload):
+            deserialize(_rewrite(_faulted_payload(), meta={key: value}))
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("alpha", [np.inf, np.nan, -1e-3])
+    def test_alpha_must_be_finite_non_negative(self, alpha):
+        with pytest.raises(ValueError, match="learning coefficient"):
+            small_config(alpha=alpha)
+
+    @pytest.mark.parametrize("threshold", [np.nan, 0.0, -0.1])
+    def test_threshold_must_be_positive(self, threshold):
+        with pytest.raises(ValueError, match="novelty threshold"):
+            small_config(threshold=threshold)
+
+    @pytest.mark.parametrize("out_hs", [np.nan, np.inf, -0.1])
+    def test_output_half_support_must_be_finite_non_negative(self, out_hs):
+        with pytest.raises(ValueError, match="output half support"):
+            small_config(out_hs=out_hs)
+
+    def test_exponent_must_be_a_positive_integer(self):
+        for p in (0, 2.5):
+            with pytest.raises(ValueError, match="activation exponent"):
+                small_config(p=p)
