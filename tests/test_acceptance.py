@@ -2,6 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here, nothing is calibrated at run time.
+Criteria 1 and 3-5 read the rows of one seed-1 suite run (conftest.py),
+the run whose CSVs tests/test_golden.py checks against tests/golden/.
 """
 
 import contextlib
@@ -13,12 +15,7 @@ import numpy as np
 from neurofuzzy import cli, crossbar, experiments, fuzzy, network
 from neurofuzzy.benchmarks import TABLE1
 from neurofuzzy.crossbar import MemristorParams, delta_weight_sweep, map_network, vmm
-from neurofuzzy.experiments import (
-    paper_classification_config,
-    paper_modeling_config,
-    run_classification,
-    run_modeling,
-)
+from neurofuzzy.experiments import paper_modeling_config, run_modeling
 from neurofuzzy.fuzzy import triangular_matrix, universe_from_count
 from neurofuzzy.network import InputGroup, NetworkConfig, NetworkState, train_one
 from oracles import ion_drift_x, states_equal
@@ -34,13 +31,13 @@ def criterion(number, name):
     print(f"ACCEPTANCE {number} ({name}): PASS")
 
 
-def test_criterion_1_table1_reproduction():
+def test_criterion_1_table1_reproduction(seed1_suite):
     with criterion(1, "table 1 reproduction"):
         # min-term counts of the protocol's seed: any change to training or to
         # the forward pass that alters a novelty decision shows here
         seed1_minterms = {"g1": 75, "g2": 161, "g3": 118, "g4": 110, "g5": 125}
         for fn, ref in TABLE1.items():
-            r = run_modeling(paper_modeling_config(fn))
+            r = seed1_suite["table1"][fn]
             assert r.n_minterms == seed1_minterms[fn], \
                 f"{fn}: {r.n_minterms} min-terms at seed 1, expected {seed1_minterms[fn]}"
             assert r.fvu_or_rate <= 2.5 * ref["fvu"], \
@@ -70,12 +67,12 @@ def test_criterion_2_growing_training_sets():
             print(f"  {fn}: monotone FVU for {monotone}/10 seeds")
 
 
-def test_criterion_3_classification():
+def test_criterion_3_classification(seed1_suite):
     with criterion(3, "classification"):
         floors = {1: 95.0, 2: 95.0, 3: 95.0, 4: 90.0}
         seed1_minterms = {1: 16, 2: 14, 3: 23, 4: 42}
         for ds, floor in floors.items():
-            r = run_classification(paper_classification_config(ds))
+            r = seed1_suite["classification"][f"set{ds}"]
             assert r.n_minterms == seed1_minterms[ds], \
                 f"set {ds}: {r.n_minterms} min-terms at seed 1, expected {seed1_minterms[ds]}"
             assert r.fvu_or_rate >= floor, \
@@ -85,19 +82,19 @@ def test_criterion_3_classification():
             print(f"  set {ds}: {r.fvu_or_rate:.2f}% with {r.n_minterms} min-terms")
 
 
-def test_criterion_4_noise_tolerance():
+def test_criterion_4_noise_tolerance(seed1_suite):
     with criterion(4, "noise tolerance"):
         for fn in TABLE1:
-            r = run_modeling(paper_modeling_config(fn, noise_variance=0.01))
+            r = seed1_suite["noise"][fn]
             assert r.fvu_or_rate < 1.0, f"{fn}: noisy FVU {r.fvu_or_rate:.3f} >= 1"
             print(f"  {fn}: noisy FVU {r.fvu_or_rate:.3f} (ref {r.paper_reference})")
 
 
-def test_criterion_5_fault_tolerance():
+def test_criterion_5_fault_tolerance(seed1_suite):
     with criterion(5, "fault tolerance"):
         for fn in TABLE1:
-            clean = run_modeling(paper_modeling_config(fn))
-            r = run_modeling(paper_modeling_config(fn, fault_fraction=0.2))
+            clean = seed1_suite["table1"][fn]
+            r = seed1_suite["fault"][fn]
             limit = 0.8 if fn == "g3" else 0.5
             assert r.fvu_or_rate < limit, f"{fn}: faulted FVU {r.fvu_or_rate:.3f} >= {limit}"
             assert r.n_minterms >= clean.n_minterms, \
