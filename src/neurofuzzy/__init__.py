@@ -3,25 +3,13 @@
 from . import benchmarks, crossbar, errors, experiments, fuzzy, network
 from .crossbar import Crossbar, MemristorParams
 from .experiments import ExperimentConfig, ExperimentReport
-from .fuzzy import (
-    MembershipVector,
-    TNorm,
-    Universe,
-    build_universe,
-    defuzzify_centroid,
-    fuzzify_triangular,
-    similarity,
-    universe_from_count,
-)
+from .fuzzy import MembershipVector, Universe, build_universe, universe_from_count
 from .network import (
     InputGroup,
     NetworkConfig,
     NetworkState,
     TrainOutcome,
-    classify,
     deserialize,
-    forward,
-    infer_crisp,
     serialize,
     train_dataset,
     train_one,

@@ -1,12 +1,15 @@
 """Command-line entry point.
 
 Subcommands: model, classify, noise, fault, suite, crossbar-compare,
-dump-state.  Values resolve as flags > config file > defaults; the config
-file is INI-style with [network], [experiment] and [crossbar] sections and
-unknown keys are rejected.  Reports are CSV, written atomically except for
-the streaming suite files; human progress goes to stderr, machine output to
-files and stdout.  Exit codes: 0 ok, 1 configuration error, 2 runtime
-failure.
+dump-state.  Every run's configuration comes from one resolver, resolve():
+flags > config file > defaults, with the crossbar set-up read from the
+[crossbar] section by _crossbar_setup alone.  The config file is INI-style
+with [network], [experiment] and [crossbar] sections; unknown keys, keys a
+subcommand cannot use and keys a suite row pins are rejected before any
+file is written.  dump-state reads only its state file.  Reports are CSV,
+written atomically except for the streaming suite files; human progress
+goes to stderr, machine output to files and stdout.  Exit codes: 0 ok, 1
+configuration error, 2 runtime failure.
 """
 
 import argparse
@@ -17,15 +20,15 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import benchmarks, crossbar, experiments, network
+from . import crossbar, experiments, network
 from .crossbar import MemristorParams
 from .errors import ConfigError, NeuroFuzzyError, UnknownDatasetId
 from .experiments import REPORT_COLUMNS, ExperimentConfig
-from .fuzzy import triangular_matrix
 
 OUT_DIR_ENV = "NEUROFUZZY_OUT_DIR"
 
@@ -77,92 +80,64 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def _merged(file_cfg: dict, section: str, key: str, flag_value, default):
-    if flag_value is not None:
-        return flag_value
-    if section in file_cfg and key in file_cfg[section]:
-        return file_cfg[section][key]
-    return default
+_DEVICE_KEYS = ("r_on", "r_off", "d", "mu_v", "v_threshold", "dt")
+
+# the table parameters --paper-defaults fixes; a suite row also fixes the keys
+# that define it
+_PAPER_PINNED = {"p", "alpha", "threshold", "nx", "ny", "nz", "input_hs_scale",
+                "input_hs_shrink_exp", "output_hs_mult", "n_train", "n_test"}
+_ROW_KEYS = {"function", "dataset", "noise_variance", "fault_fraction"}
 
 
-def _device_params(file_cfg: dict) -> tuple:
-    cb = file_cfg.get("crossbar", {})
-    keys = ("r_on", "r_off", "d", "mu_v", "v_threshold", "dt")
+def _crossbar_setup(file_cfg: dict) -> dict:
+    """The [crossbar] section as ExperimentConfig fields; the only reader of that section."""
+    cb = dict(file_cfg.get("crossbar", {}))
+    for key in ("r_f", "scale_in", "scale_out"):
+        if key in cb and not 0 < cb[key] < np.inf:
+            raise ConfigError(f"[crossbar] {key} must be finite and positive, got {cb[key]}")
     try:
-        params = MemristorParams(**{k: cb[k] for k in keys if k in cb})
+        device = MemristorParams(**{k: cb.pop(k) for k in _DEVICE_KEYS if k in cb})
     except ValueError as e:
         raise ConfigError(f"bad [crossbar] device constants: {e}") from e
-    r_f = cb.get("r_f", params.r_off)
-    if not 0 < r_f < np.inf:
-        raise ConfigError(f"[crossbar] r_f must be a finite positive resistance, got {r_f}")
-    return params, r_f
+    return {"device": device, **cb}
 
 
-_PAPER_PINNED = {
-    "network": ("p", "alpha", "threshold", "nx", "ny", "nz", "input_hs_scale",
-                "input_hs_shrink_exp", "output_hs_mult"),
-    "experiment": ("n_train", "n_test"),
-}
+def resolve(args, file_cfg: dict, pins: dict | None = None) -> ExperimentConfig:
+    """The configuration of one run: flags > config file > defaults.
 
-
-def build_experiment_config(args, file_cfg: dict, needs: str) -> ExperimentConfig:
-    """Resolve one run configuration; needs is 'function' or 'dataset'."""
+    Each [network] and [experiment] key, and the flag of the same name, sets
+    the ExperimentConfig field of that name.  A suite row passes its pins:
+    _PAPER_PINNED and _ROW_KEYS may then not be set at all.  --paper-defaults
+    drops any _PAPER_PINNED value given instead.
+    """
+    fields = dict(pins or {})
+    target = "dataset" if "dataset" in fields or hasattr(args, "dataset") else "function"
+    pinned = _PAPER_PINNED | _ROW_KEYS if pins is not None else set()
     if getattr(args, "paper_defaults", False):
-        # --paper-defaults pins every table parameter: drop competing overrides
-        file_cfg = {sec: {k: v for k, v in d.items()
-                          if k not in _PAPER_PINNED.get(sec, ())}
-                    for sec, d in file_cfg.items()}
-        for flag in ("n_train", "n_test", "p", "alpha", "threshold"):
-            if hasattr(args, flag):
-                setattr(args, flag, None)
-    get = lambda sec, key, flag, default: _merged(file_cfg, sec, key, flag, default)
-    fields = dict(
-        n_train=get("experiment", "n_train", getattr(args, "n_train", None), None),
-        n_test=get("experiment", "n_test", getattr(args, "n_test", None), None),
-        seed=get("experiment", "seed", args.seed, 1),
-        test_seed=get("experiment", "test_seed", None, experiments.DEFAULT_TEST_SEED),
-        p=get("network", "p", getattr(args, "p", None), 7),
-        alpha=get("network", "alpha", getattr(args, "alpha", None), 5e-4),
-        threshold=get("network", "threshold", getattr(args, "threshold", None), None),
-        nx=get("network", "nx", None, None),
-        ny=get("network", "ny", None, None),
-        nz=get("network", "nz", None, None),
-        input_hs_scale=get("network", "input_hs_scale", None, 10.0),
-        input_hs_shrink_exp=get("network", "input_hs_shrink_exp", None, 0.1),
-        output_hs_mult=get("network", "output_hs_mult", None, 3.0),
-        noise_variance=get("experiment", "noise_variance",
-                           getattr(args, "noise_variance", None), 0.0),
-        fault_fraction=get("experiment", "fault_fraction",
-                           getattr(args, "fault_fraction", None), 0.0),
-        fault_seed=get("experiment", "fault_seed", None, None),
-        backend=get("experiment", "backend", args.backend, "ideal"),
-    )
-    params, _ = _device_params(file_cfg)
-    fields["device"] = params
-    if needs == "function":
-        fn = get("experiment", "function", getattr(args, "fn", None), None)
-        if fn is None:
-            raise ConfigError("no benchmark function given (use --fn or the config file)")
-        if fn not in benchmarks.FUNCTIONS:
-            raise ConfigError(f"unknown benchmark function {fn!r}")
-        fields["function"] = fn
-        if fields["n_train"] is None:
-            fields["n_train"] = 225
-        if fields["n_test"] is None:
-            fields["n_test"] = 10_000
-    else:
-        ds = get("experiment", "dataset", getattr(args, "dataset", None), None)
-        if ds is None:
-            raise ConfigError("no dataset id given (use --dataset or the config file)")
-        if ds not in benchmarks.CLASSIFICATION:
-            raise ConfigError(f"classification dataset id must be 1..4, got {ds}")
-        fields["dataset"] = int(ds)
-        if fields["n_train"] is None:
-            fields["n_train"] = benchmarks.CLASSIFICATION[int(ds)]["n_train"]
-        if fields["n_test"] is None:
-            fields["n_test"] = 2000
+        pinned = _PAPER_PINNED
+    for section in ("network", "experiment"):
+        for key in CONFIG_SCHEMA[section]:
+            value = getattr(args, key, None)
+            value = file_cfg.get(section, {}).get(key) if value is None else value
+            if value is None:
+                continue
+            if key in pinned:
+                if pins is not None:
+                    raise ConfigError(f"suite pins {section}.{key} in every row; "
+                                      "remove it from the config file")
+                continue
+            if key in ("function", "dataset") and key != target:
+                raise ConfigError(f"{section}.{key} does not apply to {args.command}")
+            fields[key] = value
+    if target not in fields:
+        raise ConfigError("no benchmark function given (use --fn or the config file)"
+                          if target == "function" else
+                          "no dataset id given (use --dataset or the config file)")
+    fields.update(_crossbar_setup(file_cfg))
+    make = (experiments.paper_classification_config if target == "dataset"
+            else experiments.paper_modeling_config)
     try:
-        cfg = ExperimentConfig(**fields)
+        cfg = make(fields.pop(target), **fields)
         experiments._network_config(cfg)      # the network's own checks, before any write
     except ValueError as e:
         raise ConfigError(str(e)) from e
@@ -211,7 +186,7 @@ def _emit_report(args, reports, filename: str) -> Path:
 
 
 def cmd_model(args, file_cfg) -> int:
-    cfg = build_experiment_config(args, file_cfg, needs="function")
+    cfg = resolve(args, file_cfg)
     _progress(f"modeling {cfg.function}: {cfg.n_train} train / {cfg.n_test} test, "
               f"seed {cfg.seed}, backend {cfg.backend}")
     report, state = experiments.train_and_score(cfg)
@@ -233,7 +208,7 @@ def cmd_study(args, file_cfg) -> int:
     name, key, default = args.study
     if getattr(args, key) is None and key not in file_cfg.get("experiment", {}):
         setattr(args, key, default)
-    cfg = build_experiment_config(args, file_cfg, needs="function")
+    cfg = resolve(args, file_cfg)
     _progress(f"{name} study {cfg.function}: {key} {getattr(cfg, key)}")
     report = experiments.run_modeling(cfg)
     _emit_report(args, [report], f"{name}_{cfg.function}.csv")
@@ -241,7 +216,7 @@ def cmd_study(args, file_cfg) -> int:
 
 
 def cmd_classify(args, file_cfg) -> int:
-    cfg = build_experiment_config(args, file_cfg, needs="dataset")
+    cfg = resolve(args, file_cfg)
     _progress(f"classification set {cfg.dataset}: {cfg.n_train} train, seed {cfg.seed}")
     report = experiments.run_classification(cfg)
     _emit_report(args, [report], f"classify_set{cfg.dataset}.csv")
@@ -256,16 +231,13 @@ def _positive(args, name: str, flag: str) -> None:
 
 def cmd_suite(args, file_cfg) -> int:
     _positive(args, "jobs", "--jobs")
-    try:
-        jobs = experiments.suite_jobs(
-            seed=_merged(file_cfg, "experiment", "seed", args.seed, 1),
-            backend=_merged(file_cfg, "experiment", "backend", args.backend, "ideal"))
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    tables = experiments.SUITE
     if args.only:
-        if args.only not in jobs:
-            raise ConfigError(f"--only must be one of {sorted(jobs)}, got {args.only!r}")
-        jobs = {args.only: jobs[args.only]}
+        if args.only not in tables:
+            raise ConfigError(f"--only must be one of {sorted(tables)}, got {args.only!r}")
+        tables = {args.only: tables[args.only]}
+    jobs = {table: [resolve(args, file_cfg, pins) for pins in rows]
+            for table, rows in tables.items()}
     workers = args.jobs or os.cpu_count() or 1
     out_dir = _out_dir(args)
     for table, rows in jobs.items():
@@ -277,8 +249,8 @@ def cmd_suite(args, file_cfg) -> int:
             writer.writerow(REPORT_COLUMNS + ["status"])
             fh.flush()
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_safe_job, kind, cfg) for kind, cfg in rows]
-                for (kind, cfg), fut in zip(rows, futures):
+                futures = [pool.submit(_safe_job, cfg) for cfg in rows]
+                for cfg, fut in zip(rows, futures):
                     report, err = fut.result()
                     if err is not None:
                         label = cfg.function or f"set{cfg.dataset}"
@@ -291,36 +263,30 @@ def cmd_suite(args, file_cfg) -> int:
     return 0
 
 
-def _safe_job(kind, cfg):
+def _safe_job(cfg):
     try:
-        return experiments.run_job(kind, cfg), None
+        return experiments.run_job(cfg), None
     except Exception as e:  # keep the suite streaming past bad rows
         return None, f"{type(e).__name__}: {e}"
 
 
 def cmd_crossbar_compare(args, file_cfg) -> int:
     _positive(args, "n_probes", "--n-probes")
-    params, r_f = _device_params(file_cfg)
+    cfg = None if args.sweep_only else resolve(args, file_cfg)
+    setup = _crossbar_setup(file_cfg)
     out_dir = _out_dir(args)
-    volts, dws = crossbar.delta_weight_sweep(params, r_f)
+    volts, dws = crossbar.delta_weight_sweep(setup["device"], setup.get("r_f"))
     sweep_path = out_dir / "device_weight_sweep.csv"
     atomic_write(sweep_path, crossbar.sweep_csv(volts, dws))
     _progress(f"wrote {sweep_path}")
     if args.sweep_only:
         return 0
-    cfg = build_experiment_config(args, file_cfg, needs="function")
     _progress(f"training ideal {cfg.function} model for crossbar comparison")
     state = experiments.rebuild_trained_state(cfg)
-    cb_keys = file_cfg.get("crossbar", {})
-    cb1, cb2, mapping = crossbar.map_network(
-        state, params, r_f,
-        scale_in=cb_keys.get("scale_in"), scale_out=cb_keys.get("scale_out"))
     rng = np.random.default_rng(cfg.seed + 777)
-    probes = rng.uniform(0.0, 1.0, size=(args.n_probes, 2))
-    mats = [triangular_matrix(g.universe, probes[:, i], g.half_support)
-            for i, g in enumerate(state.config.groups)]
+    mats = state.fuzzify(rng.uniform(0.0, 1.0, size=(args.n_probes, 2)))
     ideal_out = network.output_batch(state, mats)
-    cb_out = crossbar.crossbar_forward_batch(cb1, cb2, mapping, mats)
+    cb_out = experiments._backend_forward(replace(cfg, backend="crossbar"), state)(mats)
     scale = np.abs(ideal_out).max(axis=1, keepdims=True)
     denom = np.maximum(np.abs(ideal_out), 1e-9 * np.maximum(scale, 1e-300))
     rel = np.abs(cb_out - ideal_out) / denom
@@ -358,9 +324,13 @@ def cmd_dump_state(args, file_cfg) -> int:
 # --- parser -------------------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="INI config file")
+def _add_out_dir(sub):
     sub.add_argument("--out-dir", help=f"output directory (or ${OUT_DIR_ENV})")
+
+
+def _add_common(sub):
+    _add_out_dir(sub)
+    sub.add_argument("--config", help="INI config file")
     sub.add_argument("--seed", type=int, help="experiment seed")
     sub.add_argument("--backend", choices=["ideal", "crossbar"])
     sub.add_argument("--timing", action="store_true",
@@ -369,7 +339,7 @@ def _add_common(sub):
 
 
 def _add_model_flags(sub):
-    sub.add_argument("--fn", help="benchmark function g1..g5")
+    sub.add_argument("--fn", dest="function", help="benchmark function g1..g5")
     sub.add_argument("--paper-defaults", action="store_true",
                      help="pin every table parameter for the chosen function")
     sub.add_argument("--n-train", type=int, dest="n_train")
@@ -429,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_crossbar_compare)
 
     p_dump = subs.add_parser("dump-state", help="inspect a serialized network")
-    _add_common(p_dump)
+    _add_out_dir(p_dump)
     p_dump.add_argument("--state", required=True, help="serialized state file")
     p_dump.set_defaults(func=cmd_dump_state)
 
@@ -440,7 +410,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        file_cfg = load_config_file(args.config) if args.config else {}
+        file_cfg = load_config_file(args.config) if getattr(args, "config", None) else {}
         return args.func(args, file_cfg)
     except (ConfigError, UnknownDatasetId, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -33,6 +33,11 @@ from .errors import (
 from .fuzzy import SCORE_ROWS, centroid, inverse_norms, power_activation
 
 HEBBIAN_PULSE_SECONDS = 0.05
+# Most Euler steps one write pulse may take, round(HEBBIAN_PULSE_SECONDS / dt).
+# It admits dt = 5e-8 s, finer than the 1e-7 s the convergence checks use; an
+# 81-point sweep at the cap takes about 3 s on one core, so a smaller dt is
+# rejected rather than run for minutes.
+MAX_PULSE_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -53,10 +58,17 @@ class MemristorParams:
             raise ValueError("need 0 < r_on < r_off")
         if self.d <= 0 or self.mu_v <= 0 or self.dt <= 0 or self.v_threshold < 0:
             raise ValueError("device constants must be positive")
+        if round(HEBBIAN_PULSE_SECONDS / self.dt) > MAX_PULSE_STEPS:
+            raise ValueError(f"dt = {self.dt} s takes more than {MAX_PULSE_STEPS} Euler "
+                             f"steps per {HEBBIAN_PULSE_SECONDS} s write pulse")
 
     @property
     def drift_gain(self) -> float:
         return self.mu_v * self.r_on / (self.d * self.d)
+
+    def memristance(self, x):
+        """M(x) = R_on*x + R_off*(1-x) of doped fractions x."""
+        return self.r_on * x + self.r_off * (1.0 - x)
 
 
 def _pulse_array(x: np.ndarray, volts: np.ndarray, params: MemristorParams,
@@ -98,7 +110,7 @@ class Crossbar:
         self.fault_mask = np.zeros((rows, cols), dtype=bool)
 
     def memristance(self) -> np.ndarray:
-        return self.params.r_on * self.x + self.params.r_off * (1.0 - self.x)
+        return self.params.memristance(self.x)
 
     def weights(self) -> np.ndarray:
         """Raw stored weights R_f / M_ij (the pristine floor is R_f / R_off)."""
@@ -138,8 +150,7 @@ def delta_weight_sweep(params: MemristorParams | None = None, r_f: float | None 
     volts = np.linspace(0.0, 2.0 * params.v_threshold, 81) if voltages is None \
         else np.asarray(voltages, dtype=np.float64)
     x = _pulse_array(np.zeros(volts.shape), volts, params, duration)
-    m = params.r_on * x + params.r_off * (1.0 - x)
-    return volts, r_f / m - r_f / params.r_off
+    return volts, r_f / params.memristance(x) - r_f / params.r_off
 
 
 def sweep_csv(volts: np.ndarray, delta_w: np.ndarray) -> str:

@@ -31,10 +31,6 @@ class DegenerateFuzzification(NeuroFuzzyError):
     """Fuzzification produced an all-zero membership vector."""
 
 
-class AllZeroMembership(NeuroFuzzyError):
-    """Defuzzification of a membership vector with no activation."""
-
-
 class UniverseMismatch(NeuroFuzzyError):
     pass
 
@@ -57,10 +53,6 @@ class UntrainedNetwork(NeuroFuzzyError):
 
 class TargetOutOfRange(NeuroFuzzyError):
     pass
-
-
-class Unclassifiable(NeuroFuzzyError):
-    """All output activations are zero; argmax is meaningless."""
 
 
 class CapacityExceeded(NeuroFuzzyError):

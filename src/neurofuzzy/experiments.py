@@ -25,7 +25,7 @@ from .benchmarks import (
 )
 from .crossbar import MemristorParams
 from .errors import ConstantActual, LengthMismatch, UnknownDatasetId
-from .fuzzy import triangular_matrix, universe_from_count
+from .fuzzy import universe_from_count
 from .network import InputGroup, NetworkConfig, NetworkState, WeightFaults
 
 NOISE_SEED_OFFSET = 500_000
@@ -63,7 +63,11 @@ class ExperimentConfig:
     fault_fraction: float = 0.0
     fault_seed: int | None = None
     backend: str = "ideal"               # "ideal" | "crossbar"
+    # the crossbar set-up; r_f, scale_in and scale_out default as in crossbar.map_network
     device: MemristorParams = field(default_factory=MemristorParams)
+    r_f: float | None = None
+    scale_in: float | None = None
+    scale_out: float | None = None
 
     def __post_init__(self):
         if (self.function is None) == (self.dataset is None):
@@ -76,6 +80,10 @@ class ExperimentConfig:
             raise ValueError("fault fraction must lie in [0, 1]")
         if self.backend not in ("ideal", "crossbar"):
             raise ValueError(f"unknown backend {self.backend!r}")
+        if not 0 < self.input_hs_scale < np.inf:
+            raise ValueError(f"input_hs_scale must be finite and > 0, got {self.input_hs_scale}")
+        if not np.isfinite(self.input_hs_shrink_exp):
+            raise ValueError(f"input_hs_shrink_exp must be finite, got {self.input_hs_shrink_exp}")
 
 
 @dataclass
@@ -176,16 +184,15 @@ def _train(cfg: ExperimentConfig, net_cfg: NetworkConfig, pts, targets) -> Netwo
             memristance_ratio=cfg.device.r_off / cfg.device.r_on,
         )
     state = NetworkState(net_cfg, faults=faults)
-    mats = [triangular_matrix(g.universe, pts[:, i], g.half_support)
-            for i, g in enumerate(net_cfg.groups)]
-    network.train_matrix(state, mats, targets)
+    network.train_matrix(state, state.fuzzify(pts), targets)
     return state
 
 
 def _backend_forward(cfg: ExperimentConfig, state: NetworkState):
     """Raw outputs of the configured backend: fuzzified (B, count_g) batches -> (B, nz)."""
     if cfg.backend == "crossbar":
-        cb1, cb2, mapping = crossbar.map_network(state, cfg.device)
+        cb1, cb2, mapping = crossbar.map_network(state, cfg.device, r_f=cfg.r_f,
+                                                 scale_in=cfg.scale_in, scale_out=cfg.scale_out)
         return lambda mats: crossbar.crossbar_forward_batch(cb1, cb2, mapping, mats)
     return lambda mats: network.output_batch(state, mats)
 
@@ -193,10 +200,8 @@ def _backend_forward(cfg: ExperimentConfig, state: NetworkState):
 def _regression_readout(cfg: ExperimentConfig, state: NetworkState, pts):
     """Centroid predictions at pts through the configured backend, and the count
     of unactivated points, which score as the output midpoint."""
-    mats = [triangular_matrix(g.universe, pts[:, i], g.half_support)
-            for i, g in enumerate(state.config.groups)]
     uz = state.config.output_universe
-    pred, activated = fuzzy.centroid(_backend_forward(cfg, state)(mats), uz.grid())
+    pred, activated = fuzzy.centroid(_backend_forward(cfg, state)(state.fuzzify(pts)), uz.grid())
     return np.where(activated, pred, (uz.lo + uz.hi) / 2.0), int((~activated).sum())
 
 
@@ -247,9 +252,7 @@ def run_classification(cfg: ExperimentConfig) -> ExperimentReport:
     state = _train(cfg, net_cfg, pts, labels.astype(np.float64))
     test_pts, test_labels = gen_classification_dataset(
         cfg.dataset, cfg.n_test, cfg.seed + CLASS_TEST_SEED_OFFSET)
-    mats = [triangular_matrix(g.universe, test_pts[:, i], g.half_support)
-            for i, g in enumerate(net_cfg.groups)]
-    predicted = fuzzy.argmax(_backend_forward(cfg, state)(mats))
+    predicted = fuzzy.argmax(_backend_forward(cfg, state)(state.fuzzify(test_pts)))
     rate = 100.0 * float((predicted == test_labels).mean())
     counts = tuple(int((test_labels == c).sum()) for c in (0, 1))
     return ExperimentReport(
@@ -281,26 +284,20 @@ def paper_classification_config(ds: int, **overrides) -> ExperimentConfig:
     return ExperimentConfig(dataset=ds, **overrides)
 
 
-def suite_jobs(seed: int = 1, backend: str = "ideal") -> dict:
-    """All table reproductions keyed by table name, in fixed row order."""
-    common = {"seed": seed, "backend": backend}
-    jobs = {
-        "table1": [("modeling", paper_modeling_config(fn, **common))
-                   for fn in ("g1", "g2", "g3", "g4", "g5")],
-        "table3": [("modeling", paper_modeling_config(fn, n_train=700, **common))
-                   for fn in ("g1", "g3", "g5")],
-        "classification": [("classification", paper_classification_config(ds, **common))
-                           for ds in (1, 2, 3, 4)],
-        "noise": [("noise", paper_modeling_config(fn, noise_variance=0.01, **common))
-                  for fn in ("g1", "g2", "g3", "g4", "g5")],
-        "fault": [("fault", paper_modeling_config(fn, fault_fraction=0.2, **common))
-                  for fn in ("g1", "g2", "g3", "g4", "g5")],
-    }
-    return jobs
+# Each table's rows, as the keys that define them: the CLI builds every row
+# through its one resolver, with these and the paper's table keys pinned.
+SUITE = {
+    "table1": [{"function": fn} for fn in TABLE1],
+    "table3": [{"function": fn, "n_train": 700} for fn in ("g1", "g3", "g5")],
+    "classification": [{"dataset": ds} for ds in CLASSIFICATION],
+    "noise": [{"function": fn, "noise_variance": 0.01} for fn in TABLE1],
+    "fault": [{"function": fn, "fault_fraction": 0.2} for fn in TABLE1],
+}
 
 
-def run_job(kind: str, cfg: ExperimentConfig) -> ExperimentReport:
-    if kind == "classification":
+def run_job(cfg: ExperimentConfig) -> ExperimentReport:
+    """One suite row: a classification run for a dataset, else a modeling run."""
+    if cfg.dataset is not None:
         return run_classification(cfg)
     return run_modeling(cfg)
 

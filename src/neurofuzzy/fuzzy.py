@@ -1,4 +1,4 @@
-"""Discretized fuzzy sets and the operator family used throughout the package.
+"""Discretized fuzzy sets and the kernels the network and the crossbar share.
 
 A linguistic variable is discretized onto a ``Universe``: an evenly spaced grid
 with one neuron per grid point. Fuzzy sets over a universe are stored as
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AllZeroMembership,
     DegenerateFuzzification,
     EmptyRange,
     MisalignedRange,
@@ -23,7 +22,6 @@ from .errors import (
     OperandOutOfRange,
     OutOfRange,
     UniverseMismatch,
-    ZeroVector,
 )
 
 # Relative tolerance for deciding that a span is an integer multiple of the
@@ -220,82 +218,3 @@ def triangular_matrix(u: Universe, crisps: np.ndarray, half_support: float) -> n
             "crisp values without any support on the grid"
         )
     return out
-
-
-def fuzzify_triangular(u: Universe, crisp: float, half_support: float) -> MembershipVector:
-    """Triangular fuzzification of one crisp value (singleton if half_support=0)."""
-    row = triangular_matrix(u, np.array([crisp]), half_support)[0]
-    return MembershipVector(u, row)
-
-
-def defuzzify_centroid(mv: MembershipVector) -> float:
-    """Membership-weighted mean grid position; scale invariant by construction."""
-    pred, fired = centroid(mv.values, mv.universe.grid())
-    if not fired:
-        raise AllZeroMembership("no activation anywhere on the universe")
-    return float(pred)
-
-
-def similarity(a: MembershipVector, b: MembershipVector) -> float:
-    """Cosine similarity of two membership vectors on the same universe.
-
-    Non-negative entries make the result a confidence degree in [0, 1];
-    it is 1 exactly when the vectors are positively proportional.  The
-    vectors are normalized through power-of-two-scaled rows (unit_rows), so
-    any nonzero vector, subnormal entries included, has a defined cosine;
-    ZeroVector is raised only for an all-zero vector.
-    """
-    if a.universe != b.universe:
-        raise UniverseMismatch("membership vectors live on different universes")
-    cos = float(pair_cosine(a.values[None], b.values[None])[0])
-    if np.isnan(cos):
-        raise ZeroVector("similarity of an all-zero membership vector is undefined")
-    return cos
-
-
-@dataclass(frozen=True)
-class TNorm:
-    """Soft-AND operator family.
-
-    kind is one of ``min``, ``product``, ``power_sum`` and ``tansig``.
-    ``power_sum`` raises the operand mean to the integer power ``p`` (so the
-    all-ones input maps to 1); ``tansig`` is the shifted tanh activation
-    rescaled onto [0, 1] over the operand range.
-    """
-
-    kind: str
-    p: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("min", "product", "power_sum", "tansig"):
-            raise ValueError(f"unknown t-norm kind {self.kind!r}")
-        if self.kind == "power_sum" and self.p < 1:
-            raise ValueError(f"power_sum exponent must be >= 1, got {self.p}")
-
-    @staticmethod
-    def power_sum(p: int) -> "TNorm":
-        return TNorm("power_sum", p)
-
-
-MIN = TNorm("min")
-PRODUCT = TNorm("product")
-TANSIG = TNorm("tansig")
-
-
-def pairwise_tnorm(op: TNorm, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """t(a_i, b_j) for all pairs; returns a (len(a), len(b)) matrix.
-
-    The 2-operand t-norm of every pair, used by the Hebbian update.
-    """
-    a = np.asarray(a, dtype=np.float64)[:, None]
-    b = np.asarray(b, dtype=np.float64)[None, :]
-    if op.kind == "min":
-        return np.minimum(a, b)
-    if op.kind == "product":
-        return a * b
-    if op.kind == "power_sum":
-        return ((a + b) / 2.0) ** op.p
-    # tansig(s) = 2/(1+exp(-2s)) - 1 = tanh(s), shifted to tanh(a+b-3) and
-    # min-max rescaled onto [0,1] over the operand range, so t(0,0) = 0 and t(1,1) = 1
-    lo, hi = np.tanh(-3.0), np.tanh(-1.0)
-    return (np.tanh(a + b - 3.0) - lo) / (hi - lo)

@@ -15,10 +15,13 @@ for novelty (inference error against its target); familiar samples are
 skipped, novel ones append one min-term row per group (an exact copy of the
 fuzzified inputs) and then Hebbian-update the full output matrix:
 
-    w_ij += alpha * t(v_j, u_i)
+    w_ij += alpha * v_j * u_i
 
-with u the fuzzified target and t a configurable soft-AND.  train_matrix is
-the one trainer; train_one and train_dataset stack their samples into it.
+with v the hidden activations and u the fuzzified target, so only the rows
+on the target's support move.  train_matrix is the one trainer; train_one
+and train_dataset stack their samples into it.  Inference is batched
+(output_batch and its centroid and argmax readouts); one sample is a
+1-row batch.
 """
 
 import copy
@@ -31,22 +34,22 @@ import numpy as np
 from . import fuzzy
 from .crossbar import _stuck_cells
 from .errors import (
-    AllZeroMembership,
     CapacityExceeded,
     DegenerateFuzzification,
     MalformedPayload,
     NeuroFuzzyError,
     OperandOutOfRange,
     TargetOutOfRange,
-    Unclassifiable,
     UniverseMismatch,
     UntrainedNetwork,
     VersionMismatch,
     ZeroVector,
 )
-from .fuzzy import MembershipVector, TNorm, Universe
+from .fuzzy import MembershipVector, Universe
 
 _FORMAT = "neurofuzzy-state-v1"
+# the v1 format's entry for the Hebbian rule, which is always the product alpha * v_j * u_i
+_HEBBIAN = {"kind": "product", "p": 1}
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,6 @@ class NetworkConfig:
     alpha: float = 5e-4
     novelty_threshold: float = 0.1
     output_half_support: float = 0.0
-    hebbian_tnorm: TNorm = fuzzy.PRODUCT
 
     def __post_init__(self):
         object.__setattr__(self, "groups", tuple(self.groups))
@@ -170,14 +172,11 @@ class NetworkState:
 
     # --- helpers ----------------------------------------------------------
 
-    def fuzzify_inputs(self, crisps) -> list:
-        """Fuzzify one crisp value per input group with its configured width."""
-        if len(crisps) != len(self.config.groups):
-            raise UniverseMismatch(
-                f"expected {len(self.config.groups)} inputs, got {len(crisps)}"
-            )
-        return [fuzzy.fuzzify_triangular(g.universe, c, g.half_support)
-                for g, c in zip(self.config.groups, crisps)]
+    def fuzzify(self, points) -> list:
+        """(B, count_g) triangular memberships per group of (B, G) crisp points,
+        each group at its configured width."""
+        return [fuzzy.triangular_matrix(g.universe, points[:, i], g.half_support)
+                for i, g in enumerate(self.config.groups)]
 
     def copy(self) -> "NetworkState":
         dup = copy.copy(self)
@@ -275,33 +274,6 @@ def forward_batch(state: NetworkState, mats):
     is the (B, count_g) matrix of membership rows for input group g."""
     hidden = np.empty((len(mats[0]), state.n_minterms))
     return hidden, output_batch(state, mats, hidden)
-
-
-def forward(state: NetworkState, inputs):
-    """Hidden activations and raw fuzzy output for one fuzzified sample."""
-    hidden, out = forward_batch(state, _sample_mats(state, inputs))
-    return hidden[0], out[0]
-
-
-def infer_crisp(state: NetworkState, inputs) -> float:
-    """Centroid-defuzzified crisp output for one fuzzified sample.
-
-    Raw Hebbian outputs are unbounded, so the centroid is taken directly
-    rather than through a [0,1]-checked MembershipVector; scale invariance
-    of the centroid makes the magnitude irrelevant.
-    """
-    pred, activated = infer_crisp_batch(state, _sample_mats(state, inputs))
-    if not activated[0]:
-        raise AllZeroMembership("no output neuron is activated for this input")
-    return float(pred[0])
-
-
-def classify(state: NetworkState, inputs) -> int:
-    """Index of the most activated output neuron; ties go to the lower index."""
-    label = int(classify_batch(state, _sample_mats(state, inputs))[0])
-    if label < 0:
-        raise Unclassifiable("no output neuron is activated for this input")
-    return label
 
 
 def infer_crisp_batch(state: NetworkState, mats):
@@ -413,13 +385,12 @@ def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
                 # the new column's stuck cells already hold weight
                 out[start:] += np.outer(hid[start:, m], state._w_out[:, m])
             u = fuzzy_targets[j]
-            # t(0, v) = 0 for product and min: rows outside the target's support keep their weights
-            support = (np.flatnonzero(u) if cfg.hebbian_tnorm.kind in ("product", "min")
-                       else [0, u.size - 1])
+            # rows outside the target's support keep their weights
+            support = np.flatnonzero(u)
             if len(support) == 0:
                 continue
             rows = slice(support[0], support[-1] + 1)
-            delta = cfg.alpha * fuzzy.pairwise_tnorm(cfg.hebbian_tnorm, u[rows], hid[b, :m + 1])
+            delta = cfg.alpha * np.outer(u[rows], hid[b, :m + 1])
             if faults is not None:
                 delta[faults.out_mask[rows, :m + 1]] = 0.0
             state._w_out[rows, :m + 1] += delta
@@ -490,8 +461,7 @@ def serialize(state: NetworkState) -> bytes:
         "alpha": state.config.alpha,
         "novelty_threshold": state.config.novelty_threshold,
         "output_half_support": state.config.output_half_support,
-        "hebbian_tnorm": {"kind": state.config.hebbian_tnorm.kind,
-                          "p": state.config.hebbian_tnorm.p},
+        "hebbian_tnorm": _HEBBIAN,
         "n_minterms": state.n_minterms,
         "has_faults": state.faults is not None,
     }
@@ -531,6 +501,9 @@ def deserialize(payload: bytes) -> NetworkState:
     if meta.get("format") != _FORMAT:
         raise VersionMismatch(f"unsupported state format {meta.get('format')!r}")
     try:
+        if meta["hebbian_tnorm"]["kind"] != _HEBBIAN["kind"]:
+            raise MalformedPayload(f"unsupported Hebbian rule {meta['hebbian_tnorm']!r}: "
+                                   "the update is alpha * v_j * u_i")
         groups = tuple(
             InputGroup(name=g["name"], universe=_universe_from_dict(g["universe"]),
                        half_support=g["half_support"])
@@ -543,7 +516,6 @@ def deserialize(payload: bytes) -> NetworkState:
             alpha=meta["alpha"],
             novelty_threshold=meta["novelty_threshold"],
             output_half_support=meta["output_half_support"],
-            hebbian_tnorm=TNorm(meta["hebbian_tnorm"]["kind"], meta["hebbian_tnorm"]["p"]),
         )
         n, nz = int(meta["n_minterms"]), config.output_universe.count
         counts = [g.universe.count for g in groups]

@@ -15,21 +15,6 @@ def states_equal(a, b) -> bool:
     return all(np.array_equal(x, y) for x, y in pairs)
 
 
-def scalar_tnorm(op, operands) -> float:
-    """The t-norm op of one or more confidence degrees in [0, 1], from its definition."""
-    vals = [float(v) for v in operands]
-    n = len(vals)
-    if op.kind == "min":
-        return min(vals)
-    if op.kind == "product":
-        return float(np.prod(vals))
-    if op.kind == "power_sum":
-        return (sum(vals) / n) ** op.p
-    # tanh(sum - (n + 1)), min-max rescaled over the operand range [0, n]
-    lo, hi = np.tanh(-(n + 1.0)), np.tanh(-1.0)
-    return float((np.tanh(sum(vals) - (n + 1.0)) - lo) / (hi - lo))
-
-
 def ion_drift_x(params, volts, t):
     """Doped fraction of a pristine device after volts are held for t seconds.
 

@@ -138,7 +138,7 @@ def test_criterion_6_property_suite():
         # idempotent retraining: a just-learned sample is skipped untouched
         cfg = _tiny_config(threshold=0.2)
         state = NetworkState(cfg)
-        inputs = state.fuzzify_inputs([0.5, 0.5])
+        inputs = _sample(state, 0.5, 0.5)
         assert train_one(state, inputs, target_crisp=0.5).kind == "added"
         before = state.copy()
         assert train_one(state, inputs, target_crisp=0.5).kind == "skipped"
@@ -150,9 +150,7 @@ def test_criterion_6_property_suite():
         rng = np.random.default_rng(123)
         n_steps = 10_000
         crisps = rng.uniform(0, 1, size=(n_steps, 3))
-        for k in range(n_steps):
-            mats = state.fuzzify_inputs(crisps[k, :2])
-            train_one(state, mats, target_crisp=float(crisps[k, 2]))
+        network.train_matrix(state, state.fuzzify(crisps[:, :2]), crisps[:, 2])
         assert state.n_minterms <= n_steps
         assert (state.w_out >= 0).all()
         assert all((state.w_in(g) >= 0).all() for g in range(2))
@@ -178,22 +176,28 @@ def test_criterion_6_property_suite():
                 train_one(ts, sample, target_crisp=float(trng.uniform(0, 1)))
             probe = [fuzzy.MembershipVector(tc.groups[0].universe, _nz(trng, nx)),
                      fuzzy.MembershipVector(tc.groups[1].universe, _nz(trng, ny))]
-            hidden, out = network.forward(ts, probe)
+            hidden, out = network.forward_batch(ts, [m.values[None] for m in probe])
             o_hidden, o_out = _oracle_forward(ts, probe)
-            np.testing.assert_allclose(hidden, o_hidden, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(out, o_out, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(hidden[0], o_hidden, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(out[0], o_out, rtol=1e-12, atol=0)
 
         # argmax tie-break determinism
         cfg = _tiny_config(nz=2, threshold=0.45)
         state = NetworkState(cfg)
-        train_one(state, state.fuzzify_inputs([0.5, 0.5]), target_crisp=0.0)
+        train_one(state, _sample(state, 0.5, 0.5), target_crisp=0.0)
         state._w_out[:, 0] = [0.5, 0.5]
-        probe = state.fuzzify_inputs([0.5, 0.5])
-        assert all(network.classify(state, probe) == 0 for _ in range(5))
+        probe = state.fuzzify(np.array([[0.5, 0.5]]))
+        assert all(network.classify_batch(state, probe).tolist() == [0] for _ in range(5))
 
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0, f"property suite took {elapsed:.1f} s"
         print(f"  completed in {elapsed:.1f} s")
+
+
+def _sample(state, x, y):
+    """The fuzzified point (x, y) as the membership vectors train_one takes."""
+    mats = state.fuzzify(np.array([[x, y]]))
+    return [fuzzy.MembershipVector(g.universe, X[0]) for g, X in zip(state.config.groups, mats)]
 
 
 def _nz(rng, n):

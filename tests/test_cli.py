@@ -9,6 +9,7 @@ import pytest
 
 from neurofuzzy import cli
 from neurofuzzy.errors import ConfigError
+from neurofuzzy.experiments import ExperimentConfig
 
 FAST = ["--n-train", "40", "--n-test", "200"]
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -213,7 +214,7 @@ class TestOtherCommands:
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("setting", ["dt = nan", "dt = 0", "mu_v = inf", "r_f = nan",
-                                         "r_f = -1"])
+                                         "r_f = -1", "dt = 1e-9"])
     def test_bad_device_constant_exit_1_before_writing(self, tmp_path, capsys, setting):
         path = tmp_path / "device.ini"
         path.write_text(f"[crossbar]\n{setting}\n")
@@ -291,10 +292,10 @@ class TestOtherCommands:
 
         real_run_job = experiments.run_job
 
-        def flaky(kind, cfg):
+        def flaky(cfg):
             if cfg.function == "g2":
                 raise RuntimeError("boom")
-            return real_run_job(kind, cfg)
+            return real_run_job(cfg)
 
         monkeypatch.setattr(cli.experiments, "run_job", flaky)
         rc = cli.main(["suite", "--only", "table1", "--jobs", "1",
@@ -311,6 +312,110 @@ class TestOtherCommands:
         rc = cli.main(["model", "--fn", "g1"] + FAST)
         assert rc == 0
         assert (tmp_path / "envout" / "model_g1.csv").exists()
+
+
+class TestResolvedConfig:
+    """Every run is configured by cli.resolve: flags > config file > defaults."""
+
+    # a valid value, other than the default, for every config key
+    VALUES = {
+        "p": "3", "alpha": "0.001", "threshold": "0.3", "nx": "50", "ny": "50", "nz": "51",
+        "input_hs_scale": "5.0", "input_hs_shrink_exp": "0.2", "output_hs_mult": "2.0",
+        "function": "g2", "dataset": "2", "n_train": "50", "n_test": "100", "seed": "3",
+        "test_seed": "5", "noise_variance": "0.02", "fault_fraction": "0.1",
+        "fault_seed": "4", "backend": "crossbar", "r_on": "200", "r_off": "8000",
+        "d": "2e-8", "mu_v": "2e-14", "v_threshold": "0.8", "dt": "2e-5", "r_f": "5000",
+        "scale_in": "2.0", "scale_out": "3.0",
+    }
+    COMMANDS = {
+        "model": ["model", "--fn", "g1"], "noise": ["noise", "--fn", "g1"],
+        "fault": ["fault", "--fn", "g1"], "crossbar-compare": ["crossbar-compare", "--fn", "g1"],
+        "classify": ["classify", "--dataset", "1"], "suite": ["suite"],
+    }
+
+    class Resolved(Exception):
+        """Stops a subcommand at the first configuration it resolves."""
+
+    def first_config(self, monkeypatch, argv):
+        """The first configuration argv resolves, or its exit code if it stops before."""
+        real = cli.resolve
+
+        def spy(*args, **kwargs):
+            raise self.Resolved(real(*args, **kwargs))
+
+        monkeypatch.setattr(cli, "resolve", spy)
+        try:
+            return cli.main(argv)
+        except self.Resolved as stop:
+            return stop.args[0]
+
+    def test_every_key_has_a_value(self):
+        assert set(self.VALUES) == {k for keys in cli.CONFIG_SCHEMA.values() for k in keys}
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("section,key", [(section, key)
+                                             for section, keys in cli.CONFIG_SCHEMA.items()
+                                             for key in keys])
+    def test_every_key_changes_the_run_or_exits_1(self, tmp_path, capsys, monkeypatch,
+                                                  command, section, key):
+        argv = self.COMMANDS[command]
+        base = self.first_config(monkeypatch, argv + ["--out-dir", str(tmp_path / "base")])
+        assert isinstance(base, ExperimentConfig)
+        if key in ("function", "dataset"):
+            argv = argv[:1]                  # the file names the target, not a flag
+        path = tmp_path / "key.ini"
+        path.write_text(f"[{section}]\n{key} = {self.VALUES[key]}\n")
+        out = tmp_path / "out"
+        got = self.first_config(monkeypatch, argv + ["--config", str(path), "--out-dir", str(out)])
+        if isinstance(got, ExperimentConfig):
+            assert got != base
+        else:
+            assert got == 1
+            err = capsys.readouterr().err
+            assert "error:" in err and key in err
+            assert not out.exists() or not any(out.iterdir())
+
+    def test_suite_row_honours_the_device_constants(self, tmp_path):
+        # the fault plan's memristance ratio is R_off / R_on
+        path = tmp_path / "device.ini"
+        path.write_text("[crossbar]\nr_off = 8000\n")
+        common = ["--config", str(path), "--out-dir", str(tmp_path)]
+        assert cli.main(["suite", "--only", "fault", "--jobs", "2"] + common) == 0
+        assert cli.main(["fault", "--fn", "g1"] + common) == 0
+        suite_g1 = (tmp_path / "suite_fault.csv").read_text().splitlines()[1].split(",")
+        fault_g1 = (tmp_path / "fault_g1.csv").read_text().splitlines()[1].split(",")
+        assert suite_g1[:-1] == fault_g1
+        assert fault_g1[10] == "169"
+
+    @pytest.mark.parametrize("argv", [
+        ["model", "--fn", "g1", "--backend", "crossbar"],
+        ["classify", "--dataset", "1", "--backend", "crossbar"],
+    ], ids=["model", "classify"])
+    def test_crossbar_scales_reach_every_crossbar_run(self, tmp_path, argv):
+        path = tmp_path / "overflow.ini"
+        path.write_text("[crossbar]\nscale_in = 1e9\n")
+        assert cli.main(argv + ["--n-train", "20", "--n-test", "50", "--config", str(path),
+                                "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("setting", ["input_hs_scale = nan", "input_hs_scale = 0",
+                                         "input_hs_scale = inf", "input_hs_shrink_exp = nan"])
+    def test_bad_input_support_exit_1_before_writing(self, tmp_path, capsys, setting):
+        path = tmp_path / "support.ini"
+        path.write_text(f"[network]\n{setting}\n")
+        out = tmp_path / "out"
+        rc = cli.main(["model", "--fn", "g1", "--n-train", "20", "--config", str(path),
+                       "--out-dir", str(out)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("flag", [["--config", "x.ini"], ["--seed", "1"],
+                                      ["--backend", "ideal"], ["--timing"]],
+                             ids=lambda f: f[0])
+    def test_dump_state_takes_no_run_flags(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["dump-state", "--state", str(tmp_path / "net.state")] + flag)
+        assert exit_info.value.code == 2
 
 
 class TestEntryPoint:

@@ -332,9 +332,9 @@ class TestCrossbarForward:
 
     def test_single_sample_wrapper(self, g1_state):
         cb1, cb2, mapping = map_network(g1_state)
-        inputs = g1_state.fuzzify_inputs([0.3, 0.7])
-        out = crossbar_forward_batch(cb1, cb2, mapping, [mv.values[None, :] for mv in inputs])[0]
-        _, ideal = network.forward(g1_state, inputs)
+        mats = g1_state.fuzzify(np.array([[0.3, 0.7]]))    # one sample is a 1-row batch
+        out = crossbar_forward_batch(cb1, cb2, mapping, mats)[0]
+        ideal = network.output_batch(g1_state, mats)[0]
         scale = np.abs(ideal).max()
         assert np.allclose(out, ideal, rtol=0.05, atol=1e-9 * scale)
 

@@ -12,7 +12,6 @@ from neurofuzzy.experiments import (
     paper_modeling_config,
     run_classification,
     run_modeling,
-    suite_jobs,
 )
 
 
@@ -150,10 +149,10 @@ class TestRunClassification:
             p=7, alpha=5e-4, novelty_threshold=0.35, output_half_support=0.0,
         )
         state = NetworkState(cfg)
-        for (x, y), label in [((0.2, 0.2), 0.0), ((0.8, 0.8), 1.0)]:
-            network.train_one(state, state.fuzzify_inputs([x, y]), target_crisp=label)
-        assert network.classify(state, state.fuzzify_inputs([0.2, 0.2])) == 0
-        assert network.classify(state, state.fuzzify_inputs([0.8, 0.8])) == 1
+        points = np.array([[0.2, 0.2], [0.8, 0.8]])
+        network.train_matrix(state, state.fuzzify(points), np.array([0.0, 1.0]))
+        assert state.n_minterms == 2
+        assert network.classify_batch(state, state.fuzzify(points)).tolist() == [0, 1]
 
     def test_stuck_crossbar_cells_change_only_crossbar_labels(self, monkeypatch):
         # pristine crossbars agree with the ideal network; cb2's class-1
@@ -186,7 +185,7 @@ class TestRunClassification:
 
 class TestSuiteJobs:
     def test_row_counts(self):
-        jobs = suite_jobs()
+        jobs = experiments.SUITE
         assert len(jobs["table1"]) == 5
         assert len(jobs["table3"]) == 3
         assert len(jobs["classification"]) == 4

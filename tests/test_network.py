@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from neurofuzzy import fuzzy, network
 from neurofuzzy.errors import (
-    AllZeroMembership,
     CapacityExceeded,
     MalformedPayload,
     TargetOutOfRange,
-    Unclassifiable,
     UniverseMismatch,
     UntrainedNetwork,
     VersionMismatch,
@@ -24,10 +22,10 @@ from neurofuzzy.network import (
     NetworkConfig,
     NetworkState,
     WeightFaults,
-    classify,
+    classify_batch,
     deserialize,
-    forward,
-    infer_crisp,
+    forward_batch,
+    infer_crisp_batch,
     serialize,
     train_dataset,
     train_one,
@@ -51,8 +49,13 @@ def small_config(nx=4, ny=4, nz=5, p=7, alpha=5e-4, threshold=0.2, out_hs=0.0):
 
 
 def fuzz_sample(cfg, x, y):
-    return [fuzzy.fuzzify_triangular(cfg.groups[0].universe, x, cfg.groups[0].half_support),
-            fuzzy.fuzzify_triangular(cfg.groups[1].universe, y, cfg.groups[1].half_support)]
+    return [mv(g.universe, fuzzy.triangular_matrix(g.universe, [c], g.half_support)[0])
+            for g, c in zip(cfg.groups, (x, y))]
+
+
+def one_row(inputs):
+    """One sample's membership vectors as the 1-row batches the network scores."""
+    return [m.values[None, :] for m in inputs]
 
 
 # --- the independent oracle: straight-line loops, no shared code -------------
@@ -80,14 +83,16 @@ def oracle_forward(state, inputs):
 
 
 class TestForward:
+    """One sample scored as a 1-row batch."""
+
     def test_exact_match_minterm(self):
         cfg = small_config()
         state = NetworkState(cfg)
         inputs = fuzz_sample(cfg, 0.4, 0.7)
         train_one(state, inputs, target_crisp=0.5)
-        hidden, out = forward(state, inputs)
-        assert hidden.tolist() == [1.0]
-        assert np.array_equal(out, state.w_out[:, 0])
+        hidden, out = forward_batch(state, one_row(inputs))
+        assert hidden.tolist() == [[1.0]]
+        assert np.array_equal(out[0], state.w_out[:, 0])
 
     def test_orthogonal_inputs_give_zero(self):
         cfg = small_config(nx=6, ny=6)
@@ -95,10 +100,10 @@ class TestForward:
         ux, uy = cfg.groups[0].universe, cfg.groups[1].universe
         train_one(state, [mv(ux, [1, 1, 0, 0, 0, 0]), mv(uy, [1, 1, 0, 0, 0, 0])],
                   target_crisp=0.5)
-        hidden, out = forward(state, [mv(ux, [0, 0, 0, 0, 1, 1]),
-                                      mv(uy, [0, 0, 0, 0, 1, 1])])
-        assert hidden.tolist() == [0.0]
-        assert out.tolist() == [0.0] * cfg.output_universe.count
+        hidden, out = forward_batch(state, one_row([mv(ux, [0, 0, 0, 0, 1, 1]),
+                                                    mv(uy, [0, 0, 0, 0, 1, 1])]))
+        assert hidden.tolist() == [[0.0]]
+        assert out.tolist() == [[0.0] * cfg.output_universe.count]
 
     def test_partial_similarity_power(self):
         # one group matches exactly (cos 1), the other at cos 0.5
@@ -108,8 +113,8 @@ class TestForward:
         stored = [mv(ux, [1, 0, 0, 0]), mv(uy, [1, 0, 0, 0])]
         train_one(state, stored, target_crisp=0.5)
         probe = [mv(ux, [1, 0, 0, 0]), mv(uy, [0.5, math.sqrt(3) / 2, 0, 0])]
-        hidden, _ = forward(state, probe)
-        assert hidden[0] == pytest.approx(0.75 ** 7, rel=1e-12)
+        hidden, _ = forward_batch(state, one_row(probe))
+        assert hidden[0, 0] == pytest.approx(0.75 ** 7, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-150, 3.8e-295])
     def test_tiny_scaled_copy_of_stored_row(self, scale):
@@ -120,9 +125,9 @@ class TestForward:
         ux, uy = cfg.groups[0].universe, cfg.groups[1].universe
         row = np.array([0, 0, 0.5, 1])
         train_one(state, [mv(ux, row), mv(uy, row)], target_crisp=0.5)
-        hidden, out = forward(state, [mv(ux, row * scale), mv(uy, row * scale)])
-        assert hidden.tolist() == [1.0]
-        assert np.array_equal(out, state.w_out[:, 0])
+        hidden, out = forward_batch(state, [row[None, :] * scale] * 2)
+        assert hidden.tolist() == [[1.0]]
+        assert np.array_equal(out[0], state.w_out[:, 0])
 
     def test_subnormal_stored_row(self):
         # the stored row's dot product with an input must not underflow
@@ -132,24 +137,27 @@ class TestForward:
         state = NetworkState(cfg)
         stored, probe = mv(u4, [0, 0, 0, 5e-324]), mv(u4, [0, 0, 0.5, 1])
         train_one(state, [stored], target_crisp=0.5)
-        hidden, _ = forward(state, [probe])
-        sim = fuzzy.similarity(stored, probe)
+        hidden, _ = forward_batch(state, one_row([probe]))
+        sim = fuzzy.pair_cosine(stored.values[None, :], probe.values[None, :])[0]
         assert sim == pytest.approx(2 / math.sqrt(5), rel=1e-12)
-        assert hidden[0] == pytest.approx(sim ** 7, rel=1e-12)
+        assert hidden[0, 0] == pytest.approx(sim ** 7, rel=1e-12)
 
     def test_untrained_raises(self):
         cfg = small_config()
         state = NetworkState(cfg)
         with pytest.raises(UntrainedNetwork):
-            forward(state, fuzz_sample(cfg, 0.5, 0.5))
+            forward_batch(state, one_row(fuzz_sample(cfg, 0.5, 0.5)))
 
     def test_universe_mismatch(self):
+        # the single-sample entry points check each membership vector's universe
         cfg = small_config()
         state = NetworkState(cfg)
         train_one(state, fuzz_sample(cfg, 0.5, 0.5), target_crisp=0.5)
         other = build_universe(0, 1, 0.1)
         with pytest.raises(UniverseMismatch):
-            forward(state, [mv(other, np.ones(11)), mv(other, np.ones(11))])
+            train_one(state, [mv(other, np.ones(11)), mv(other, np.ones(11))],
+                      target_crisp=0.5)
+        assert state.n_minterms == 1
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
@@ -166,10 +174,10 @@ class TestForward:
             train_one(state, inputs, target_crisp=float(rng.uniform(0, 1)))
         probe = [mv(cfg.groups[0].universe, _nonzero(rng, nx)),
                  mv(cfg.groups[1].universe, _nonzero(rng, ny))]
-        hidden, out = forward(state, probe)
+        hidden, out = forward_batch(state, one_row(probe))
         o_hidden, o_out = oracle_forward(state, probe)
-        np.testing.assert_allclose(hidden, o_hidden, rtol=1e-12, atol=1e-300)
-        np.testing.assert_allclose(out, o_out, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(hidden[0], o_hidden, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(out[0], o_out, rtol=1e-12, atol=1e-300)
 
 
 def _nonzero(rng, n):
@@ -265,10 +273,10 @@ class TestInferCrisp:
         state = NetworkState(cfg)
         inputs = fuzz_sample(cfg, 0.3, 0.3)
         train_one(state, inputs, target_crisp=0.5)   # singleton at grid 0.5
-        assert infer_crisp(state, inputs) == pytest.approx(0.5)
+        assert infer_crisp_batch(state, one_row(inputs))[0][0] == pytest.approx(0.5)
         # scaling all output weights cannot move the centroid
         state._w_out *= 123.0
-        assert infer_crisp(state, inputs) == pytest.approx(0.5, rel=1e-12)
+        assert infer_crisp_batch(state, one_row(inputs))[0][0] == pytest.approx(0.5, rel=1e-12)
 
     def test_two_equal_minterms_average(self):
         cfg = small_config(nx=6, ny=6, nz=3, threshold=1e-6)
@@ -279,7 +287,7 @@ class TestInferCrisp:
         train_one(state, a, target_crisp=0.0)
         train_one(state, b, target_crisp=1.0)
         probe = [mv(ux, [1, 0, 0, 0, 0, 1]), mv(uy, [1, 0, 0, 0, 0, 1])]
-        assert infer_crisp(state, probe) == pytest.approx(0.5, rel=1e-9)
+        assert infer_crisp_batch(state, one_row(probe))[0][0] == pytest.approx(0.5, rel=1e-9)
 
     def test_weighted_centroid(self):
         # activations 0.1335 and 0.0001 against singleton columns at 0.2 / 0.8
@@ -295,14 +303,15 @@ class TestInferCrisp:
         pred = float(out @ uz.grid()) / total
         assert pred == pytest.approx((0.1335 * 0.2 + 0.0001 * 0.8) / 0.1336, rel=1e-9)
 
-    def test_all_zero_raises(self):
+    def test_nothing_fires_is_unactivated(self):
         cfg = small_config(nx=6, ny=6)
         state = NetworkState(cfg)
         ux, uy = cfg.groups[0].universe, cfg.groups[1].universe
         train_one(state, [mv(ux, [1, 0, 0, 0, 0, 0]), mv(uy, [1, 0, 0, 0, 0, 0])],
                   target_crisp=0.5)
-        with pytest.raises(AllZeroMembership):
-            infer_crisp(state, [mv(ux, [0, 0, 0, 0, 0, 1]), mv(uy, [0, 0, 0, 0, 0, 1])])
+        pred, activated = infer_crisp_batch(
+            state, one_row([mv(ux, [0, 0, 0, 0, 0, 1]), mv(uy, [0, 0, 0, 0, 0, 1])]))
+        assert activated.tolist() == [False] and np.isnan(pred[0])
 
 
 class TestTrainOne:
@@ -349,7 +358,8 @@ class TestTrainOne:
         cfg = small_config(threshold=0.5)
         state = NetworkState(cfg)
         inputs = fuzz_sample(cfg, 0.5, 0.5)
-        target = fuzzy.fuzzify_triangular(cfg.output_universe, 0.5, 0.3)
+        uz = cfg.output_universe
+        target = mv(uz, fuzzy.triangular_matrix(uz, [0.5], 0.3)[0])
         assert train_one(state, inputs, target_fuzzy=target).kind == "added"
         # same sample again: output is proportional to the target, cosine 1
         out = train_one(state, inputs, target_fuzzy=target)
@@ -454,11 +464,12 @@ class TestClassify:
         inputs = fuzz_sample(cfg, 0.5, 0.5)
         state._append_row([mv.values for mv in inputs])
         state._w_out[:, 0] = [0.9, 0.1]
-        assert classify(state, inputs) == 0
+        assert classify_batch(state, one_row(inputs)).tolist() == [0]
         state._w_out[:, 0] = [0.5, 0.5]
-        assert classify(state, inputs) == 0      # documented tie-break: lower index
+        # documented tie-break: lower index
+        assert classify_batch(state, one_row(inputs)).tolist() == [0]
         state._w_out[:, 0] = [0.1, 0.9]
-        assert classify(state, inputs) == 1
+        assert classify_batch(state, one_row(inputs)).tolist() == [1]
 
     def test_unclassifiable(self):
         cfg = small_config(nx=6, ny=6, nz=2)
@@ -466,8 +477,8 @@ class TestClassify:
         ux, uy = cfg.groups[0].universe, cfg.groups[1].universe
         train_one(state, [mv(ux, [1, 0, 0, 0, 0, 0]), mv(uy, [1, 0, 0, 0, 0, 0])],
                   target_crisp=0.0)
-        with pytest.raises(Unclassifiable):
-            classify(state, [mv(ux, [0, 0, 0, 0, 0, 1]), mv(uy, [0, 0, 0, 0, 0, 1])])
+        probe = [mv(ux, [0, 0, 0, 0, 0, 1]), mv(uy, [0, 0, 0, 0, 0, 1])]
+        assert classify_batch(state, one_row(probe)).tolist() == [-1]
 
     def test_matches_nearest_centroid_oracle(self):
         cfg, state, pts, labels = self._two_blob_state()
@@ -477,7 +488,7 @@ class TestClassify:
             c = rng.integers(0, 2)
             x = float(np.clip(rng.normal(0.25 + 0.5 * c, 0.05), 0, 1))
             y = float(np.clip(rng.normal(0.25 + 0.5 * c, 0.05), 0, 1))
-            got = classify(state, fuzz_sample(cfg, x, y))
+            got = classify_batch(state, one_row(fuzz_sample(cfg, x, y)))[0]
             # oracle: nearest blob centre
             want = 0 if (x - 0.25) ** 2 + (y - 0.25) ** 2 <= (x - 0.75) ** 2 + (y - 0.75) ** 2 else 1
             agree += got == want
@@ -649,6 +660,15 @@ class TestDeserializeValidation:
         mask = np.load(io.BytesIO(payload))["fault_out_mask"]
         with pytest.raises(MalformedPayload, match="fault_out_mask"):
             deserialize(_rewrite(payload, fault_out_mask=mask.astype(np.int64)))
+
+    @pytest.mark.parametrize("rule", [{"kind": "min", "p": 1}, {"kind": "power_sum", "p": 3},
+                                      {"kind": "tansig", "p": 1}, "product"])
+    def test_hebbian_rule_is_the_product(self, rule):
+        payload = _faulted_payload()
+        meta = json.loads(bytes(np.load(io.BytesIO(payload))["meta"]).decode())
+        assert meta["hebbian_tnorm"] == {"kind": "product", "p": 1}
+        with pytest.raises(MalformedPayload):
+            deserialize(_rewrite(payload, meta={"hebbian_tnorm": rule}))
 
     @pytest.mark.parametrize("key,value", [("alpha", np.inf), ("alpha", np.nan),
                                            ("novelty_threshold", np.nan)])
