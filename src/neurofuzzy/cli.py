@@ -85,7 +85,7 @@ _DEVICE_KEYS = ("r_on", "r_off", "d", "mu_v", "v_threshold", "dt")
 # the table parameters --paper-defaults fixes; a suite row also fixes the keys
 # that define it
 _PAPER_PINNED = {"p", "alpha", "threshold", "nx", "ny", "nz", "input_hs_scale",
-                "input_hs_shrink_exp", "output_hs_mult", "n_train", "n_test"}
+                 "input_hs_shrink_exp", "output_hs_mult", "n_train", "n_test"}
 _ROW_KEYS = {"function", "dataset", "noise_variance", "fault_fraction"}
 
 

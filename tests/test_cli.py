@@ -349,9 +349,6 @@ class TestResolvedConfig:
         except self.Resolved as stop:
             return stop.args[0]
 
-    def test_every_key_has_a_value(self):
-        assert set(self.VALUES) == {k for keys in cli.CONFIG_SCHEMA.values() for k in keys}
-
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     @pytest.mark.parametrize("section,key", [(section, key)
                                              for section, keys in cli.CONFIG_SCHEMA.items()
