@@ -87,6 +87,11 @@ _DEVICE_KEYS = ("r_on", "r_off", "d", "mu_v", "v_threshold", "dt")
 _PAPER_PINNED = {"p", "alpha", "threshold", "nx", "ny", "nz", "input_hs_scale",
                  "input_hs_shrink_exp", "output_hs_mult", "n_train", "n_test"}
 _ROW_KEYS = {"function", "dataset", "noise_variance", "fault_fraction"}
+# the keys a subcommand never reads (dataset for the modeling ones): classify draws its
+# test points from seed and has label targets; crossbar-compare always maps onto
+# crossbars and draws its own probes
+_UNUSED = {"classify": {"function", "test_seed", "noise_variance", "nz", "output_hs_mult"},
+           "crossbar-compare": {"dataset", "backend", "n_test", "test_seed"}}
 
 
 def _crossbar_setup(file_cfg: dict) -> dict:
@@ -106,13 +111,15 @@ def resolve(args, file_cfg: dict, pins: dict | None = None) -> ExperimentConfig:
     """The configuration of one run: flags > config file > defaults.
 
     Each [network] and [experiment] key, and the flag of the same name, sets
-    the ExperimentConfig field of that name.  A suite row passes its pins:
-    _PAPER_PINNED and _ROW_KEYS may then not be set at all.  --paper-defaults
-    drops any _PAPER_PINNED value given instead.
+    the ExperimentConfig field of that name; a key the subcommand never
+    reads (_UNUSED) may not be set.  A suite row passes its pins: _PAPER_PINNED
+    and _ROW_KEYS may then not be set at all.  --paper-defaults drops any
+    _PAPER_PINNED value given instead.
     """
     fields = dict(pins or {})
     target = "dataset" if "dataset" in fields or hasattr(args, "dataset") else "function"
     pinned = _PAPER_PINNED | _ROW_KEYS if pins is not None else set()
+    unused = _UNUSED.get(args.command, {"dataset"}) if pins is None else set()
     if getattr(args, "paper_defaults", False):
         pinned = _PAPER_PINNED
     for section in ("network", "experiment"):
@@ -121,13 +128,13 @@ def resolve(args, file_cfg: dict, pins: dict | None = None) -> ExperimentConfig:
             value = file_cfg.get(section, {}).get(key) if value is None else value
             if value is None:
                 continue
+            if key in unused:
+                raise ConfigError(f"{section}.{key} does not apply to {args.command}")
             if key in pinned:
                 if pins is not None:
                     raise ConfigError(f"suite pins {section}.{key} in every row; "
                                       "remove it from the config file")
                 continue
-            if key in ("function", "dataset") and key != target:
-                raise ConfigError(f"{section}.{key} does not apply to {args.command}")
             fields[key] = value
     if target not in fields:
         raise ConfigError("no benchmark function given (use --fn or the config file)"
@@ -300,24 +307,20 @@ def cmd_crossbar_compare(args, file_cfg) -> int:
 
 
 def cmd_dump_state(args, file_cfg) -> int:
-    payload = Path(args.state).read_bytes()
-    state = network.deserialize(payload)
+    state = network.deserialize(Path(args.state).read_bytes())
     out_dir = _out_dir(args)
+    u = state.config.output_universe
     print(f"min-terms: {state.n_minterms}")
-    print(f"output universe: [{state.config.output_universe.lo}, "
-          f"{state.config.output_universe.hi}] x {state.config.output_universe.count}")
+    print(f"output universe: [{u.lo}, {u.hi}] x {u.count}")
+    tables = []
     for g, grp in enumerate(state.config.groups):
         print(f"group {grp.name}: [{grp.universe.lo}, {grp.universe.hi}] "
               f"x {grp.universe.count}, half_support {grp.half_support}")
-        rows = state.w_in(g)
-        text = "\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n"
-        path = out_dir / f"state_w_in_{grp.name}.csv"
-        atomic_write(path, text)
+        tables.append((f"state_w_in_{grp.name}.csv", state.w_in(g)))
+    for name, rows in tables + [("state_w_out.csv", state.w_out)]:
+        path = out_dir / name
+        atomic_write(path, "\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n")
         _progress(f"wrote {path}")
-    text = "\n".join(",".join(repr(float(v)) for v in row) for row in state.w_out) + "\n"
-    path = out_dir / "state_w_out.csv"
-    atomic_write(path, text)
-    _progress(f"wrote {path}")
     return 0
 
 

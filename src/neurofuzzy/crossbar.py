@@ -15,8 +15,8 @@ change of one write pulse, zero up to the threshold and rising above it.
 
 A crossbar read is the usual op-amp summing stage, out_i = -sum_j (R_f/M_ij) I_j.
 Logical weights are carried as conductance above the pristine floor
-(w = 0  <=>  M = R_off), and the read wrapper subtracts the floor term
-analytically - the software stand-in for a reference column.
+(w = 0  <=>  M = R_off), and the forward pass subtracts the floor from the
+weights it reads - the software stand-in for a reference column.
 """
 
 import math
@@ -30,7 +30,8 @@ from .errors import (
     ReadDisturbRisk,
     WeightOutOfRange,
 )
-from .fuzzy import SCORE_ROWS, centroid, inverse_norms, power_activation
+# SCORE_ROWS is the chunk size score_batch reads the crossbars in
+from .fuzzy import SCORE_ROWS, centroid, inverse_norms, score_batch  # noqa: F401
 
 HEBBIAN_PULSE_SECONDS = 0.05
 # Most Euler steps one write pulse may take, round(HEBBIAN_PULSE_SECONDS / dt).
@@ -117,22 +118,6 @@ class Crossbar:
         return self.r_f / self.memristance()
 
 
-def vmm(cb: Crossbar, input_voltages: np.ndarray, cols=slice(None)) -> np.ndarray:
-    """Analog vector-matrix multiply out_i = -sum_j (R_f/M_ij) I_j, on one row or a batch.
-
-    The voltages drive the columns in cols; the others are grounded.  Inputs
-    must stay strictly below the device threshold so the read cannot disturb
-    stored states; device states are untouched.
-    """
-    volts = np.asarray(input_voltages, dtype=np.float64)
-    w = cb.weights()[:, cols]
-    if volts.shape[-1] != w.shape[1]:
-        raise DimensionMismatch(f"expected {w.shape[1]} input voltages, got {volts.shape[-1]}")
-    if np.any(np.abs(volts) >= cb.params.v_threshold):
-        raise ReadDisturbRisk("read voltage at or above the device threshold")
-    return -(volts @ w.T)
-
-
 def delta_weight_sweep(params: MemristorParams | None = None, r_f: float | None = None,
                        voltages: np.ndarray | None = None,
                        duration: float = HEBBIAN_PULSE_SECONDS,
@@ -201,10 +186,6 @@ class CrossbarMapping:
     p: int
     output_grid: np.ndarray
     inv_norms: list = field(default_factory=list)   # per group, 1 / norm of each read-back row
-
-    def logical_in(self, cb1: Crossbar, g: int) -> np.ndarray:
-        """Read-back logical first-layer weights for group g."""
-        return (cb1.weights()[:, self.group_slices[g]] - self.floor) / self.scale_in
 
 
 def _x_for_weight(w_scaled: np.ndarray, params: MemristorParams, r_f: float) -> np.ndarray:
@@ -285,33 +266,36 @@ def map_network(state, params: MemristorParams | None = None, r_f: float | None 
     )
     # calibration norms come from the hardware state, so distorted rows are
     # normalized by what is actually stored, not by the ideal pattern
-    mapping.inv_norms = [inverse_norms(mapping.logical_in(cb1, g)[:n_v])
-                         for g in range(len(counts))]
+    logical_in = (cb1.weights()[:n_v] - mapping.floor) / s_in
+    mapping.inv_norms = [inverse_norms(logical_in[:, sl]) for sl in mapping.group_slices]
     return cb1, cb2, mapping
 
 
 def crossbar_forward_batch(cb1: Crossbar, cb2: Crossbar, mapping: CrossbarMapping,
                            group_mats) -> np.ndarray:
-    """Analog forward pass for a batch of fuzzified inputs, SCORE_ROWS rows at a time.
+    """Analog forward pass for a batch of fuzzified inputs, scored by score_batch.
 
-    A sub-threshold read (vmm) of each group's columns of cb1 recovers the
-    per-group dot products, which the input and calibration norms turn into
-    cosines; after the power activation a read of cb2 gives the raw fuzzy
-    output, rescaled back to logical units."""
-    n_v, v, n = mapping.inv_norms[0].size, mapping.v_read, len(group_mats[0])
-    out = np.empty((n, cb2.rows))
-    for i in range(0, n, SCORE_ROWS):
-        sums = 0.0
-        for sl, mat, inv_w in zip(mapping.group_slices, group_mats, mapping.inv_norms):
-            mat = np.asarray(mat[i:i + SCORE_ROWS], dtype=np.float64)
-            # the read also sees every device's floor conductance
-            dots = vmm(cb1, mat * v, sl)[:, :n_v] / -v - mapping.floor * mat.sum(axis=1)[:, None]
-            sums = sums + dots * (inverse_norms(mat) / mapping.scale_in)[:, None] * inv_w
-        hidden = power_activation(sums, len(group_mats), mapping.p)
-        raw = vmm(cb2, hidden * v, slice(0, n_v)) / -v
-        raw -= mapping.floor * hidden.sum(axis=1)[:, None]
-        out[i:i + len(raw)] = raw / mapping.scale_out
-    return out
+    Each crossbar is read once per call, as its devices stand: cb1's weights
+    less the floor, over scale_in and the calibration norms, are the stored
+    unit rows, cb2's less the floor, over scale_out, the output weights.  The
+    input voltages are checked against the device threshold before any read,
+    each chunk's hidden-layer voltages before its read of cb2."""
+    n_v, v = mapping.inv_norms[0].size, abs(mapping.v_read)
+    widths = [np.shape(X)[-1] for X in group_mats]
+    if widths != [sl.stop - sl.start for sl in mapping.group_slices]:
+        raise DimensionMismatch(f"input groups of {widths} columns do not fit the crossbar")
+    if any(np.abs(X).max(initial=0.0) * v >= cb1.params.v_threshold for X in group_mats):
+        raise ReadDisturbRisk("input read voltage at or above the device threshold")
+
+    def check_hidden(hidden):
+        if hidden.max(initial=0.0) * v >= cb2.params.v_threshold:
+            raise ReadDisturbRisk("hidden-layer read voltage at or above the device threshold")
+
+    w1 = cb1.weights()[:n_v] - mapping.floor
+    unit_w = np.hstack([w1[:, sl] * (inv_w / mapping.scale_in)[:, None]
+                        for sl, inv_w in zip(mapping.group_slices, mapping.inv_norms)])
+    w_out = (cb2.weights()[:, :n_v] - mapping.floor) / mapping.scale_out
+    return score_batch(group_mats, unit_w, w_out, mapping.p, check=check_hidden)
 
 
 def crossbar_infer_crisp_batch(cb1, cb2, mapping, group_mats):

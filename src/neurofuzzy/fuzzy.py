@@ -55,6 +55,16 @@ def unit_rows(rows, out=None):
     return scaled
 
 
+def unit_concat(mats, out=None):
+    """Each group's rows (mats[g], last axis) as unit_rows, side by side, into out if
+    given.  One GEMM of two such matrices sums the group cosines."""
+    counts = [np.shape(X)[-1] for X in mats]
+    out = np.empty(np.shape(mats[0])[:-1] + (sum(counts),)) if out is None else out
+    for X, start, c in zip(mats, np.cumsum([0] + counts), counts):
+        unit_rows(X, out[..., start:start + c])
+    return out
+
+
 def inverse_norms(rows):
     """1 / the 2-norm of each row (last axis), via pow2_scale; 0 for an all-zero row."""
     _, inv, e = pow2_scale(rows)
@@ -95,6 +105,27 @@ def power_activation(sums, n_groups: int, p: int, work=None):
     sums /= n_groups
     np.copyto(sums, 1.0, where=sums >= 1.0 - COSINE_SNAP)
     return int_power(np.maximum(sums, 0.0, out=sums), p, work)
+
+
+def score_batch(mats, unit_w, w_out, p: int, hidden=None, check=None):
+    """Raw outputs (B, nz) of (B, count_g) input rows mats[g] against N stored rows
+    unit_w (as unit_concat gives them) and (nz, N) output weights w_out; the one
+    scoring loop of both backends, SCORE_ROWS rows at a time in the same buffers.
+    hidden, if given, receives the (B, N) activations; check, if given, is
+    called on each chunk's activations before its output GEMM."""
+    n, step = len(mats[0]), SCORE_ROWS
+    out = np.empty((n, w_out.shape[0]))
+    units = np.empty((min(n, step), unit_w.shape[1]))
+    buf = np.empty((2, min(n, step), unit_w.shape[0]))
+    for i in range(0, n, step):
+        c = min(step, n - i)
+        h = buf[0, :c] if hidden is None else hidden[i:i + c]
+        np.matmul(unit_concat([X[i:i + c] for X in mats], units[:c]), unit_w.T, out=h)
+        power_activation(h, len(mats), p, buf[1, :c])
+        if check is not None:
+            check(h)
+        np.matmul(h, w_out.T, out=out[i:i + c])
+    return out
 
 
 def centroid(out, grid):

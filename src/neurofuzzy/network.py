@@ -146,7 +146,7 @@ class NetworkState:
         cap = faults.capacity if faults is not None else 16
         self._capacity = cap
         self._w_in = [np.zeros((cap, g.universe.count)) for g in config.groups]
-        # each min-term's stored rows as unit rows side by side (_unit_concat),
+        # each min-term's stored rows as unit rows side by side (fuzzy.unit_concat),
         # so one GEMM of concatenated unit inputs sums the group cosines
         self._unit = np.zeros((cap, sum(g.universe.count for g in config.groups)))
         self._w_out = np.zeros((config.output_universe.count, cap))
@@ -167,7 +167,7 @@ class NetworkState:
         return self._w_out[:, : self.n_minterms]
 
     def unit_rows(self) -> np.ndarray:
-        """Each min-term's stored rows, all groups, as _unit_concat gives them."""
+        """Each min-term's stored rows, all groups, as fuzzy.unit_concat gives them."""
         return self._unit[: self.n_minterms]
 
     # --- helpers ----------------------------------------------------------
@@ -201,7 +201,7 @@ class NetworkState:
         self._capacity += extra
 
     def _append_row(self, xs, unit=None) -> int:
-        """Store one min-term; unit is _unit_concat of xs where the caller holds it."""
+        """Store one min-term; unit is fuzzy.unit_concat of xs where the caller holds it."""
         if self.n_minterms == self._capacity:
             self._grow()
         r = self.n_minterms
@@ -213,7 +213,7 @@ class NetworkState:
                 self._w_in[g][r] = x
         # stuck cells change what is stored, so it is normalized as stored
         self._unit[r] = (unit if unit is not None and self.faults is None
-                         else _unit_concat([w[r] for w in self._w_in]))
+                         else fuzzy.unit_concat([w[r] for w in self._w_in]))
         self.n_minterms += 1
         return r
 
@@ -237,36 +237,18 @@ def _sample_mats(state: NetworkState, inputs) -> list:
     return mats
 
 
-def _unit_concat(mats, out=None):
-    """Each group's rows as fuzzy.unit_rows, side by side (last axis), into out if given."""
-    counts = [np.shape(X)[-1] for X in mats]
-    out = np.empty(np.shape(mats[0])[:-1] + (sum(counts),)) if out is None else out
-    for X, start, c in zip(mats, np.cumsum([0] + counts), counts):
-        fuzzy.unit_rows(X, out[..., start:start + c])
-    return out
-
-
-def _hidden(state: NetworkState, units, out=None, work=None) -> np.ndarray:
-    """Hidden activations of rows of concatenated unit inputs (_unit_concat)."""
+def _hidden(state: NetworkState, units, out=None) -> np.ndarray:
+    """Hidden activations of rows of concatenated unit inputs (fuzzy.unit_concat)."""
     return fuzzy.power_activation(np.matmul(units, state.unit_rows().T, out=out),
-                                  len(state.config.groups), state.config.p, work)
+                                  len(state.config.groups), state.config.p)
 
 
 def output_batch(state: NetworkState, mats, hidden=None) -> np.ndarray:
-    """Raw fuzzy outputs (B, nz) of a batch, fuzzy.SCORE_ROWS rows at a time in
-    the same buffers; hidden, if given, receives the (B, N) activations."""
+    """Raw fuzzy outputs (B, nz) of a batch, scored by fuzzy.score_batch against the
+    cached unit rows; hidden, if given, receives the (B, N) activations."""
     if state.n_minterms == 0:
         raise UntrainedNetwork("network has no min-terms yet")
-    n, step = len(mats[0]), fuzzy.SCORE_ROWS
-    out = np.empty((n, state.config.output_universe.count))
-    units = np.empty((min(n, step), state._unit.shape[1]))
-    buf = np.empty((2, min(n, step), state.n_minterms))
-    for i in range(0, n, step):
-        c = min(step, n - i)
-        h = buf[0, :c] if hidden is None else hidden[i:i + c]
-        _hidden(state, _unit_concat([X[i:i + c] for X in mats], units[:c]), h, buf[1, :c])
-        np.matmul(h, state.w_out.T, out=out[i:i + c])
-    return out
+    return fuzzy.score_batch(mats, state.unit_rows(), state.w_out, state.config.p, hidden)
 
 
 def forward_batch(state: NetworkState, mats):
@@ -348,7 +330,7 @@ def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
     mats = [np.asarray(X, dtype=np.float64) for X in mats]
     fuzzy_targets = _check_stream(state, mats, targets)
     n = targets.shape[0]
-    units = _unit_concat(mats)
+    units = fuzzy.unit_concat(mats)
     stats = TrainingStats(n_samples=n, errors=np.full(n, np.inf))
     grid = cfg.output_universe.grid()
     for i in range(0, n, CHUNK_MAX):
@@ -538,7 +520,7 @@ def deserialize(payload: bytes) -> NetworkState:
             state._grow()
         for g, c in enumerate(counts):
             state._w_in[g][:n] = _array(data, f"w_in_{g}", (n, c))
-        state._unit[:n] = _unit_concat([w[:n] for w in state._w_in])
+        state._unit[:n] = fuzzy.unit_concat([w[:n] for w in state._w_in])
         state._w_out[:, :n] = _array(data, "w_out", (nz, n))
         state.n_minterms = n
     except (KeyError, IndexError, ValueError, TypeError) as e:

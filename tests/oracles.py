@@ -5,6 +5,8 @@ Each is written from its definition, independent of the package internals.
 
 import numpy as np
 
+from neurofuzzy.errors import DimensionMismatch, ReadDisturbRisk
+
 
 def states_equal(a, b) -> bool:
     """Bitwise equality of two network states: configuration and all weights."""
@@ -47,3 +49,42 @@ def euler_pulse_x(x, volts, params, duration):
         xa = np.clip(xa + params.drift_gain * (va / m) * params.dt, 0.0, 1.0)
     x[active] = xa
     return x
+
+
+def vmm(cb, input_voltages, cols=slice(None)):
+    """Analog vector-matrix multiply out_i = -sum_j (R_f/M_ij) I_j, on one row or a batch.
+
+    The voltages drive the columns in cols; the others are grounded.  Inputs
+    must stay strictly below the device threshold so the read cannot disturb
+    stored states; device states are untouched.
+    """
+    volts = np.asarray(input_voltages, dtype=np.float64)
+    w = (cb.r_f / cb.memristance())[:, cols]
+    if volts.shape[-1] != w.shape[1]:
+        raise DimensionMismatch(f"expected {w.shape[1]} input voltages, got {volts.shape[-1]}")
+    if np.any(np.abs(volts) >= cb.params.v_threshold):
+        raise ReadDisturbRisk("read voltage at or above the device threshold")
+    return -(volts @ w.T)
+
+
+def crossbar_forward(cb1, cb2, mapping, group_mats):
+    """Raw outputs of the analog forward pass, read group by group through vmm.
+
+    Each group's columns of cb1 are driven at v_read; the floor current of the
+    drive is subtracted, and the input norms and the map-time calibration
+    norms turn the dot products into cosines.  Their mean over the groups,
+    snapped to 1 within 1e-12 and clamped at 0, is raised to the power p, and
+    a vmm read of cb2 less its floor current gives the outputs.
+    """
+    v, n_v = mapping.v_read, mapping.inv_norms[0].size
+    sums = 0.0
+    for sl, mat, inv_w in zip(mapping.group_slices, group_mats, mapping.inv_norms):
+        mat = np.asarray(mat, dtype=np.float64)
+        dots = vmm(cb1, mat * v, sl)[:, :n_v] / -v - mapping.floor * mat.sum(axis=1)[:, None]
+        norms = np.linalg.norm(mat, axis=1)
+        inv_x = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+        sums = sums + dots * (inv_x / mapping.scale_in)[:, None] * inv_w
+    mean = sums / len(group_mats)
+    hidden = np.maximum(np.where(mean >= 1.0 - 1e-12, 1.0, mean), 0.0) ** mapping.p
+    raw = vmm(cb2, hidden * v, slice(0, n_v)) / -v - mapping.floor * hidden.sum(axis=1)[:, None]
+    return raw / mapping.scale_out

@@ -14,7 +14,7 @@ import numpy as np
 
 from neurofuzzy import cli, crossbar, experiments, fuzzy, network
 from neurofuzzy.benchmarks import TABLE1
-from neurofuzzy.crossbar import MemristorParams, delta_weight_sweep, map_network, vmm
+from neurofuzzy.crossbar import MemristorParams, delta_weight_sweep, map_network
 from neurofuzzy.experiments import paper_modeling_config, run_modeling
 from neurofuzzy.fuzzy import triangular_matrix, universe_from_count
 from neurofuzzy.network import InputGroup, NetworkConfig, NetworkState, train_one
@@ -226,8 +226,7 @@ def test_criterion_7_crossbar_equivalence():
 
         # sub-threshold reads are non-destructive, bit for bit
         before1, before2 = cb1.x.copy(), cb2.x.copy()
-        vmm(cb1, np.full(cb1.cols, 0.4))
-        vmm(cb2, np.full(cb2.cols, 0.4))
+        crossbar.crossbar_forward_batch(cb1, cb2, mapping, mats)
         assert np.array_equal(before1, cb1.x) and np.array_equal(before2, cb2.x)
 
         # write sweep: exactly zero at and below threshold, non-decreasing above

@@ -194,8 +194,7 @@ class TestOtherCommands:
 
     def test_crossbar_compare_small(self, tmp_path):
         rc = cli.main(["crossbar-compare", "--fn", "g1", "--n-train", "30",
-                       "--n-test", "100", "--n-probes", "10",
-                       "--out-dir", str(tmp_path)])
+                       "--n-probes", "10", "--out-dir", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "crossbar_compare_g1.csv").exists()
 
@@ -245,8 +244,7 @@ class TestOtherCommands:
         path = tmp_path / "overflow.ini"
         path.write_text("[crossbar]\nscale_in = 1e6\n")
         rc = cli.main(["crossbar-compare", "--fn", "g1", "--n-train", "20",
-                       "--n-test", "50", "--config", str(path),
-                       "--out-dir", str(tmp_path)])
+                       "--config", str(path), "--out-dir", str(tmp_path)])
         assert rc == 2
 
     def test_dump_state(self, tmp_path):
@@ -371,6 +369,65 @@ class TestResolvedConfig:
             err = capsys.readouterr().err
             assert "error:" in err and key in err
             assert not out.exists() or not any(out.iterdir())
+
+    # subcommand: (argv without its target, the target flags, sections to cover); the
+    # base's fault plan keeps fault_seed live, and n_train != 225 input_hs_shrink_exp
+    STRONG = {
+        "classify": (["classify"], ["--dataset", "1"], ("network", "experiment")),
+        "crossbar-compare": (["crossbar-compare", "--n-probes", "20"], ["--fn", "g1"],
+                             ("network", "experiment", "crossbar")),
+    }
+    STRONG_BASE = {"experiment": {"fault_fraction": "0.05", "n_train": "100"}}
+    # read, but the files cannot show it: the classification CSV has no backend
+    # column, and crossbar-compare's deviations are relative, so doubling alpha,
+    # which doubles every output weight, moves none of them
+    UNSEEN = {("classify", "backend"), ("crossbar-compare", "alpha")}
+
+    @staticmethod
+    def run_files(argv, sections, out):
+        """Exit code and {name: bytes} of the files argv writes under the given config."""
+        path = out.parent / f"{out.name}.ini"
+        path.write_text("".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                                for section, keys in sections.items()))
+        rc = cli.main(argv + ["--config", str(path), "--out-dir", str(out)])
+        return rc, {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+
+    @pytest.fixture(scope="class")
+    def strong_base(self, tmp_path_factory):
+        return {command: self.run_files(argv + target, self.STRONG_BASE,
+                                        tmp_path_factory.mktemp("base") / command)
+                for command, (argv, target, _) in self.STRONG.items()}
+
+    @pytest.mark.parametrize("command,section,key", [
+        (command, section, key) for command, (_, _, sections) in STRONG.items()
+        for section in sections for key in cli.CONFIG_SCHEMA[section]])
+    def test_every_key_changes_the_files_written_or_exits_1(self, strong_base, tmp_path, capsys,
+                                                           command, section, key):
+        argv, target, _ = self.STRONG[command]
+        if key not in ("function", "dataset"):
+            argv = argv + target
+        sections = {**self.STRONG_BASE}
+        sections[section] = {**sections.get(section, {}), key: self.VALUES[key]}
+        base_rc, base_files = strong_base[command]
+        assert base_rc == 0 and base_files
+        rc, files = self.run_files(argv, sections, tmp_path / "out")
+        if rc == 0:
+            assert (files == base_files) == ((command, key) in self.UNSEEN)
+        else:
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert "error:" in err and key in err
+            assert not files
+
+    @pytest.mark.parametrize("flag,key", [(["--backend", "crossbar"], "backend"),
+                                          (["--n-test", "50"], "n_test")],
+                             ids=["backend", "n_test"])
+    def test_crossbar_compare_flags_it_never_reads_exit_1(self, tmp_path, capsys, flag, key):
+        out = tmp_path / "out"
+        assert cli.main(["crossbar-compare", "--fn", "g1", "--out-dir", str(out)] + flag) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
+        assert not out.exists()
 
     def test_suite_row_honours_the_device_constants(self, tmp_path):
         # the fault plan's memristance ratio is R_off / R_on

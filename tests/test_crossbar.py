@@ -12,7 +12,6 @@ from neurofuzzy.crossbar import (
     delta_weight_sweep,
     distort,
     map_network,
-    vmm,
 )
 from neurofuzzy.errors import (
     CapacityExceeded,
@@ -21,7 +20,7 @@ from neurofuzzy.errors import (
     WeightOutOfRange,
 )
 from neurofuzzy.fuzzy import triangular_matrix
-from oracles import euler_pulse_x, ion_drift_x
+from oracles import crossbar_forward, euler_pulse_x, ion_drift_x, vmm
 
 PARAMS = MemristorParams()
 
@@ -142,6 +141,8 @@ class TestIntegratorAgainstOracle:
 
 
 class TestVmm:
+    """The analog-read oracle of tests/oracles.py."""
+
     def test_zero_inputs(self):
         cb = Crossbar(3, 4)
         assert vmm(cb, np.zeros(4)).tolist() == [0.0, 0.0, 0.0]
@@ -279,7 +280,7 @@ class TestMapNetwork:
         state = experiments.rebuild_trained_state(cfg)
         cb1, cb2, mapping = map_network(state)
         for g in (0, 1):
-            got = mapping.logical_in(cb1, g)
+            got = (cb1.weights()[:, mapping.group_slices[g]] - mapping.floor) / mapping.scale_in
             np.testing.assert_allclose(got, state.w_in(g), atol=1e-9)
         np.testing.assert_allclose((cb2.weights() - mapping.floor) / mapping.scale_out,
                                    state.w_out, atol=1e-12)
@@ -388,6 +389,59 @@ class TestCrossbarForward:
                                    atol=1e-15 * np.abs(got).max())
 
 
+def distorted_pair(state, fraction=0.2, seed=12):
+    """Fresh crossbars of the state's shape with a fraction of their cells stuck."""
+    cols = sum(g.universe.count for g in state.config.groups)
+    nz = state.config.output_universe.count
+    return (distort(Crossbar(state.n_minterms, cols), fraction, seed),
+            distort(Crossbar(nz, state.n_minterms), fraction, seed + 1))
+
+
+def assert_matches_vmm_oracle(state, mapped, seed):
+    """crossbar_forward_batch against the group-by-group vmm read of tests/oracles.py,
+    on a batch one row longer than a scoring chunk."""
+    cb1, cb2, mapping = mapped
+    n = crossbar.SCORE_ROWS + 1
+    mats = state.fuzzify(np.random.default_rng(seed).uniform(0, 1, size=(n, 2)))
+    got = crossbar_forward_batch(cb1, cb2, mapping, mats)
+    want = crossbar_forward(cb1, cb2, mapping, mats)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15 * np.abs(want).max())
+
+
+class TestReadAgainstOracle:
+    def test_pristine(self, g1_state):
+        assert_matches_vmm_oracle(g1_state, map_network(g1_state), seed=5)
+
+    def test_distorted(self, g1_state):
+        cb1, cb2 = distorted_pair(g1_state)
+        assert_matches_vmm_oracle(g1_state, map_network(g1_state, cb1=cb1, cb2=cb2), seed=6)
+
+
+class TestReadPerCall:
+    """Each call reads the crossbars as they stand and writes nothing to them."""
+
+    def test_a_changed_cell_reaches_the_next_read(self, g1_state):
+        cb1, cb2, mapping = map_network(g1_state)
+        mats = [g1_state.w_in(g)[:1] for g in range(2)]    # fires min-term 0 at 1
+        before = crossbar_forward_batch(cb1, cb2, mapping, mats)
+        cb1.x[0, int(np.argmax(g1_state.w_in(0)[0]))] = 0.0
+        after = crossbar_forward_batch(cb1, cb2, mapping, mats)
+        assert not np.allclose(after, before, rtol=1e-6, atol=0.0)
+        np.testing.assert_allclose(after, crossbar_forward(cb1, cb2, mapping, mats),
+                                   rtol=1e-13, atol=1e-15 * np.abs(after).max())
+
+    def test_a_read_leaves_states_and_masks_bit_identical(self, g1_state):
+        cb1, cb2 = distorted_pair(g1_state)
+        cb1, cb2, mapping = map_network(g1_state, cb1=cb1, cb2=cb2)
+        def devices():
+            return cb1.x, cb2.x, cb1.fault_mask, cb2.fault_mask
+
+        before = [a.copy() for a in devices()]
+        mats = g1_state.fuzzify(np.random.default_rng(9).uniform(0, 1, size=(50, 2)))
+        crossbar_forward_batch(cb1, cb2, mapping, mats)
+        assert all(np.array_equal(a, b) for a, b in zip(before, devices()))
+
+
 class TestFaultedState:
     """A state trained under a fault plan, scored on the crossbars it maps to."""
 
@@ -406,6 +460,10 @@ class TestFaultedState:
         got = crossbar_forward_batch(cb1, cb2, mapping, mats)
         # criterion 7's tolerances
         assert np.isclose(got, ideal, rtol=0.05, atol=1e-9 * np.abs(ideal).max()).all()
+
+    def test_forward_matches_the_vmm_oracle(self, mapped):
+        state, cbs = mapped
+        assert_matches_vmm_oracle(state, cbs, seed=7)
 
     def test_crossbars_carry_the_plan_masks(self, mapped):
         state, (cb1, cb2, _) = mapped
