@@ -81,17 +81,24 @@ def load_config_file(path: str) -> dict:
 
 
 _DEVICE_KEYS = ("r_on", "r_off", "d", "mu_v", "v_threshold", "dt")
+# the ion-drift constants: no mapping or read integrates a pulse, only the sweep does
+_DRIFT_KEYS = {"d", "mu_v", "dt"}
 
 # the table parameters --paper-defaults fixes; a suite row also fixes the keys
 # that define it
 _PAPER_PINNED = {"p", "alpha", "threshold", "nx", "ny", "nz", "input_hs_scale",
                  "input_hs_shrink_exp", "output_hs_mult", "n_train", "n_test"}
-_ROW_KEYS = {"function", "dataset", "noise_variance", "fault_fraction"}
-# the keys a subcommand never reads (dataset for the modeling ones): classify draws its
-# test points from seed and has label targets; crossbar-compare always maps onto
-# crossbars and draws its own probes
-_UNUSED = {"classify": {"function", "test_seed", "noise_variance", "nz", "output_hs_mult"},
-           "crossbar-compare": {"dataset", "backend", "n_test", "test_seed"}}
+_ROW_KEYS = {key for rows in experiments.SUITE.values() for row in rows for key in row}
+# the keys a subcommand never reads (dataset and the drift constants for the modeling
+# ones): classify draws its test points from seed and has label targets;
+# crossbar-compare always maps onto crossbars and draws its own probes, and with
+# --sweep-only it reads the device constants and r_f alone
+_UNUSED = {"classify": {"function", "test_seed", "noise_variance", "nz", "output_hs_mult",
+                        *_DRIFT_KEYS},
+           "crossbar-compare": {"dataset", "backend", "n_test", "test_seed"},
+           "crossbar-compare --sweep-only": {*CONFIG_SCHEMA["network"],
+                                             *CONFIG_SCHEMA["experiment"], "scale_in", "scale_out"},
+           "suite": _DRIFT_KEYS}
 
 
 def _crossbar_setup(file_cfg: dict) -> dict:
@@ -107,34 +114,41 @@ def _crossbar_setup(file_cfg: dict) -> dict:
     return {"device": device, **cb}
 
 
+def _given(args, file_cfg: dict, command: str) -> list:
+    """(section, key, value) of each key a flag or the config file sets, the flag
+    winning; a key the command never reads (_UNUSED) may not be set."""
+    unused, given = _UNUSED.get(command, {"dataset", *_DRIFT_KEYS}), []
+    for section, keys in CONFIG_SCHEMA.items():
+        for key in keys:
+            value = getattr(args, key, None)
+            value = file_cfg.get(section, {}).get(key) if value is None else value
+            if value is not None and key in unused:
+                raise ConfigError(f"{section}.{key} does not apply to {command}")
+            if value is not None:
+                given.append((section, key, value))
+    return given
+
+
 def resolve(args, file_cfg: dict, pins: dict | None = None) -> ExperimentConfig:
-    """The configuration of one run: flags > config file > defaults.
+    """The configuration of one run: flags > config file > study default > defaults.
 
     Each [network] and [experiment] key, and the flag of the same name, sets
     the ExperimentConfig field of that name; a key the subcommand never
-    reads (_UNUSED) may not be set.  A suite row passes its pins: _PAPER_PINNED
-    and _ROW_KEYS may then not be set at all.  --paper-defaults drops any
-    _PAPER_PINNED value given instead.
+    reads (_UNUSED) may not be set.  noise and fault start from their
+    study_default.  A suite row passes its pins: _PAPER_PINNED and _ROW_KEYS
+    may then not be set at all.  --paper-defaults drops any _PAPER_PINNED
+    value given instead.
     """
-    fields = dict(pins or {})
+    fields = {**getattr(args, "study_default", {}), **(pins or {})}
     target = "dataset" if "dataset" in fields or hasattr(args, "dataset") else "function"
     pinned = _PAPER_PINNED | _ROW_KEYS if pins is not None else set()
-    unused = _UNUSED.get(args.command, {"dataset"}) if pins is None else set()
     if getattr(args, "paper_defaults", False):
         pinned = _PAPER_PINNED
-    for section in ("network", "experiment"):
-        for key in CONFIG_SCHEMA[section]:
-            value = getattr(args, key, None)
-            value = file_cfg.get(section, {}).get(key) if value is None else value
-            if value is None:
-                continue
-            if key in unused:
-                raise ConfigError(f"{section}.{key} does not apply to {args.command}")
-            if key in pinned:
-                if pins is not None:
-                    raise ConfigError(f"suite pins {section}.{key} in every row; "
-                                      "remove it from the config file")
-                continue
+    for section, key, value in _given(args, file_cfg, args.command):
+        if key in pinned and pins is not None:
+            raise ConfigError(f"suite pins {section}.{key} in every row; "
+                              "remove it from the config file")
+        if key not in pinned and section != "crossbar":
             fields[key] = value
     if target not in fields:
         raise ConfigError("no benchmark function given (use --fn or the config file)"
@@ -193,32 +207,21 @@ def _emit_report(args, reports, filename: str) -> Path:
 
 
 def cmd_model(args, file_cfg) -> int:
+    """model, noise and fault: one modeling run, reported as <command>_<function>.csv."""
     cfg = resolve(args, file_cfg)
-    _progress(f"modeling {cfg.function}: {cfg.n_train} train / {cfg.n_test} test, "
+    _progress(f"{args.command} {cfg.function}: {cfg.n_train} train / {cfg.n_test} test, "
               f"seed {cfg.seed}, backend {cfg.backend}")
     report, state = experiments.train_and_score(cfg)
-    _emit_report(args, [report], f"model_{cfg.function}.csv")
-    if args.surface:
+    _emit_report(args, [report], f"{args.command}_{cfg.function}.csv")
+    if getattr(args, "surface", False):
         rows = experiments.surface_grid(cfg, state)
         out = _out_dir(args) / f"surface_{cfg.function}.csv"
         atomic_write(out, _csv_text(["x", "y", "predicted", "actual"],
                                    ([repr(float(v)) for v in row] for row in rows)))
         _progress(f"wrote {out}")
-    if args.save_state:
+    if getattr(args, "save_state", None):
         atomic_write(Path(args.save_state), network.serialize(state))
         _progress(f"wrote {args.save_state}")
-    return 0
-
-
-def cmd_study(args, file_cfg) -> int:
-    """noise / fault: a modeling run whose study key defaults to a nonzero value."""
-    name, key, default = args.study
-    if getattr(args, key) is None and key not in file_cfg.get("experiment", {}):
-        setattr(args, key, default)
-    cfg = resolve(args, file_cfg)
-    _progress(f"{name} study {cfg.function}: {key} {getattr(cfg, key)}")
-    report = experiments.run_modeling(cfg)
-    _emit_report(args, [report], f"{name}_{cfg.function}.csv")
     return 0
 
 
@@ -279,6 +282,10 @@ def _safe_job(cfg):
 
 def cmd_crossbar_compare(args, file_cfg) -> int:
     _positive(args, "n_probes", "--n-probes")
+    if args.sweep_only and args.paper_defaults:
+        raise ConfigError("--paper-defaults does not apply to crossbar-compare --sweep-only")
+    if args.sweep_only:
+        _given(args, file_cfg, "crossbar-compare --sweep-only")
     cfg = None if args.sweep_only else resolve(args, file_cfg)
     setup = _crossbar_setup(file_cfg)
     out_dir = _out_dir(args)
@@ -373,17 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--threshold", type=float)
     p_classify.set_defaults(func=cmd_classify)
 
-    p_noise = subs.add_parser("noise", help="noisy-training study")
-    _add_common(p_noise)
-    _add_model_flags(p_noise)
-    p_noise.add_argument("--noise-variance", type=float, dest="noise_variance")
-    p_noise.set_defaults(func=cmd_study, study=("noise", "noise_variance", 0.01))
-
-    p_fault = subs.add_parser("fault", help="distorted-cross-point study")
-    _add_common(p_fault)
-    _add_model_flags(p_fault)
-    p_fault.add_argument("--fault-fraction", type=float, dest="fault_fraction")
-    p_fault.set_defaults(func=cmd_study, study=("fault", "fault_fraction", 0.2))
+    # noise and fault: modeling runs whose study key defaults below the file and the flag
+    for name, text, key, default in [
+            ("noise", "noisy-training study", "noise_variance", 0.01),
+            ("fault", "distorted-cross-point study", "fault_fraction", 0.2)]:
+        p_study = subs.add_parser(name, help=text)
+        _add_common(p_study)
+        _add_model_flags(p_study)
+        p_study.add_argument("--" + key.replace("_", "-"), type=float, dest=key)
+        p_study.set_defaults(func=cmd_model, study_default={key: default})
 
     p_suite = subs.add_parser("suite", help="reproduce every table")
     _add_common(p_suite)

@@ -188,22 +188,15 @@ class CrossbarMapping:
     inv_norms: list = field(default_factory=list)   # per group, 1 / norm of each read-back row
 
 
-def _x_for_weight(w_scaled: np.ndarray, params: MemristorParams, r_f: float) -> np.ndarray:
-    """Device state whose conductance sits w_scaled above the pristine floor."""
+def _program_targets(cb: Crossbar, w_scaled: np.ndarray, params: MemristorParams,
+                     r_f: float) -> None:
+    """Program-and-verify stand-in: set each writable cell straight to the state whose
+    conductance sits w_scaled above the floor; distorted cells keep their stuck state."""
     g_target = (w_scaled + r_f / params.r_off) / r_f
-    ceiling = 1.0 / params.r_on
-    if np.any(g_target > ceiling * (1.0 + 1e-12)):
+    if np.any(g_target > 1.0 / params.r_on * (1.0 + 1e-12)):
         raise WeightOutOfRange("scaled weight needs memristance below R_on")
-    m_target = 1.0 / g_target
-    return np.clip((params.r_off - m_target) / (params.r_off - params.r_on), 0.0, 1.0)
-
-
-def _program_targets(cb: Crossbar, x_targets: np.ndarray) -> None:
-    # stands in for program-and-verify: every writable cell is set to its
-    # target state directly, no write pulse is integrated; distorted cells
-    # keep their stuck state
-    writable = ~cb.fault_mask
-    cb.x[writable] = x_targets[writable]
+    x = np.clip((params.r_off - 1.0 / g_target) / (params.r_off - params.r_on), 0.0, 1.0)
+    np.copyto(cb.x, x, where=~cb.fault_mask)
 
 
 def map_network(state, params: MemristorParams | None = None, r_f: float | None = None,
@@ -247,10 +240,10 @@ def map_network(state, params: MemristorParams | None = None, r_f: float | None 
 
     w1 = np.zeros((cb1.rows, total_cols))
     w1[:n_v] = np.hstack([state.w_in(g) for g in range(len(counts))])
-    _program_targets(cb1, _x_for_weight(w1 * s_in, params, r_f))
+    _program_targets(cb1, w1 * s_in, params, r_f)
     w2 = np.zeros((nz, cb2.cols))
     w2[:, :n_v] = state.w_out
-    _program_targets(cb2, _x_for_weight(w2 * s_out, params, r_f))
+    _program_targets(cb2, w2 * s_out, params, r_f)
     plan = state.faults
     if plan is not None and made[0]:
         cb1.fault_mask = np.hstack([m[:n_v] for m in plan.in_masks])

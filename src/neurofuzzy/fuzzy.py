@@ -164,10 +164,6 @@ class Universe:
     def grid(self) -> np.ndarray:
         return self._grid
 
-    @property
-    def span(self) -> float:
-        return self.hi - self.lo
-
     def contains(self, values):
         """Elementwise: whether each value lies in [lo, hi] to ALIGN_RTOL."""
         tol = ALIGN_RTOL * max(1.0, abs(self.lo), abs(self.hi))

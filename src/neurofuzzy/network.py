@@ -27,7 +27,7 @@ and train_dataset stack their samples into it.  Inference is batched
 import copy
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -421,32 +421,12 @@ def train_dataset(state: NetworkState, samples) -> TrainingStats:
 # --- serialization ----------------------------------------------------------
 
 
-def _universe_dict(u: Universe) -> dict:
-    return {"lo": u.lo, "hi": u.hi, "resolution": u.resolution, "count": u.count}
-
-
-def _universe_from_dict(d: dict) -> Universe:
-    return Universe(lo=d["lo"], hi=d["hi"], resolution=d["resolution"], count=d["count"])
-
-
 def serialize(state: NetworkState) -> bytes:
-    """Versioned binary container; weight round-trips are bit-exact."""
-    meta = {
-        "format": _FORMAT,
-        "groups": [
-            {"name": g.name, "universe": _universe_dict(g.universe),
-             "half_support": g.half_support}
-            for g in state.config.groups
-        ],
-        "output_universe": _universe_dict(state.config.output_universe),
-        "p": state.config.p,
-        "alpha": state.config.alpha,
-        "novelty_threshold": state.config.novelty_threshold,
-        "output_half_support": state.config.output_half_support,
-        "hebbian_tnorm": _HEBBIAN,
-        "n_minterms": state.n_minterms,
-        "has_faults": state.faults is not None,
-    }
+    """Versioned binary container; weight round-trips are bit-exact.  Its meta header is
+    the format tag, the NetworkConfig as dataclasses.asdict (its field order is the v1
+    key order), then the Hebbian rule, the min-term count and the fault flag."""
+    meta = {"format": _FORMAT, **asdict(state.config), "hebbian_tnorm": _HEBBIAN,
+            "n_minterms": state.n_minterms, "has_faults": state.faults is not None}
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
     for g in range(len(state.config.groups)):
         arrays[f"w_in_{g}"] = state.w_in(g)
@@ -486,19 +466,10 @@ def deserialize(payload: bytes) -> NetworkState:
         if meta["hebbian_tnorm"]["kind"] != _HEBBIAN["kind"]:
             raise MalformedPayload(f"unsupported Hebbian rule {meta['hebbian_tnorm']!r}: "
                                    "the update is alpha * v_j * u_i")
-        groups = tuple(
-            InputGroup(name=g["name"], universe=_universe_from_dict(g["universe"]),
-                       half_support=g["half_support"])
-            for g in meta["groups"]
-        )
-        config = NetworkConfig(
-            groups=groups,
-            output_universe=_universe_from_dict(meta["output_universe"]),
-            p=meta["p"],
-            alpha=meta["alpha"],
-            novelty_threshold=meta["novelty_threshold"],
-            output_half_support=meta["output_half_support"],
-        )
+        kw = {f.name: meta[f.name] for f in fields(NetworkConfig)}
+        groups = tuple(InputGroup(**{**g, "universe": Universe(**g["universe"])})
+                       for g in kw.pop("groups"))
+        config = NetworkConfig(groups, Universe(**kw.pop("output_universe")), **kw)
         n, nz = int(meta["n_minterms"]), config.output_universe.count
         counts = [g.universe.count for g in groups]
         faults = None

@@ -429,6 +429,84 @@ class TestResolvedConfig:
         assert "error:" in err and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,key,default", [("noise", "noise_variance", 0.01),
+                                                     ("fault", "fault_fraction", 0.2)])
+    def test_study_default_sits_below_the_file_and_the_flag(self, tmp_path, monkeypatch,
+                                                           command, key, default):
+        argv = [command, "--fn", "g1", "--out-dir", str(tmp_path / "out")]
+        assert getattr(self.first_config(monkeypatch, argv), key) == default
+        path = tmp_path / "study.ini"
+        path.write_text(f"[experiment]\n{key} = 0.0\n")
+        argv += ["--config", str(path)]
+        assert getattr(self.first_config(monkeypatch, argv), key) == 0.0
+        flag = "--" + key.replace("_", "-")
+        assert getattr(self.first_config(monkeypatch, argv + [flag, "0.05"]), key) == 0.05
+
+    # no crossbar read or mapping integrates a write pulse: only the sweep reads these
+    DRIFT_RUNS = {
+        "model": ["model", "--fn", "g1"] + FAST, "noise": ["noise", "--fn", "g1"] + FAST,
+        "fault": ["fault", "--fn", "g1"] + FAST,
+        "classify": ["classify", "--dataset", "1"] + FAST,
+        "suite": ["suite", "--only", "classification", "--jobs", "1"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(DRIFT_RUNS))
+    @pytest.mark.parametrize("key", ["d", "mu_v", "dt"])
+    def test_drift_constants_exit_1_outside_the_sweep(self, tmp_path, capsys, command, key):
+        path = tmp_path / "drift.ini"
+        path.write_text(f"[crossbar]\n{key} = {self.VALUES[key]}\n")
+        out = tmp_path / "out"
+        rc = cli.main(self.DRIFT_RUNS[command] + ["--backend", "crossbar", "--config", str(path),
+                                                  "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and f"crossbar.{key}" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    # what the error names, for each model flag
+    SWEEP_FLAGS = {"experiment.function": ["--fn", "g9"], "experiment.seed": ["--seed", "3"],
+                   "experiment.backend": ["--backend", "crossbar"],
+                   "experiment.n_train": ["--n-train", "50"],
+                   "experiment.n_test": ["--n-test", "100"], "network.p": ["--p", "3"],
+                   "network.alpha": ["--alpha", "0.001"],
+                   "network.threshold": ["--threshold", "0.3"],
+                   "--paper-defaults": ["--paper-defaults"]}
+
+    @pytest.mark.parametrize("key", list(SWEEP_FLAGS))
+    def test_sweep_only_model_flags_exit_1(self, tmp_path, capsys, key):
+        flag = self.SWEEP_FLAGS[key]
+        out = tmp_path / "out"
+        assert cli.main(["crossbar-compare", "--sweep-only", "--out-dir", str(out)] + flag) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("section,key", [
+        (section, key) for section in ("network", "experiment")
+        for key in cli.CONFIG_SCHEMA[section]]
+        + [("crossbar", "scale_in"), ("crossbar", "scale_out")])
+    def test_sweep_only_model_keys_exit_1(self, tmp_path, capsys, section, key):
+        path = tmp_path / "model.ini"
+        path.write_text(f"[{section}]\n{key} = {self.VALUES[key]}\n")
+        out = tmp_path / "out"
+        assert cli.main(["crossbar-compare", "--sweep-only", "--config", str(path),
+                         "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and f"{section}.{key}" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("key", ["r_on", "r_off", "d", "mu_v", "v_threshold", "dt", "r_f"])
+    def test_sweep_only_reads_the_device_constants(self, tmp_path, key):
+        sweep = "device_weight_sweep.csv"
+        assert cli.main(["crossbar-compare", "--sweep-only", "--out-dir", str(tmp_path)]) == 0
+        bare = (tmp_path / sweep).read_bytes()
+        path = tmp_path / "device.ini"
+        path.write_text(f"[crossbar]\n{key} = {self.VALUES[key]}\n")
+        out = tmp_path / "out"
+        assert cli.main(["crossbar-compare", "--sweep-only", "--config", str(path),
+                         "--out-dir", str(out)]) == 0
+        assert (out / sweep).read_bytes() != bare
+
     def test_suite_row_honours_the_device_constants(self, tmp_path):
         # the fault plan's memristance ratio is R_off / R_on
         path = tmp_path / "device.ini"

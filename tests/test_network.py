@@ -599,6 +599,19 @@ class TestSerialization:
         assert back.faults is not None
         assert np.array_equal(back.faults.out_mask, faults.out_mask)
 
+    def test_v1_header_is_pinned(self):
+        # a new NetworkConfig, InputGroup or Universe field would change the format
+        meta = bytes(np.load(io.BytesIO(_faulted_payload()))["meta"]).decode()
+        assert meta == (
+            '{"format": "neurofuzzy-state-v1", "groups": ['
+            '{"name": "x", "universe": {"lo": 0.0, "hi": 1.0, '
+            '"resolution": 0.3333333333333333, "count": 4}, "half_support": 0.3}, '
+            '{"name": "y", "universe": {"lo": 0.0, "hi": 1.0, '
+            '"resolution": 0.3333333333333333, "count": 4}, "half_support": 0.3}], '
+            '"output_universe": {"lo": 0.0, "hi": 1.0, "resolution": 0.25, "count": 5}, '
+            '"p": 7, "alpha": 0.0005, "novelty_threshold": 1e-12, "output_half_support": 0.0, '
+            '"hebbian_tnorm": {"kind": "product", "p": 1}, "n_minterms": 2, "has_faults": true}')
+
 
 def _faulted_payload(capacity=4):
     faults = WeightFaults.draw(9, [4, 4], 5, capacity=capacity, fraction=0.3, out_scale=1e-3)

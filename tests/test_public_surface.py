@@ -1,10 +1,11 @@
-"""Every public top-level function or class of the package serves a pipeline.
+"""Every public top-level function or class of the package serves a pipeline,
+and so does every public method and property of a public class.
 
 A name counts as used when a module of src/neurofuzzy/, scripts/ or nfbench/
 names it outside its own definition: as a plain name, an attribute or an
-import.  The re-exports of neurofuzzy/__init__.py do not count: exporting a
-name is not using it.  Tests do not count either: a function that only tests
-reach belongs in the tests.
+import; a method or property counts only as an attribute.  The re-exports of
+neurofuzzy/__init__.py do not count: exporting a name is not using it.  Tests
+do not count either: a function that only tests reach belongs in the tests.
 """
 
 import ast
@@ -27,18 +28,46 @@ def names(node) -> set:
     return found
 
 
-def test_every_public_name_is_used_outside_tests():
+def attributes(node) -> set:
+    """Every attribute name inside node: a method or property is reached as one."""
+    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def is_public(node, kinds) -> bool:
+    return isinstance(node, kinds) and not node.name.startswith("_")
+
+
+def surface():
+    """Every top-level statement, definitions included, and the public top-level
+    functions and classes of the package, as (path, node)."""
     modules = {path: ast.parse(path.read_text())
                for d in (PACKAGE, ROOT / "scripts", ROOT / "nfbench")
                for path in sorted(d.glob("*.py"))}
-    # the names each top-level statement uses, definitions included
-    statements = [(stmt, names(stmt)) for path, tree in modules.items()
+    statements = [stmt for path, tree in modules.items()
                   if path != PACKAGE / "__init__.py" for stmt in tree.body]
     public = [(path, stmt) for path in sorted(PACKAGE.glob("*.py"))
               for stmt in modules[path].body
-              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-              and not stmt.name.startswith("_")]
+              if is_public(stmt, (ast.FunctionDef, ast.ClassDef))]
+    return statements, public
+
+
+def test_every_public_name_is_used_outside_tests():
+    statements, public = surface()
+    statements = [(stmt, names(stmt)) for stmt in statements]
     assert len(public) > 50
     unused = [f"{path.name}:{d.name}" for path, d in public
               if not any(d.name in used for stmt, used in statements if stmt is not d)]
     assert not unused, f"public names that only tests reach: {unused}"
+
+
+def test_every_public_method_and_property_is_used_outside_tests():
+    statements, public = surface()
+    statements = [(stmt, attributes(stmt)) for stmt in statements]
+    members = [(path, cls, m) for path, cls in public if isinstance(cls, ast.ClassDef)
+               for m in cls.body if is_public(m, ast.FunctionDef)]
+    assert len(members) > 10
+    # a member is used by another top-level statement or by another member of its class
+    unused = [f"{path.name}:{cls.name}.{m.name}" for path, cls, m in members
+              if not any(m.name in used for stmt, used in statements if stmt is not cls)
+              and not any(m.name in attributes(other) for other in cls.body if other is not m)]
+    assert not unused, f"public methods and properties that only tests reach: {unused}"
