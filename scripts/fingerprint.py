@@ -5,8 +5,10 @@
 every Tier-1 run.  Without it the fingerprint is written to a scratch
 directory, and every file that differs from tests/golden/ byte for byte is
 listed with each moved value: its row, column, golden value, new value and
-relative change (exit 1 when any differs).  A regeneration is a reviewed
-change: CHANGES.md lists each moved row and why it moved.
+relative change.  A summary follows, one line per differing file: its largest
+relative change and whether any cell other than fvu_or_rate moved (exit 1
+when any file differs).  A regeneration is a reviewed change: CHANGES.md
+lists each moved row and why it moved.
 
     PYTHONPATH=src python scripts/fingerprint.py [--write]
 """
@@ -44,24 +46,41 @@ def _rows(path: Path) -> list:
         return list(csv.reader(fh))
 
 
-def moved_values(golden: Path, new: Path) -> list:
-    """One line per cell of new that differs from golden, labelled by the row's
-    first cell and the column's header."""
+def moved_values(golden: Path, new: Path):
+    """(row, column, golden value, new value, relative change or None) of each cell
+    of new that differs from golden, the row named by its first cell; one entry
+    for the whole file when the row count or the header differs."""
     old_rows, new_rows = _rows(golden), _rows(new)
     if len(old_rows) != len(new_rows) or old_rows[:1] != new_rows[:1]:
-        return [f"  {len(new_rows)} rows with header {new_rows[:1]}, "
-                f"golden has {len(old_rows)} with {old_rows[:1]}"]
-    lines = []
+        return [("all rows", "row count and header", f"{len(old_rows)} rows {old_rows[:1]}",
+                 f"{len(new_rows)} rows {new_rows[:1]}", None)]
+    cells = []
     for old, row in zip(old_rows[1:], new_rows[1:]):
         for column, a, b in zip(new_rows[0], old, row):
             if a == b:
                 continue
             try:
-                rel = f"{abs(float(b) - float(a)) / abs(float(a)):.2e}"
+                rel = abs(float(b) - float(a)) / abs(float(a))
             except (ValueError, ZeroDivisionError):
-                rel = "n/a"
-            lines.append(f"  {row[0]} {column}: {a} -> {b} (relative change {rel})")
-    return lines
+                rel = None
+            cells.append((row[0], column, a, b, rel))
+    return cells
+
+
+def _relative(rel) -> str:
+    return "n/a" if rel is None else f"{rel:.2e}"
+
+
+def summary(name, cells) -> str:
+    """One line for a differing file: its largest relative change, and the columns
+    other than fvu_or_rate that moved."""
+    if cells is None:
+        return f"{name}: no golden copy"
+    known = [rel for *_, rel in cells if rel is not None]
+    others = sorted({column for _, column, *_ in cells} - {"fvu_or_rate"})
+    return (f"{name}: largest relative change {_relative(max(known) if known else None)}; "
+            + (f"other cells moved: {', '.join(others)}" if others
+               else "no cell other than fvu_or_rate moved"))
 
 
 def main(argv=None) -> int:
@@ -71,7 +90,7 @@ def main(argv=None) -> int:
     if args.write:
         write(GOLDEN)
         return 0
-    moved = False
+    summaries = []
     with tempfile.TemporaryDirectory() as tmp:
         write(Path(tmp))
         for p in sorted(Path(tmp).rglob("*.csv")):
@@ -79,11 +98,14 @@ def main(argv=None) -> int:
             golden = GOLDEN / name
             if golden.is_file() and golden.read_bytes() == p.read_bytes():
                 continue
-            moved = True
             print(f"differs from the golden copy: {name}")
-            if golden.is_file():
-                print("\n".join(moved_values(golden, p)))
-    return 1 if moved else 0
+            cells = moved_values(golden, p) if golden.is_file() else None
+            for row, column, a, b, rel in cells or []:
+                print(f"  {row} {column}: {a} -> {b} (relative change {_relative(rel)})")
+            summaries.append(summary(name, cells))
+    for line in summaries:
+        print(line)
+    return 1 if summaries else 0
 
 
 if __name__ == "__main__":

@@ -83,6 +83,8 @@ def load_config_file(path: str) -> dict:
 _DEVICE_KEYS = ("r_on", "r_off", "d", "mu_v", "v_threshold", "dt")
 # the ion-drift constants: no mapping or read integrates a pulse, only the sweep does
 _DRIFT_KEYS = {"d", "mu_v", "dt"}
+# only a crossbar mapping or read uses these (r_on and r_off also set an ideal fault plan)
+_READ_KEYS = {"v_threshold", "r_f", "scale_in", "scale_out"}
 
 # the table parameters --paper-defaults fixes; a suite row also fixes the keys
 # that define it
@@ -137,19 +139,24 @@ def resolve(args, file_cfg: dict, pins: dict | None = None) -> ExperimentConfig:
     reads (_UNUSED) may not be set.  noise and fault start from their
     study_default.  A suite row passes its pins: _PAPER_PINNED and _ROW_KEYS
     may then not be set at all.  --paper-defaults drops any _PAPER_PINNED
-    value given instead.
+    value given instead.  A run on the ideal backend may not set _READ_KEYS;
+    crossbar-compare always reads its crossbars.
     """
     fields = {**getattr(args, "study_default", {}), **(pins or {})}
     target = "dataset" if "dataset" in fields or hasattr(args, "dataset") else "function"
     pinned = _PAPER_PINNED | _ROW_KEYS if pins is not None else set()
     if getattr(args, "paper_defaults", False):
         pinned = _PAPER_PINNED
-    for section, key, value in _given(args, file_cfg, args.command):
+    given = _given(args, file_cfg, args.command)
+    for section, key, value in given:
         if key in pinned and pins is not None:
             raise ConfigError(f"suite pins {section}.{key} in every row; "
                               "remove it from the config file")
         if key not in pinned and section != "crossbar":
             fields[key] = value
+    read = [f"{section}.{key}" for section, key, _ in given if key in _READ_KEYS]
+    if read and fields.get("backend", "ideal") == "ideal" and args.command != "crossbar-compare":
+        raise ConfigError(f"{read[0]} does not apply to {args.command} on the ideal backend")
     if target not in fields:
         raise ConfigError("no benchmark function given (use --fn or the config file)"
                           if target == "function" else
@@ -282,9 +289,11 @@ def _safe_job(cfg):
 
 def cmd_crossbar_compare(args, file_cfg) -> int:
     _positive(args, "n_probes", "--n-probes")
-    if args.sweep_only and args.paper_defaults:
-        raise ConfigError("--paper-defaults does not apply to crossbar-compare --sweep-only")
     if args.sweep_only:
+        for flag, given in (("--paper-defaults", args.paper_defaults), ("--timing", args.timing),
+                            ("--n-probes", args.n_probes is not None)):
+            if given:
+                raise ConfigError(f"{flag} does not apply to crossbar-compare --sweep-only")
         _given(args, file_cfg, "crossbar-compare --sweep-only")
     cfg = None if args.sweep_only else resolve(args, file_cfg)
     setup = _crossbar_setup(file_cfg)
@@ -297,8 +306,9 @@ def cmd_crossbar_compare(args, file_cfg) -> int:
         return 0
     _progress(f"training ideal {cfg.function} model for crossbar comparison")
     state = experiments.rebuild_trained_state(cfg)
+    n_probes = 100 if args.n_probes is None else args.n_probes
     rng = np.random.default_rng(cfg.seed + 777)
-    mats = state.fuzzify(rng.uniform(0.0, 1.0, size=(args.n_probes, 2)))
+    mats = state.fuzzify(rng.uniform(0.0, 1.0, size=(n_probes, 2)))
     ideal_out = network.output_batch(state, mats)
     cb_out = experiments._backend_forward(replace(cfg, backend="crossbar"), state)(mats)
     scale = np.abs(ideal_out).max(axis=1, keepdims=True)
@@ -309,7 +319,7 @@ def cmd_crossbar_compare(args, file_cfg) -> int:
                                ([i, repr(float(r.max())), repr(float(r.mean()))]
                                 for i, r in enumerate(rel))))
     _progress(f"wrote {out}")
-    print(f"max relative output deviation over {args.n_probes} probes: {rel.max():.3e}")
+    print(f"max relative output deviation over {n_probes} probes: {rel.max():.3e}")
     return 0
 
 
@@ -403,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p_cmp)
     p_cmp.add_argument("--sweep-only", action="store_true",
                        help="only emit the device weight-change sweep CSV")
-    p_cmp.add_argument("--n-probes", type=int, default=100)
+    p_cmp.add_argument("--n-probes", type=int, help="probe points (default 100)")
     p_cmp.set_defaults(func=cmd_crossbar_compare)
 
     p_dump = subs.add_parser("dump-state", help="inspect a serialized network")

@@ -31,7 +31,7 @@ from .errors import (
     WeightOutOfRange,
 )
 # SCORE_ROWS is the chunk size score_batch reads the crossbars in
-from .fuzzy import SCORE_ROWS, centroid, inverse_norms, score_batch  # noqa: F401
+from .fuzzy import SCORE_ROWS, centroid, centroid_matrix, inverse_norms, score_batch  # noqa: F401
 
 HEBBIAN_PULSE_SECONDS = 0.05
 # Most Euler steps one write pulse may take, round(HEBBIAN_PULSE_SECONDS / dt).
@@ -265,8 +265,9 @@ def map_network(state, params: MemristorParams | None = None, r_f: float | None 
 
 
 def crossbar_forward_batch(cb1: Crossbar, cb2: Crossbar, mapping: CrossbarMapping,
-                           group_mats) -> np.ndarray:
-    """Analog forward pass for a batch of fuzzified inputs, scored by score_batch.
+                           group_mats, fold=None) -> np.ndarray:
+    """Analog forward pass of a batch of fuzzified inputs, scored by score_batch: raw
+    outputs (B, nz), or (B, k) with the output weights times a (k, nz) fold on the left.
 
     Each crossbar is read once per call, as its devices stand: cb1's weights
     less the floor, over scale_in and the calibration norms, are the stored
@@ -288,9 +289,11 @@ def crossbar_forward_batch(cb1: Crossbar, cb2: Crossbar, mapping: CrossbarMappin
     unit_w = np.hstack([w1[:, sl] * (inv_w / mapping.scale_in)[:, None]
                         for sl, inv_w in zip(mapping.group_slices, mapping.inv_norms)])
     w_out = (cb2.weights()[:, :n_v] - mapping.floor) / mapping.scale_out
+    w_out = w_out if fold is None else fold @ w_out
     return score_batch(group_mats, unit_w, w_out, mapping.p, check=check_hidden)
 
 
 def crossbar_infer_crisp_batch(cb1, cb2, mapping, group_mats):
-    """Centroid readout of the analog forward pass; NaN where nothing fires."""
-    return centroid(crossbar_forward_batch(cb1, cb2, mapping, group_mats), mapping.output_grid)
+    """Folded centroid readout of the analog forward pass; NaN where nothing fires."""
+    fold = centroid_matrix(mapping.output_grid).T
+    return centroid(crossbar_forward_batch(cb1, cb2, mapping, group_mats, fold))

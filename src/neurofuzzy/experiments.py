@@ -188,20 +188,22 @@ def _train(cfg: ExperimentConfig, net_cfg: NetworkConfig, pts, targets) -> Netwo
     return state
 
 
-def _backend_forward(cfg: ExperimentConfig, state: NetworkState):
-    """Raw outputs of the configured backend: fuzzified (B, count_g) batches -> (B, nz)."""
+def _backend_forward(cfg: ExperimentConfig, state: NetworkState, crisp: bool = False):
+    """Raw outputs (B, nz) of the configured backend, or with crisp its centroid readout."""
     if cfg.backend == "crossbar":
         cb1, cb2, mapping = crossbar.map_network(state, cfg.device, r_f=cfg.r_f,
                                                  scale_in=cfg.scale_in, scale_out=cfg.scale_out)
-        return lambda mats: crossbar.crossbar_forward_batch(cb1, cb2, mapping, mats)
-    return lambda mats: network.output_batch(state, mats)
+        read = crossbar.crossbar_infer_crisp_batch if crisp else crossbar.crossbar_forward_batch
+        return lambda mats: read(cb1, cb2, mapping, mats)
+    read = network.infer_crisp_batch if crisp else network.output_batch
+    return lambda mats: read(state, mats)
 
 
 def _regression_readout(cfg: ExperimentConfig, state: NetworkState, pts):
     """Centroid predictions at pts through the configured backend, and the count
     of unactivated points, which score as the output midpoint."""
     uz = state.config.output_universe
-    pred, activated = fuzzy.centroid(_backend_forward(cfg, state)(state.fuzzify(pts)), uz.grid())
+    pred, activated = _backend_forward(cfg, state, crisp=True)(state.fuzzify(pts))
     return np.where(activated, pred, (uz.lo + uz.hi) / 2.0), int((~activated).sum())
 
 

@@ -33,26 +33,32 @@ ALIGN_RTOL = 1e-9
 COSINE_SNAP = 1e-12
 
 
-def pow2_scale(rows, out=None):
+def pow2_scale(rows):
     """Scale each row (last axis) by 2**-e, e the frexp exponent of its largest magnitude.
 
-    Returns (scaled, inv, e), inv the reciprocal 2-norms of the scaled rows (0
-    for an all-zero row); scaled goes to out if given.  A nonzero row, even a
-    subnormal one, then peaks in [0.5, 1), so its squares cannot underflow
-    (Blue's scaled 2-norm, ACM TOMS 4(1), 1978)."""
+    Returns (scaled, inv, e), inv the reciprocal 2-norms of the scaled rows (0 for
+    an all-zero row).  A nonzero row, even a subnormal one, then peaks in [0.5, 1),
+    so its squares cannot underflow (Blue's scaled 2-norm, ACM TOMS 4(1), 1978)."""
     rows = np.asarray(rows, dtype=np.float64)
     _, e = np.frexp(np.maximum(rows.max(axis=-1), -rows.min(axis=-1)))
-    scaled = np.ldexp(rows, -e[..., None], out=out)
+    scaled = np.ldexp(rows, -e[..., None])
     norms = np.sqrt(np.einsum("...j,...j->...", scaled, scaled))
     return scaled, np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0), e
 
 
 def unit_rows(rows, out=None):
-    """Each row (last axis) over its 2-norm via pow2_scale, into out if given; zero
-    rows stay zero.  The dot product of two unit rows is their cosine."""
-    scaled, inv, _ = pow2_scale(rows, out)
-    scaled *= inv[..., None]
-    return scaled
+    """Each row (last axis) over its 2-norm, into out if given, in two passes; rows
+    whose sum of squares is outside [2**-900, 2**900] (zero, tiny, huge) go through
+    pow2_scale, whose exact scaling cancels inside it.  The dot product of two unit
+    rows is their cosine."""
+    rows = np.asarray(rows, dtype=np.float64)
+    sq = np.einsum("...j,...j->...", rows, rows)
+    fast = (sq >= 2.0 ** -900) & (sq <= 2.0 ** 900)
+    out = np.multiply(rows, 1.0 / np.sqrt(np.where(fast, sq, 1.0))[..., None], out=out)
+    if not fast.all():
+        scaled, inv, _ = pow2_scale(rows[~fast])
+        out[~fast] = scaled * inv[..., None]
+    return out
 
 
 def unit_concat(mats, out=None):
@@ -108,11 +114,11 @@ def power_activation(sums, n_groups: int, p: int, work=None):
 
 
 def score_batch(mats, unit_w, w_out, p: int, hidden=None, check=None):
-    """Raw outputs (B, nz) of (B, count_g) input rows mats[g] against N stored rows
-    unit_w (as unit_concat gives them) and (nz, N) output weights w_out; the one
-    scoring loop of both backends, SCORE_ROWS rows at a time in the same buffers.
-    hidden, if given, receives the (B, N) activations; check, if given, is
-    called on each chunk's activations before its output GEMM."""
+    """Outputs (B, k) of (B, count_g) input rows mats[g] against N stored rows unit_w
+    (as unit_concat gives them) and (k, N) output weights w_out, raw or folded
+    (centroid_matrix); the one scoring loop of both backends, SCORE_ROWS rows at a
+    time in the same buffers.  hidden, if given, receives the (B, N) activations;
+    check, if given, is called on each chunk's activations before its output GEMM."""
     n, step = len(mats[0]), SCORE_ROWS
     out = np.empty((n, w_out.shape[0]))
     units = np.empty((min(n, step), unit_w.shape[1]))
@@ -128,17 +134,19 @@ def score_batch(mats, unit_w, w_out, p: int, hidden=None, check=None):
     return out
 
 
-def centroid(out, grid):
-    """Centroid readout of raw outputs (..., n) over grid.
+def centroid_matrix(grid):
+    """The centroid as the (nz, 2) matrix C = [grid, 1]: raw outputs @ C are each row's
+    numerator and denominator, and C.T @ w_out folds it into the output weights."""
+    return np.stack([grid, np.ones_like(grid)], axis=1)
 
-    Returns (predictions, fired): a row fires when its outputs sum above 0,
-    and its prediction is NaN otherwise.  The centroid is scale invariant,
-    so unbounded raw outputs need no normalization.
-    """
-    total = out.sum(axis=-1)
-    fired = total > 0.0
+
+def centroid(folded):
+    """(predictions, fired) of (..., 2) numerators and denominators (centroid_matrix):
+    a row fires when its raw outputs sum above 0, and its prediction is NaN
+    otherwise.  The centroid is scale invariant, so raw outputs need no scaling."""
+    fired = folded[..., 1] > 0.0
     # dividing by NaN gives NaN without a floating-point warning
-    return (out @ grid) / np.where(fired, total, np.nan), fired
+    return folded[..., 0] / np.where(fired, folded[..., 1], np.nan), fired
 
 
 def argmax(out):

@@ -20,8 +20,8 @@ fuzzified inputs) and then Hebbian-update the full output matrix:
 with v the hidden activations and u the fuzzified target, so only the rows
 on the target's support move.  train_matrix is the one trainer; train_one
 and train_dataset stack their samples into it.  Inference is batched
-(output_batch and its centroid and argmax readouts); one sample is a
-1-row batch.
+(output_batch and its argmax readout; infer_crisp_batch folds the centroid
+into the output weights); one sample is a 1-row batch.
 """
 
 import copy
@@ -243,12 +243,14 @@ def _hidden(state: NetworkState, units, out=None) -> np.ndarray:
                                   len(state.config.groups), state.config.p)
 
 
-def output_batch(state: NetworkState, mats, hidden=None) -> np.ndarray:
+def output_batch(state: NetworkState, mats, hidden=None, fold=None) -> np.ndarray:
     """Raw fuzzy outputs (B, nz) of a batch, scored by fuzzy.score_batch against the
-    cached unit rows; hidden, if given, receives the (B, N) activations."""
+    cached unit rows, or (B, k) with w_out multiplied on the left by a (k, nz) fold;
+    hidden, if given, receives the (B, N) activations."""
     if state.n_minterms == 0:
         raise UntrainedNetwork("network has no min-terms yet")
-    return fuzzy.score_batch(mats, state.unit_rows(), state.w_out, state.config.p, hidden)
+    w_out = state.w_out if fold is None else fold @ state.w_out
+    return fuzzy.score_batch(mats, state.unit_rows(), w_out, state.config.p, hidden)
 
 
 def forward_batch(state: NetworkState, mats):
@@ -259,13 +261,13 @@ def forward_batch(state: NetworkState, mats):
 
 
 def infer_crisp_batch(state: NetworkState, mats):
-    """Vectorized inference over fuzzified batches.
+    """Vectorized inference over fuzzified batches, the centroid folded into w_out.
 
     mats[g] is a (B, count_g) matrix of membership rows for group g.  Returns
     (predictions, activated): predictions hold NaN where no output neuron is
-    activated, activated is the corresponding boolean mask.
-    """
-    return fuzzy.centroid(output_batch(state, mats), state.config.output_universe.grid())
+    activated, activated is the corresponding boolean mask."""
+    fold = fuzzy.centroid_matrix(state.config.output_universe.grid()).T
+    return fuzzy.centroid(output_batch(state, mats, fold=fold))
 
 
 def classify_batch(state: NetworkState, mats):
@@ -332,7 +334,7 @@ def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
     n = targets.shape[0]
     units = fuzzy.unit_concat(mats)
     stats = TrainingStats(n_samples=n, errors=np.full(n, np.inf))
-    grid = cfg.output_universe.grid()
+    c = fuzzy.centroid_matrix(cfg.output_universe.grid())
     for i in range(0, n, CHUNK_MAX):
         stop = min(i + CHUNK_MAX, n)
         n0 = state.n_minterms
@@ -344,7 +346,7 @@ def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
         start = 0
         while start < stop - i:
             if targets.ndim == 1:
-                err = np.abs(fuzzy.centroid(out[start:], grid)[0] - targets[i + start:stop])
+                err = np.abs(fuzzy.centroid(out[start:] @ c)[0] - targets[i + start:stop])
             else:
                 err = 1.0 - fuzzy.pair_cosine(out[start:], targets[i + start:stop])
             # inf where nothing fired

@@ -198,6 +198,12 @@ class TestOtherCommands:
         assert rc == 0
         assert (tmp_path / "crossbar_compare_g1.csv").exists()
 
+    def test_crossbar_compare_probes_default_to_100(self, tmp_path):
+        assert cli.main(["crossbar-compare", "--fn", "g1", "--n-train", "30",
+                         "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "crossbar_compare_g1.csv").read_text().splitlines()
+        assert len(lines) == 1 + 100
+
     @pytest.mark.parametrize("argv", [
         ["suite", "--only", "table1", "--jobs", "-1"],
         ["suite", "--only", "table1", "--jobs", "0"],
@@ -463,6 +469,30 @@ class TestResolvedConfig:
         assert "error:" in err and f"crossbar.{key}" in err
         assert not out.exists() or not any(out.iterdir())
 
+    # only a crossbar mapping or read uses these; r_on and r_off also set an ideal
+    # run's fault plan
+    @pytest.mark.parametrize("backend", [[], ["--backend", "ideal"]], ids=["default", "flag"])
+    @pytest.mark.parametrize("command", sorted(DRIFT_RUNS))
+    @pytest.mark.parametrize("key", ["scale_in", "scale_out", "v_threshold", "r_f"])
+    def test_read_setup_exits_1_on_the_ideal_backend(self, tmp_path, capsys, backend, command,
+                                                    key):
+        path = tmp_path / "read.ini"
+        path.write_text(f"[crossbar]\n{key} = {self.VALUES[key]}\n")
+        out = tmp_path / "out"
+        rc = cli.main(self.DRIFT_RUNS[command] + backend + ["--config", str(path),
+                                                            "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and f"crossbar.{key}" in err and "ideal" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["model", "classify"])
+    def test_read_setup_applies_to_a_crossbar_backend_from_the_file(self, tmp_path, command):
+        path = tmp_path / "read.ini"
+        path.write_text("[experiment]\nbackend = crossbar\n[crossbar]\nv_threshold = 0.8\n")
+        assert cli.main(self.DRIFT_RUNS[command] + ["--config", str(path),
+                                                    "--out-dir", str(tmp_path)]) == 0
+
     # what the error names, for each model flag
     SWEEP_FLAGS = {"experiment.function": ["--fn", "g9"], "experiment.seed": ["--seed", "3"],
                    "experiment.backend": ["--backend", "crossbar"],
@@ -470,7 +500,8 @@ class TestResolvedConfig:
                    "experiment.n_test": ["--n-test", "100"], "network.p": ["--p", "3"],
                    "network.alpha": ["--alpha", "0.001"],
                    "network.threshold": ["--threshold", "0.3"],
-                   "--paper-defaults": ["--paper-defaults"]}
+                   "--paper-defaults": ["--paper-defaults"],
+                   "--n-probes": ["--n-probes", "7"], "--timing": ["--timing"]}
 
     @pytest.mark.parametrize("key", list(SWEEP_FLAGS))
     def test_sweep_only_model_flags_exit_1(self, tmp_path, capsys, key):

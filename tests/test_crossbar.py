@@ -17,6 +17,7 @@ from neurofuzzy.errors import (
     CapacityExceeded,
     DimensionMismatch,
     ReadDisturbRisk,
+    UntrainedNetwork,
     WeightOutOfRange,
 )
 from neurofuzzy.fuzzy import triangular_matrix
@@ -415,6 +416,66 @@ class TestReadAgainstOracle:
     def test_distorted(self, g1_state):
         cb1, cb2 = distorted_pair(g1_state)
         assert_matches_vmm_oracle(g1_state, map_network(g1_state, cb1=cb1, cb2=cb2), seed=6)
+
+
+def assert_folded_matches_raw(folded, raw, grid):
+    """A folded centroid readout against fuzzy.centroid of the raw outputs."""
+    pred, fired = folded
+    want, want_fired = fuzzy.centroid(raw @ fuzzy.centroid_matrix(grid))
+    assert np.array_equal(fired, want_fired)
+    np.testing.assert_allclose(pred[fired], want[fired], rtol=1e-13, atol=0.0)
+    assert np.isnan(pred[~fired]).all()
+
+
+class TestFoldedReadout:
+    """infer_crisp_batch and crossbar_infer_crisp_batch fold the centroid into the
+    output weights; both must read out what the raw outputs give."""
+
+    @staticmethod
+    def check(state, mapped, mats):
+        grid = state.config.output_universe.grid()
+        assert_folded_matches_raw(network.infer_crisp_batch(state, mats),
+                                  network.output_batch(state, mats), grid)
+        assert_folded_matches_raw(crossbar.crossbar_infer_crisp_batch(*mapped, mats),
+                                  crossbar_forward_batch(*mapped, mats), grid)
+
+    @staticmethod
+    def probes(state, seed):
+        n = crossbar.SCORE_ROWS + 1
+        return state.fuzzify(np.random.default_rng(seed).uniform(0, 1, size=(n, 2)))
+
+    def test_pristine(self, g1_state):
+        self.check(g1_state, map_network(g1_state), self.probes(g1_state, 31))
+
+    def test_faulted_state(self):
+        cfg = experiments.paper_modeling_config("g1", fault_fraction=0.2)
+        state = experiments.rebuild_trained_state(cfg)
+        self.check(state, map_network(state, cfg.device), self.probes(state, 32))
+
+    def test_distorted_pair(self, g1_state):
+        cb1, cb2 = distorted_pair(g1_state)
+        self.check(g1_state, map_network(g1_state, cb1=cb1, cb2=cb2), self.probes(g1_state, 33))
+
+    def test_a_single_tiny_activation_fires(self):
+        u3 = fuzzy.universe_from_count(0.0, 1.0, 3)
+        cfg = network.NetworkConfig(groups=(network.InputGroup("x", u3, 0.5),),
+                                    output_universe=fuzzy.universe_from_count(0.0, 1.0, 5))
+        state = network.NetworkState(cfg)
+        network.train_matrix(state, [np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])],
+                             np.array([0.25, 0.75]))
+        # row 0 has cosine ~1e-40 with min-term 0 and 0 with min-term 1, so it fires
+        # through one activation near 1e-280; row 1 fires through none
+        mats = [np.array([[1e-40, 1.0, 0.0], [0.0, 1.0, 0.0]])]
+        hidden, _ = network.forward_batch(state, mats)
+        assert 0.0 < hidden[0, 0] < 1e-270 and hidden[0, 1] == 0.0 and not hidden[1].any()
+        self.check(state, map_network(state), mats)
+        pred, fired = network.infer_crisp_batch(state, mats)
+        assert fired.tolist() == [True, False] and pred[0] == pytest.approx(0.25, rel=1e-13)
+
+    def test_untrained_state_raises(self, g1_state):
+        state = network.NetworkState(g1_state.config)
+        with pytest.raises(UntrainedNetwork):
+            network.infer_crisp_batch(state, self.probes(g1_state, 34))
 
 
 class TestReadPerCall:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from neurofuzzy import fuzzy
 from neurofuzzy.errors import (
@@ -15,6 +18,7 @@ from neurofuzzy.errors import (
 from neurofuzzy.fuzzy import (
     build_universe,
     centroid,
+    centroid_matrix,
     pair_cosine,
     triangular_matrix,
     universe_from_count,
@@ -97,7 +101,7 @@ class TestFuzzify:
     @settings(max_examples=100)
     def test_singleton_round_trip(self, crisp):
         u = build_universe(0, 1, 0.01)
-        got, fired = centroid(triangular_matrix(u, [crisp], 0)[0], u.grid())
+        got, fired = centroid(triangular_matrix(u, [crisp], 0)[0] @ centroid_matrix(u.grid()))
         assert fired and got in u.grid()
         assert abs(got - crisp) <= np.abs(u.grid() - crisp).min() + 1e-12
 
@@ -134,7 +138,7 @@ class TestIntPower:
 
 def row_centroid(u, values):
     """The centroid of one membership vector, as the batch readout gives it."""
-    pred, fired = centroid(np.asarray(values, dtype=float), u.grid())
+    pred, fired = centroid(np.asarray(values, dtype=float) @ centroid_matrix(u.grid()))
     assert fired
     return float(pred)
 
@@ -155,7 +159,7 @@ class TestDefuzzify:
 
     def test_all_zero_does_not_fire(self):
         u = build_universe(0, 1, 0.5)
-        pred, fired = centroid(np.zeros((2, 3)), u.grid())
+        pred, fired = centroid(np.zeros((2, 3)) @ centroid_matrix(u.grid()))
         assert not fired.any() and np.isnan(pred).all()
 
     def test_subnormal_weights(self):
@@ -187,6 +191,43 @@ class TestDefuzzify:
 def row_cosine(a, b) -> float:
     """pair_cosine of two membership vectors, each a 1-row batch."""
     return float(pair_cosine(np.array([a], dtype=float), np.array([b], dtype=float))[0])
+
+
+def pow2_route(rows):
+    """Unit rows through pow2_scale: the scaled rows times their reciprocal norms."""
+    scaled, inv, _ = fuzzy.pow2_scale(rows)
+    return scaled * inv[..., None]
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+# zero, or a magnitude in [2**-250, 2**250]: a row of at most 64 such entries has
+# its sum of squares in [2**-500, 2**506], inside the two-pass range, or is zero
+ENTRY = st.one_of(st.just(0.0), st.floats(2.0 ** -250, 2.0 ** 250),
+                  st.floats(-(2.0 ** 250), -(2.0 ** -250)))
+
+
+class TestUnitRowsTwoPass:
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 64)), elements=ENTRY))
+    @settings(max_examples=300)
+    def test_in_range_rows_have_the_bits_of_the_pow2_route(self, rows):
+        assert np.array_equal(bits(fuzzy.unit_rows(rows)), bits(pow2_route(rows)))
+
+    @pytest.mark.parametrize("row,norm", [([1e-310, -3e-310, 2e-310], 1.0),
+                                          ([1e200, -3e200, 2e200], 1.0),
+                                          ([0.0, 0.0, 0.0], 0.0)],
+                             ids=["subnormal", "huge", "zero"])
+    def test_out_of_range_rows_take_the_pow2_route(self, row, norm):
+        # next to an in-range row, written into a column slice as unit_concat does
+        rows = np.array([row, [0.25, -0.5, 1.0]])
+        assert not 2.0 ** -900 <= float(np.einsum("j,j->", rows[0], rows[0])) <= 2.0 ** 900
+        buf = np.full((2, 5), 7.0)
+        got = fuzzy.unit_rows(rows, buf[:, 1:4])
+        assert np.array_equal(bits(got), bits(pow2_route(rows)))
+        assert math.hypot(*got[0]) == pytest.approx(norm, abs=1e-15)
+        assert (buf[:, [0, 4]] == 7.0).all()
 
 
 class TestSimilarity:
