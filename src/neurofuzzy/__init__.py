@@ -8,7 +8,6 @@ from .network import (
     InputGroup,
     NetworkConfig,
     NetworkState,
-    TrainOutcome,
     deserialize,
     serialize,
     train_dataset,

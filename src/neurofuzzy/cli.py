@@ -214,12 +214,12 @@ def _emit_report(args, reports, filename: str) -> Path:
 
 
 def cmd_model(args, file_cfg) -> int:
-    """model, noise and fault: one modeling run, reported as <command>_<function>.csv."""
+    """model, classify, noise and fault: one run, reported as <command>_<label>.csv."""
     cfg = resolve(args, file_cfg)
-    _progress(f"{args.command} {cfg.function}: {cfg.n_train} train / {cfg.n_test} test, "
+    _progress(f"{args.command} {cfg.label}: {cfg.n_train} train / {cfg.n_test} test, "
               f"seed {cfg.seed}, backend {cfg.backend}")
     report, state = experiments.train_and_score(cfg)
-    _emit_report(args, [report], f"{args.command}_{cfg.function}.csv")
+    _emit_report(args, [report], f"{args.command}_{cfg.label}.csv")
     if getattr(args, "surface", False):
         rows = experiments.surface_grid(cfg, state)
         out = _out_dir(args) / f"surface_{cfg.function}.csv"
@@ -229,14 +229,6 @@ def cmd_model(args, file_cfg) -> int:
     if getattr(args, "save_state", None):
         atomic_write(Path(args.save_state), network.serialize(state))
         _progress(f"wrote {args.save_state}")
-    return 0
-
-
-def cmd_classify(args, file_cfg) -> int:
-    cfg = resolve(args, file_cfg)
-    _progress(f"classification set {cfg.dataset}: {cfg.n_train} train, seed {cfg.seed}")
-    report = experiments.run_classification(cfg)
-    _emit_report(args, [report], f"classify_set{cfg.dataset}.csv")
     return 0
 
 
@@ -270,27 +262,28 @@ def cmd_suite(args, file_cfg) -> int:
                 for cfg, fut in zip(rows, futures):
                     report, err = fut.result()
                     if err is not None:
-                        label = cfg.function or f"set{cfg.dataset}"
-                        writer.writerow([label] + [""] * (len(REPORT_COLUMNS) - 1)
+                        writer.writerow([cfg.label] + [""] * (len(REPORT_COLUMNS) - 1)
                                         + [f"error:{err}"])
                     else:
                         writer.writerow(report.csv_row(with_runtime=args.timing) + ["ok"])
                     fh.flush()
-                    _progress(f"  {table} row done: {cfg.function or cfg.dataset}")
+                    _progress(f"  {table} row done: {cfg.label}")
     return 0
 
 
 def _safe_job(cfg):
     try:
-        return experiments.run_job(cfg), None
+        return experiments.train_and_score(cfg)[0], None
     except Exception as e:  # keep the suite streaming past bad rows
         return None, f"{type(e).__name__}: {e}"
 
 
 def cmd_crossbar_compare(args, file_cfg) -> int:
     _positive(args, "n_probes", "--n-probes")
+    if args.timing:
+        raise ConfigError("--timing does not apply to crossbar-compare")
     if args.sweep_only:
-        for flag, given in (("--paper-defaults", args.paper_defaults), ("--timing", args.timing),
+        for flag, given in (("--paper-defaults", args.paper_defaults),
                             ("--n-probes", args.n_probes is not None)):
             if given:
                 raise ConfigError(f"{flag} does not apply to crossbar-compare --sweep-only")
@@ -388,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--n-train", type=int, dest="n_train")
     p_classify.add_argument("--n-test", type=int, dest="n_test")
     p_classify.add_argument("--threshold", type=float)
-    p_classify.set_defaults(func=cmd_classify)
+    p_classify.set_defaults(func=cmd_model)
 
     # noise and fault: modeling runs whose study key defaults below the file and the flag
     for name, text, key, default in [

@@ -1,4 +1,5 @@
-"""Experiment protocols: modeling, classification, noise and fault studies.
+"""One train-then-score protocol, train_and_score, for every study: modeling,
+classification, noise and fault.
 
 Every run is a pure function of its configuration: training points, test
 points, noise and fault draws all come from explicitly seeded generators, so
@@ -72,6 +73,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.function is None) == (self.dataset is None):
             raise ValueError("set exactly one of function / dataset")
+        if self.dataset is None and self.function not in TABLE1:
+            raise UnknownDatasetId(f"unknown benchmark function {self.function!r}")
+        if self.function is None and self.dataset not in CLASSIFICATION:
+            raise UnknownDatasetId(f"classification dataset id must be 1..4, got {self.dataset}")
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("need n_train >= 1 and n_test >= 1")
         if not self.noise_variance >= 0:
@@ -84,6 +89,11 @@ class ExperimentConfig:
             raise ValueError(f"input_hs_scale must be finite and > 0, got {self.input_hs_scale}")
         if not np.isfinite(self.input_hs_shrink_exp):
             raise ValueError(f"input_hs_shrink_exp must be finite, got {self.input_hs_shrink_exp}")
+
+    @property
+    def label(self) -> str:
+        """The run's name in reports and file names: the function, or set<dataset>."""
+        return self.function if self.dataset is None else f"set{self.dataset}"
 
 
 @dataclass
@@ -161,7 +171,11 @@ def _network_config(cfg: ExperimentConfig):
 
 
 def _training_data(cfg: ExperimentConfig, net_cfg: NetworkConfig):
-    """Seeded training points and clipped targets, with optional Gaussian noise."""
+    """Seeded training points and targets: a dataset's class labels, or a function's
+    values clipped to the output universe, with optional Gaussian noise."""
+    if cfg.dataset is not None:
+        pts, labels = gen_classification_dataset(cfg.dataset, cfg.n_train, cfg.seed)
+        return pts, labels.astype(np.float64)
     pts = gen_uniform_samples(cfg.n_train, cfg.seed)
     targets = benchmarks.eval_benchmark(cfg.function, pts[:, 0], pts[:, 1])
     if cfg.noise_variance > 0.0:
@@ -180,8 +194,7 @@ def _train(cfg: ExperimentConfig, net_cfg: NetworkConfig, pts, targets) -> Netwo
         faults = WeightFaults.draw(
             seed, [g.universe.count for g in net_cfg.groups],
             net_cfg.output_universe.count, capacity=cfg.n_train,
-            fraction=cfg.fault_fraction, out_scale=net_cfg.alpha,
-            memristance_ratio=cfg.device.r_off / cfg.device.r_on,
+            fraction=cfg.fault_fraction, out_scale=net_cfg.alpha, device=cfg.device,
         )
     state = NetworkState(net_cfg, faults=faults)
     network.train_matrix(state, state.fuzzify(pts), targets)
@@ -208,34 +221,46 @@ def _regression_readout(cfg: ExperimentConfig, state: NetworkState, pts):
 
 
 def train_and_score(cfg: ExperimentConfig):
-    """Single-pass training on one benchmark function, scored by FVU: (report, state).
+    """Single-pass training, scored on fresh test points: (report, state).
 
-    noise_variance > 0 trains on noisy data (clean test set); fault_fraction
-    > 0 sticks weight cells before training (at 1.0 the report flags it).
+    A function's run is scored by FVU, a dataset's by the percentage of test
+    points classified right (one output neuron per class, singleton targets).
+    noise_variance > 0 trains a function on noisy data (clean test set);
+    fault_fraction > 0 sticks weight cells before training (at 1.0 the report
+    flags it).
     """
     t0 = time.perf_counter()
     state = rebuild_trained_state(cfg)
     net_cfg = state.config
-    test = gen_uniform_samples(cfg.n_test, cfg.test_seed)
-    pred, n_dead = _regression_readout(cfg, state, test)
-    score = fvu(pred, benchmarks.eval_benchmark(cfg.function, test[:, 0], test[:, 1]))
-    kind = "modeling"
-    ref = TABLE1[cfg.function]["fvu"] if cfg.n_train == 225 else \
-        TABLE3.get(cfg.function, {}).get(cfg.n_train, (None,))[0]
-    if cfg.noise_variance > 0.0:
-        kind, ref = "noise", NOISE_FVU.get(cfg.function)
-    if cfg.fault_fraction > 0.0:
-        kind, ref = "fault", FAULT.get(cfg.function, {}).get("fvu")
+    if cfg.dataset is not None:
+        test, labels = gen_classification_dataset(cfg.dataset, cfg.n_test,
+                                                  cfg.seed + CLASS_TEST_SEED_OFFSET)
+        predicted = fuzzy.argmax(_backend_forward(cfg, state)(state.fuzzify(test)))
+        score = 100.0 * float((predicted == labels).mean())
+        kind, ref = "classification", CLASSIFICATION[cfg.dataset]["rate"]
+        counts = {"per_class_counts": tuple(int((labels == c).sum()) for c in (0, 1)),
+                  "n_unclassified": int((predicted == -1).sum())}
+    else:
+        test = gen_uniform_samples(cfg.n_test, cfg.test_seed)
+        pred, n_dead = _regression_readout(cfg, state, test)
+        score = fvu(pred, benchmarks.eval_benchmark(cfg.function, test[:, 0], test[:, 1]))
+        kind = "modeling"
+        ref = TABLE1[cfg.function]["fvu"] if cfg.n_train == 225 else \
+            TABLE3.get(cfg.function, {}).get(cfg.n_train, (None,))[0]
+        if cfg.noise_variance > 0.0:
+            kind, ref = "noise", NOISE_FVU.get(cfg.function)
+        if cfg.fault_fraction > 0.0:
+            kind, ref = "fault", FAULT.get(cfg.function, {}).get("fvu")
+        counts = {"n_unactivated": n_dead}
     return ExperimentReport(
-        kind=kind, label=cfg.function, n_train=cfg.n_train, n_test=cfg.n_test,
+        kind=kind, label=cfg.label, n_train=cfg.n_train, n_test=cfg.n_test,
         seed=cfg.seed, p=cfg.p, alpha=cfg.alpha,
         threshold=net_cfg.novelty_threshold,
         nx=net_cfg.groups[0].universe.count, ny=net_cfg.groups[1].universe.count,
         nz=net_cfg.output_universe.count, n_minterms=state.n_minterms,
         fvu_or_rate=score, paper_reference=ref,
         runtime_ms=(time.perf_counter() - t0) * 1e3, backend=cfg.backend,
-        n_unactivated=n_dead,
-        all_faulted=(cfg.fault_fraction >= 1.0),
+        all_faulted=(cfg.fault_fraction >= 1.0), **counts,
     ), state
 
 
@@ -245,27 +270,8 @@ def run_modeling(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def run_classification(cfg: ExperimentConfig) -> ExperimentReport:
-    """Two-class study: one output neuron per class, singleton targets."""
-    if cfg.dataset not in CLASSIFICATION:
-        raise UnknownDatasetId(f"classification dataset id must be 1..4, got {cfg.dataset}")
-    t0 = time.perf_counter()
-    net_cfg = _network_config(cfg)
-    pts, labels = gen_classification_dataset(cfg.dataset, cfg.n_train, cfg.seed)
-    state = _train(cfg, net_cfg, pts, labels.astype(np.float64))
-    test_pts, test_labels = gen_classification_dataset(
-        cfg.dataset, cfg.n_test, cfg.seed + CLASS_TEST_SEED_OFFSET)
-    predicted = fuzzy.argmax(_backend_forward(cfg, state)(state.fuzzify(test_pts)))
-    rate = 100.0 * float((predicted == test_labels).mean())
-    counts = tuple(int((test_labels == c).sum()) for c in (0, 1))
-    return ExperimentReport(
-        kind="classification", label=f"set{cfg.dataset}", n_train=cfg.n_train,
-        n_test=cfg.n_test, seed=cfg.seed, p=cfg.p, alpha=cfg.alpha,
-        threshold=net_cfg.novelty_threshold, nx=net_cfg.groups[0].universe.count,
-        ny=net_cfg.groups[1].universe.count, nz=2, n_minterms=state.n_minterms,
-        fvu_or_rate=rate, paper_reference=CLASSIFICATION[cfg.dataset]["rate"],
-        runtime_ms=(time.perf_counter() - t0) * 1e3, backend=cfg.backend,
-        per_class_counts=counts, n_unclassified=int((predicted == -1).sum()),
-    )
+    """Two-class study: the report of train_and_score for a dataset config."""
+    return train_and_score(cfg)[0]
 
 
 # --- suite definitions --------------------------------------------------------
@@ -273,15 +279,14 @@ def run_classification(cfg: ExperimentConfig) -> ExperimentReport:
 
 def paper_modeling_config(fn: str, **overrides) -> ExperimentConfig:
     """Table-pinned configuration for one benchmark function."""
-    if fn not in TABLE1:
-        raise UnknownDatasetId(f"unknown benchmark function {fn!r}")
     return ExperimentConfig(function=fn, **overrides)
 
 
 def paper_classification_config(ds: int, **overrides) -> ExperimentConfig:
-    if ds not in CLASSIFICATION:
-        raise UnknownDatasetId(f"classification dataset id must be 1..4, got {ds}")
-    overrides.setdefault("n_train", CLASSIFICATION[ds]["n_train"])
+    """Table-pinned configuration for one classification set: its table's
+    n_train and 2000 test points unless overridden."""
+    # an unknown ds has no table row: ExperimentConfig rejects it
+    overrides.setdefault("n_train", CLASSIFICATION.get(ds, {}).get("n_train", 225))
     overrides.setdefault("n_test", 2000)
     return ExperimentConfig(dataset=ds, **overrides)
 
@@ -297,13 +302,6 @@ SUITE = {
 }
 
 
-def run_job(cfg: ExperimentConfig) -> ExperimentReport:
-    """One suite row: a classification run for a dataset, else a modeling run."""
-    if cfg.dataset is not None:
-        return run_classification(cfg)
-    return run_modeling(cfg)
-
-
 def surface_grid(cfg: ExperimentConfig, state: NetworkState, n_side: int = 101):
     """(x, y, predicted, actual) rows over a regular grid, for plot emission."""
     axis = np.linspace(0.0, 1.0, n_side)
@@ -315,7 +313,7 @@ def surface_grid(cfg: ExperimentConfig, state: NetworkState, n_side: int = 101):
 
 
 def rebuild_trained_state(cfg: ExperimentConfig) -> NetworkState:
-    """Train and return the network for a regression config (no evaluation)."""
+    """Train and return the network of a config (no evaluation)."""
     net_cfg = _network_config(cfg)
     pts, targets = _training_data(cfg, net_cfg)
     return _train(cfg, net_cfg, pts, targets)

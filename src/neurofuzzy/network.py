@@ -18,10 +18,10 @@ fuzzified inputs) and then Hebbian-update the full output matrix:
     w_ij += alpha * v_j * u_i
 
 with v the hidden activations and u the fuzzified target, so only the rows
-on the target's support move.  train_matrix is the one trainer; train_one
-and train_dataset stack their samples into it.  Inference is batched
-(output_batch and its argmax readout; infer_crisp_batch folds the centroid
-into the output weights); one sample is a 1-row batch.
+on the target's support move.  train_matrix is the one trainer; train_dataset
+stacks its samples into it, and train_one is train_dataset of one sample.
+Inference is batched (output_batch and its argmax readout; infer_crisp_batch
+folds the centroid into the output weights); one sample is a 1-row batch.
 """
 
 import copy
@@ -32,12 +32,11 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import fuzzy
-from .crossbar import _stuck_cells
+from .crossbar import MemristorParams, _stuck_cells
 from .errors import (
     CapacityExceeded,
     DegenerateFuzzification,
     MalformedPayload,
-    NeuroFuzzyError,
     OperandOutOfRange,
     TargetOutOfRange,
     UniverseMismatch,
@@ -82,6 +81,11 @@ class NetworkConfig:
             raise ValueError(f"novelty threshold must be > 0, got {self.novelty_threshold}")
         if not 0 <= self.output_half_support < np.inf:
             raise ValueError("output half support must be finite and >= 0")
+        # group names become file names (dump-state), so each must be a distinct identifier
+        names = [g.name for g in self.groups]
+        if not all(isinstance(n, str) and n.isidentifier() for n in names) \
+                or len(set(names)) < len(names):
+            raise ValueError(f"input group names must be distinct identifiers, got {names}")
 
 
 @dataclass
@@ -90,7 +94,7 @@ class WeightFaults:
 
     Masked cells hold a fixed random value and ignore every write.  The cells
     and their uniformly random device states x are crossbar's stuck-cell draw;
-    each x is fed through the memristance map, scale / (x + ratio*(1-x)), so
+    each x is fed through the device's memristance, scale * R_on / M(x), so
     most distorted cells sit near the conductance floor with a heavy tail up
     to the full scale.
     """
@@ -103,25 +107,17 @@ class WeightFaults:
 
     @staticmethod
     def draw(seed: int, group_counts, nz: int, capacity: int, fraction: float,
-             out_scale: float, memristance_ratio: float = 160.0) -> "WeightFaults":
+             out_scale: float, device: MemristorParams = MemristorParams()) -> "WeightFaults":
         """Seeded fault plan over provisioned capacity (rows or columns)."""
         rng = np.random.default_rng(seed)
         specs = [((capacity, n), 1.0) for n in group_counts] + [((nz, capacity), out_scale)]
         drawn = []
         for shape, scale in specs:
             mask, x = _stuck_cells(rng, shape, fraction)
-            drawn.append((mask, np.where(mask, scale / (x + memristance_ratio * (1.0 - x)), 0.0)))
+            drawn.append((mask, np.where(mask, scale * device.r_on / device.memristance(x), 0.0)))
         *groups, (out_mask, out_stuck) = drawn
         return WeightFaults(capacity=capacity, in_masks=[m for m, _ in groups],
                             in_stuck=[s for _, s in groups], out_mask=out_mask, out_stuck=out_stuck)
-
-
-@dataclass
-class TrainOutcome:
-    kind: str                      # "skipped" | "added"
-    index: int | None              # new min-term index when added
-    pre_update_error: float        # novelty error before any change (inf when untestable)
-    hidden: np.ndarray             # activations: pre-update when skipped, post-add otherwise
 
 
 @dataclass
@@ -221,22 +217,6 @@ class NetworkState:
 # --- forward pass ----------------------------------------------------------
 
 
-def _sample_mats(state: NetworkState, inputs) -> list:
-    """Checked 1-row batches (one per group) of one fuzzified sample."""
-    if len(inputs) != len(state.config.groups):
-        raise UniverseMismatch(
-            f"expected {len(state.config.groups)} input groups, got {len(inputs)}"
-        )
-    mats = []
-    for g, mv in zip(state.config.groups, inputs):
-        if mv.universe != g.universe:
-            raise UniverseMismatch(f"input universe does not match group {g.name!r}")
-        if not np.any(mv.values):
-            raise ZeroVector("all-zero input membership vector")
-        mats.append(mv.values[None, :])
-    return mats
-
-
 def _hidden(state: NetworkState, units, out=None) -> np.ndarray:
     """Hidden activations of rows of concatenated unit inputs (fuzzy.unit_concat)."""
     return fuzzy.power_activation(np.matmul(units, state.unit_rows().T, out=out),
@@ -251,13 +231,6 @@ def output_batch(state: NetworkState, mats, hidden=None, fold=None) -> np.ndarra
         raise UntrainedNetwork("network has no min-terms yet")
     w_out = state.w_out if fold is None else fold @ state.w_out
     return fuzzy.score_batch(mats, state.unit_rows(), w_out, state.config.p, hidden)
-
-
-def forward_batch(state: NetworkState, mats):
-    """Hidden activations (B, N) and raw fuzzy outputs (B, nz) of a batch; mats[g]
-    is the (B, count_g) matrix of membership rows for input group g."""
-    hidden = np.empty((len(mats[0]), state.n_minterms))
-    return hidden, output_batch(state, mats, hidden)
 
 
 def infer_crisp_batch(state: NetworkState, mats):
@@ -384,19 +357,12 @@ def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
 
 
 def train_one(state: NetworkState, inputs, target_crisp: float | None = None,
-              target_fuzzy: MembershipVector | None = None) -> TrainOutcome:
-    """One sample through train_matrix; give exactly one of target_crisp / target_fuzzy.
-
-    The outcome's hidden holds the activations after the sample's own update.
-    """
+              target_fuzzy: MembershipVector | None = None) -> TrainingStats:
+    """train_dataset of one sample; give exactly one of target_crisp / target_fuzzy."""
     if (target_crisp is None) == (target_fuzzy is None):
         raise ValueError("give exactly one of target_crisp / target_fuzzy")
     target = float(target_crisp) if target_fuzzy is None else target_fuzzy
-    stats = train_dataset(state, [(inputs, target)])
-    index = stats.add_indices[0] if stats.add_indices else None
-    return TrainOutcome(kind="skipped" if index is None else "added", index=index,
-                        pre_update_error=float(stats.errors[0]),
-                        hidden=forward_batch(state, _sample_mats(state, inputs))[0][0])
+    return train_dataset(state, [(inputs, target)])
 
 
 def train_dataset(state: NetworkState, samples) -> TrainingStats:
@@ -405,16 +371,21 @@ def train_dataset(state: NetworkState, samples) -> TrainingStats:
     fuzzy_targets = [isinstance(t, MembershipVector) for _, t in samples]
     if any(fuzzy_targets) and not all(fuzzy_targets):
         raise ValueError("a stream mixes crisp and fuzzy targets")
-    rows = []
+    groups = state.config.groups
+    # train_matrix checks the values; the universes are checked here
     for i, (inputs, target) in enumerate(samples):
-        try:
-            rows.append(_sample_mats(state, inputs))
-            if fuzzy_targets[i] and target.universe != state.config.output_universe:
-                raise UniverseMismatch("fuzzy target universe does not match the output universe")
-        except NeuroFuzzyError as e:
-            raise type(e)(f"sample {i}: {e}") from e
-    mats = [np.array([r[g][0] for r in rows]).reshape(len(rows), grp.universe.count)
-            for g, grp in enumerate(state.config.groups)]
+        if len(inputs) != len(groups):
+            raise UniverseMismatch(f"sample {i}: expected {len(groups)} input groups, "
+                                   f"got {len(inputs)}")
+        for g, mv in zip(groups, inputs):
+            if mv.universe != g.universe:
+                raise UniverseMismatch(f"sample {i}: input universe does not match "
+                                       f"group {g.name!r}")
+        if fuzzy_targets[i] and target.universe != state.config.output_universe:
+            raise UniverseMismatch(f"sample {i}: fuzzy target universe does not match "
+                                   "the output universe")
+    mats = [np.array([inputs[g].values for inputs, _ in samples]).reshape(
+                len(samples), grp.universe.count) for g, grp in enumerate(groups)]
     targets = np.array([t.values if f else float(t)
                         for (_, t), f in zip(samples, fuzzy_targets)])
     return train_matrix(state, mats, targets)

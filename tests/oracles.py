@@ -1,11 +1,20 @@
-"""Reference implementations the tests check the package against.
+"""Reference implementations the tests check the package against, and helpers.
 
-Each is written from its definition, independent of the package internals.
+Each reference is written from its definition, independent of the package
+internals; forward_batch is a helper that reads the package's forward pass.
 """
 
 import numpy as np
 
+from neurofuzzy import network
 from neurofuzzy.errors import DimensionMismatch, ReadDisturbRisk
+
+
+def forward_batch(state, mats):
+    """Hidden activations (B, N) and raw fuzzy outputs (B, nz) of a batch; mats[g]
+    is the (B, count_g) matrix of membership rows for input group g."""
+    hidden = np.empty((len(mats[0]), state.n_minterms))
+    return hidden, network.output_batch(state, mats, hidden)
 
 
 def states_equal(a, b) -> bool:

