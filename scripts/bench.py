@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""End-to-end benchmark figures: each nfbench workload run several times, as medians.
+
+Runs `nfbench/run.py --trace 0` --repeats times (at least 5) per workload, seeds
+1 to --repeats, and writes a JSON file with each end-to-end metric's median over
+the runs, whether every run was correct and how many operations failed, the
+machine info nfbench reports, and the summary of scripts/fingerprint.py.  With
+--baseline DIR another checkout (the parent commit, say) runs the same runs,
+alternating with this one run by run, and its figures are recorded next to
+them.  Per-layer (traced) figures are not recorded.
+
+    python scripts/bench.py --out BENCH_<n>.json [--seconds 20] [--repeats 5] \\
+        [--workloads train-novel,readout] [--baseline DIR]
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("train-familiar", "train-novel", "readout", "cli-session")
+
+
+def run(checkout: Path, argv, **env):
+    proc = subprocess.run([sys.executable, *argv], cwd=checkout, capture_output=True,
+                          text=True, env={**os.environ, **env})
+    return proc.returncode, proc.stdout.splitlines(), proc.stderr
+
+
+def nfbench(checkout: Path, workload: str, seed: int, seconds: float):
+    """(machine info, result) of one untraced nfbench run: its last two output lines."""
+    rc, lines, err = run(checkout, ["nfbench/run.py", "--workload", workload, "--seed", str(seed),
+                                    "--seconds", str(seconds), "--trace", "0"])
+    if rc != 0 or len(lines) < 2:
+        raise SystemExit(f"{checkout}: nfbench {workload} seed {seed} exited {rc}\n{err}")
+    return json.loads(lines[-2])["machine"], json.loads(lines[-1])
+
+
+def fingerprint(checkout: Path) -> dict:
+    """scripts/fingerprint.py's exit code and its one-line-per-file summary."""
+    rc, lines, _ = run(checkout, ["scripts/fingerprint.py"], PYTHONPATH="src")
+    return {"exit": rc, "summary": [s for s in lines if not s.startswith(("differs", " "))]}
+
+
+def figures(results: dict) -> dict:
+    """Per workload: each metric's median over its runs, the run count, whether every
+    run was correct, and the failed operations of all runs."""
+    out = {}
+    for workload, runs in results.items():
+        metrics = {name: {"median": statistics.median(r["metrics"][name]["value"] for r in runs),
+                          "unit": m["unit"]} for name, m in runs[0]["metrics"].items()}
+        out[workload] = {"runs": len(runs), "correct": all(r["correct"] for r in runs),
+                         "failed": sum(r["failed"] for r in runs), "medians": metrics}
+    return out
+
+
+def commit(checkout: Path) -> str:
+    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else checkout.name
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--workloads", default=",".join(WORKLOADS))
+    parser.add_argument("--baseline", type=Path, help="another checkout to run alternately")
+    args = parser.parse_args(argv)
+    if args.repeats < 5:
+        parser.error("--repeats must be at least 5: a median of fewer runs says little")
+    workloads = args.workloads.split(",")
+    checkouts = [ROOT] + ([args.baseline.resolve()] if args.baseline else [])
+    results = {c: {w: [] for w in workloads} for c in checkouts}
+    machine = None
+    for seed in range(1, args.repeats + 1):
+        for workload in workloads:
+            # the checkouts take turns going first
+            for c in checkouts[::1 if seed % 2 else -1]:
+                machine, result = nfbench(c, workload, seed, args.seconds)
+                results[c][workload].append(result)
+                print(f"{c.name} {workload} seed {seed}: correct {result['correct']}, "
+                      f"failed {result['failed']}", file=sys.stderr)
+    report = {"seconds": args.seconds, "seeds": list(range(1, args.repeats + 1)),
+              "machine": machine, "fingerprint": fingerprint(ROOT),
+              "workloads": figures(results[ROOT])}
+    if args.baseline:
+        report["baseline"] = {"commit": commit(checkouts[1]),
+                              "workloads": figures(results[checkouts[1]])}
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

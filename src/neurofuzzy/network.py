@@ -18,8 +18,9 @@ fuzzified inputs) and then Hebbian-update the full output matrix:
     w_ij += alpha * v_j * u_i
 
 with v the hidden activations and u the fuzzified target, so only the rows
-on the target's support move.  train_matrix is the one trainer; train_dataset
-stacks its samples into it, and train_one is train_dataset of one sample.
+on the target's support move.  train_matrix is the one trainer (train_dataset
+stacks its samples into it, train_one is train_dataset of one sample); it folds
+each add's update into a chunk's projected outputs as a rank-1 GEMV.
 Inference is batched (output_batch and its argmax readout; infer_crisp_batch
 folds the centroid into the output weights); one sample is a 1-row batch.
 """
@@ -186,15 +187,15 @@ class NetworkState:
             raise CapacityExceeded(
                 f"fault plan provisions {self._capacity} min-term rows; all are in use"
             )
-        extra = self._capacity
 
-        def grow_rows(a):
-            return np.pad(a, [(0, extra)] + [(0, 0)] * (a.ndim - 1))
-
-        self._w_in = [grow_rows(w) for w in self._w_in]
-        self._unit = grow_rows(self._unit)
-        self._w_out = np.pad(self._w_out, [(0, 0), (0, extra)])
-        self._capacity += extra
+        def doubled(a, axis=0):
+            grown = np.zeros(a.shape[:axis] + (2 * a.shape[axis],) + a.shape[axis + 1:])
+            grown[tuple(map(slice, a.shape))] = a
+            return grown
+        self._w_in = [doubled(w) for w in self._w_in]
+        self._unit = doubled(self._unit)
+        self._w_out = doubled(self._w_out, axis=1)
+        self._capacity *= 2
 
     def _append_row(self, xs, unit=None) -> int:
         """Store one min-term; unit is fuzzy.unit_concat of xs where the caller holds it."""
@@ -251,8 +252,8 @@ def classify_batch(state: NetworkState, mats):
 # --- training ---------------------------------------------------------------
 
 # Novelty is checked CHUNK_MAX samples at a time.  One GEMM per chunk scores
-# its samples against the stored rows; an add inside the chunk then costs one
-# new hidden column and a fold of its Hebbian update into the rows after it.
+# its samples against the stored rows; an add inside the chunk then costs its
+# new hidden column and one GEMV that folds its update into the rows after it.
 CHUNK_MAX = 64
 
 
@@ -296,18 +297,28 @@ def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
     or (B, nz) fuzzy.  The novelty error is the absolute centroid error (crisp)
     or one minus the cosine of output and target (fuzzy), inf where nothing
     fires.  Each chunk of CHUNK_MAX samples is scored by one GEMM against the
-    stored rows and kept current across its adds, with the result of
+    stored rows, its outputs projected through P (the centroid matrix if crisp,
+    else the identity) and kept current across its adds: an add at chunk row b
+    takes its hidden column from the chunk's self-activations (pristine) or the
+    row as stored (faulted), and folds its update into the rows after b, without
+    faults as the rank-1 (hid @ v) (x) alpha * (u @ P).  The result is that of
     presenting the samples one at a time.  The stream is validated first: an
-    invalid sample k raises with "sample k" and changes nothing.
+    invalid sample k raises with "sample k" and changes nothing; a fault plan
+    out of rows at sample k raises CapacityExceeded, samples 0..k-1 trained.
     """
     cfg, faults = state.config, state.faults
     targets = np.asarray(targets, dtype=np.float64)
     mats = [np.asarray(X, dtype=np.float64) for X in mats]
     fuzzy_targets = _check_stream(state, mats, targets)
-    n = targets.shape[0]
+    n, nz = fuzzy_targets.shape
     units = fuzzy.unit_concat(mats)
     stats = TrainingStats(n_samples=n, errors=np.full(n, np.inf))
-    c = fuzzy.centroid_matrix(cfg.output_universe.grid())
+    proj = fuzzy.centroid_matrix(cfg.output_universe.grid()) if targets.ndim == 1 else np.eye(nz)
+    hebb = cfg.alpha * (fuzzy_targets @ proj)
+    # each target's support [lo, hi): rows outside it keep their weights (an
+    # all-zero target spans every row and adds zeros)
+    on = fuzzy_targets > 0.0
+    lo, hi = on.argmax(axis=1).tolist(), (nz - on[:, ::-1].argmax(axis=1)).tolist()
     for i in range(0, n, CHUNK_MAX):
         stop = min(i + CHUNK_MAX, n)
         n0 = state.n_minterms
@@ -315,16 +326,16 @@ def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
         # fills its column from row b on
         hid = np.empty((stop - i, n0 + stop - i))
         _hidden(state, units[i:stop], out=hid[:, :n0])
-        out = hid[:, :n0] @ state.w_out.T
-        start = 0
+        out = hid[:, :n0] @ (proj.T @ state.w_out).T
+        start, selfs = 0, None
         while start < stop - i:
             if targets.ndim == 1:
-                err = np.abs(fuzzy.centroid(out[start:] @ c)[0] - targets[i + start:stop])
+                err = np.abs(fuzzy.centroid(out[start:])[0] - targets[i + start:stop])
             else:
                 err = 1.0 - fuzzy.pair_cosine(out[start:], targets[i + start:stop])
-            # inf where nothing fired
-            err = stats.errors[i + start:stop] = np.where(np.isnan(err), np.inf, err)
-            novel = np.flatnonzero(~(err < cfg.novelty_threshold))
+            # inf where nothing fired (fmin drops the NaN)
+            err = np.fmin(err, np.inf, out=stats.errors[i + start:stop])
+            novel = np.flatnonzero(err >= cfg.novelty_threshold)
             if novel.size == 0:
                 break
             b = start + int(novel[0])
@@ -334,24 +345,27 @@ def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
             except CapacityExceeded as e:
                 raise CapacityExceeded(f"sample {j}: {e}") from e
             stats.add_indices.append(m)
-            # scored against the row as stored: without faults it copies the
-            # input, so sample j fires on it at exactly 1
-            hid[b:, m] = fuzzy.power_activation(units[j:stop] @ state._unit[m],
-                                                len(cfg.groups), cfg.p)
-            if faults is not None:
-                # the new column's stuck cells already hold weight
-                out[start:] += np.outer(hid[start:, m], state._w_out[:, m])
-            u = fuzzy_targets[j]
-            # rows outside the target's support keep their weights
-            support = np.flatnonzero(u)
-            if len(support) == 0:
-                continue
-            rows = slice(support[0], support[-1] + 1)
-            delta = cfg.alpha * np.outer(u[rows], hid[b, :m + 1])
+            if faults is None:
+                # the stored row copies the input: its column is a self-activation
+                if selfs is None:
+                    b0, selfs = b, fuzzy.power_activation(units[j:stop] @ units[j:stop].T,
+                                                          len(cfg.groups), cfg.p)
+                hid[b:, m] = selfs[b - b0:, b - b0]
+            else:
+                # scored against the row as stored, whose stuck cells already hold weight
+                hid[b:, m] = fuzzy.power_activation(units[j:stop] @ state._unit[m],
+                                                    len(cfg.groups), cfg.p)
+                out[start:] += np.outer(hid[start:, m], state._w_out[:, m] @ proj)
+            rows, h = slice(lo[j], hi[j]), hid[b, :m + 1]
+            delta = np.outer(fuzzy_targets[j, rows], h)
+            delta *= cfg.alpha
             if faults is not None:
                 delta[faults.out_mask[rows, :m + 1]] = 0.0
             state._w_out[rows, :m + 1] += delta
-            out[start:, rows] += hid[start:, :m + 1] @ delta.T
+            # folded into the later rows' outputs; without faults delta is
+            # alpha * u (x) h, so the fold is rank 1
+            out[start:] += (np.outer(hid[start:, :m + 1] @ h, hebb[j]) if faults is None
+                            else hid[start:, :m + 1] @ (delta.T @ proj[rows]))
     stats.n_minterms_added = len(stats.add_indices)
     return stats
 

@@ -1,12 +1,14 @@
 """train_matrix against a per-sample oracle, and its validation contract."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from neurofuzzy import fuzzy, network
 from neurofuzzy.errors import (
+    CapacityExceeded,
     DegenerateFuzzification,
     OperandOutOfRange,
     TargetOutOfRange,
@@ -166,6 +168,20 @@ def test_adds_at_chunk_edges(novel_at, n):
     assert assert_matches_oracle(cfg, mats, targets) == [0, *novel_at]
 
 
+@pytest.mark.parametrize("faulted", [False, True], ids=["pristine", "faulted"])
+@pytest.mark.parametrize("fuzzy_targets", [False, True], ids=["crisp", "fuzzy"])
+def test_all_novel_multi_chunk_stream(fuzzy_targets, faulted):
+    # every add folds its update into the rest of its chunk, takes its column
+    # from the chunk's self-activations (pristine), and the state grows 16 -> 256 rows
+    n = 3 * C + 1
+    cfg, mats, targets = block_stream(range(1, n), n)
+    if fuzzy_targets:
+        targets = fuzzy.triangular_matrix(cfg.output_universe, targets, 0.3)
+    added = assert_matches_oracle(cfg, mats, targets, faults_for(cfg, n) if faulted else None)
+    if not faulted:
+        assert added == list(range(n))
+
+
 def test_stuck_cells_in_a_column_added_mid_chunk():
     # min-term 2 is added at sample 6, mid-chunk; samples 7 and 8 fire on it
     cfg, mats, targets = block_stream((5, 6, 7, 8), 20)
@@ -195,6 +211,30 @@ def test_one_stored_row_gemm_per_chunk(monkeypatch):
     stats = train_matrix(NetworkState(cfg), mats, targets)
     assert stats.n_minterms_added == n
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("capacity, threshold, n, seed", [
+    # the first three samples fill the plan's rows
+    (3, 0.01, 10, 0),
+    # skips before the failure, which comes in the stream's second chunk
+    (12, 0.1, 150, 3),
+])
+def test_capacity_exceeded_leaves_the_samples_before_it_trained(capacity, threshold, n, seed):
+    cfg = config(threshold=threshold)
+    mats, targets = random_stream(cfg, seed, n)
+
+    def fresh():
+        return NetworkState(cfg, faults=WeightFaults.draw(
+            3, [N_IN, N_IN], N_OUT, capacity=capacity, fraction=0.0, out_scale=cfg.alpha))
+
+    state = fresh()
+    with pytest.raises(CapacityExceeded, match=r"sample \d+: .*all are in use") as info:
+        train_matrix(state, mats, targets)
+    k = int(re.match(r"sample (\d+)", str(info.value)).group(1))
+    assert state.n_minterms == capacity
+    expected = fresh()
+    train_matrix(expected, [X[:k] for X in mats], targets[:k])
+    assert states_equal(state, expected)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
