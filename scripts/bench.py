@@ -75,6 +75,9 @@ def main(argv=None) -> int:
     if args.repeats < 5:
         parser.error("--repeats must be at least 5: a median of fewer runs says little")
     workloads = args.workloads.split(",")
+    unknown = [w for w in workloads if w not in WORKLOADS]
+    if unknown:
+        parser.error(f"unknown workloads {', '.join(unknown)}; known: {', '.join(WORKLOADS)}")
     checkouts = [ROOT] + ([args.baseline.resolve()] if args.baseline else [])
     results = {c: {w: [] for w in workloads} for c in checkouts}
     machine = None

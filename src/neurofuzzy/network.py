@@ -17,10 +17,10 @@ fuzzified inputs) and then Hebbian-update the full output matrix:
 
     w_ij += alpha * v_j * u_i
 
-with v the hidden activations and u the fuzzified target, so only the rows
-on the target's support move.  train_matrix is the one trainer (train_dataset
-stacks its samples into it, train_one is train_dataset of one sample); it folds
-each add's update into a chunk's projected outputs as a rank-1 GEMV.
+with v the hidden activations and u the fuzzified target.  train_matrix is
+the one trainer (train_dataset stacks its samples into it, train_one is
+train_dataset of one sample); it folds each add's update into its chunk's
+outputs and writes the chunk's updates to W_out once, as one masked GEMM.
 Inference is batched (output_batch and its argmax readout; infer_crisp_batch
 folds the centroid into the output weights); one sample is a 1-row batch.
 """
@@ -251,9 +251,9 @@ def classify_batch(state: NetworkState, mats):
 
 # --- training ---------------------------------------------------------------
 
-# Novelty is checked CHUNK_MAX samples at a time.  One GEMM per chunk scores
-# its samples against the stored rows; an add inside the chunk then costs its
-# new hidden column and one GEMV that folds its update into the rows after it.
+# Novelty is checked CHUNK_MAX samples at a time: one GEMM scores a chunk
+# against the stored rows, one writes its adds to w_out, and an add in it costs
+# its new hidden column and a GEMV that folds its update into the rows after it.
 CHUNK_MAX = 64
 
 
@@ -298,13 +298,14 @@ def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
     or one minus the cosine of output and target (fuzzy), inf where nothing
     fires.  Each chunk of CHUNK_MAX samples is scored by one GEMM against the
     stored rows, its outputs projected through P (the centroid matrix if crisp,
-    else the identity) and kept current across its adds: an add at chunk row b
-    takes its hidden column from the chunk's self-activations (pristine) or the
-    row as stored (faulted), and folds its update into the rows after b, without
-    faults as the rank-1 (hid @ v) (x) alpha * (u @ P).  The result is that of
-    presenting the samples one at a time.  The stream is validated first: an
-    invalid sample k raises with "sample k" and changes nothing; a fault plan
-    out of rows at sample k raises CapacityExceeded, samples 0..k-1 trained.
+    else the identity).  An add at chunk row b takes its hidden column from the
+    chunk's self-activations (pristine) or the row as stored (faulted) and folds
+    its update into the rows after b, without faults as the rank-1 (hid @ v) (x)
+    alpha * (u @ P); w_out gets the chunk's updates at its end, in one masked
+    GEMM.  The result is that of presenting the samples one at a time.  The
+    stream is validated first: an invalid sample k raises with "sample k" and
+    changes nothing; a fault plan out of rows at sample k raises
+    CapacityExceeded, samples 0..k-1 trained.
     """
     cfg, faults = state.config, state.faults
     targets = np.asarray(targets, dtype=np.float64)
@@ -315,57 +316,56 @@ def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
     stats = TrainingStats(n_samples=n, errors=np.full(n, np.inf))
     proj = fuzzy.centroid_matrix(cfg.output_universe.grid()) if targets.ndim == 1 else np.eye(nz)
     hebb = cfg.alpha * (fuzzy_targets @ proj)
-    # each target's support [lo, hi): rows outside it keep their weights (an
-    # all-zero target spans every row and adds zeros)
-    on = fuzzy_targets > 0.0
-    lo, hi = on.argmax(axis=1).tolist(), (nz - on[:, ::-1].argmax(axis=1)).tolist()
     for i in range(0, n, CHUNK_MAX):
         stop = min(i + CHUNK_MAX, n)
         n0 = state.n_minterms
         # hidden activations of the chunk; a min-term added at chunk row b
-        # fills its column from row b on
-        hid = np.empty((stop - i, n0 + stop - i))
+        # fills its column from row b on, and reads 0 in the rows above
+        hid = np.zeros((stop - i, n0 + stop - i))
         _hidden(state, units[i:stop], out=hid[:, :n0])
         out = hid[:, :n0] @ (proj.T @ state.w_out).T
-        start, selfs = 0, None
-        while start < stop - i:
-            if targets.ndim == 1:
-                err = np.abs(fuzzy.centroid(out[start:])[0] - targets[i + start:stop])
-            else:
-                err = 1.0 - fuzzy.pair_cosine(out[start:], targets[i + start:stop])
-            # inf where nothing fired (fmin drops the NaN)
-            err = np.fmin(err, np.inf, out=stats.errors[i + start:stop])
-            novel = np.flatnonzero(err >= cfg.novelty_threshold)
-            if novel.size == 0:
-                break
-            b = start + int(novel[0])
-            j, start = i + b, b + 1
-            try:
-                m = state._append_row([X[j] for X in mats], units[j])
-            except CapacityExceeded as e:
-                raise CapacityExceeded(f"sample {j}: {e}") from e
-            stats.add_indices.append(m)
-            if faults is None:
-                # the stored row copies the input: its column is a self-activation
-                if selfs is None:
-                    b0, selfs = b, fuzzy.power_activation(units[j:stop] @ units[j:stop].T,
-                                                          len(cfg.groups), cfg.p)
-                hid[b:, m] = selfs[b - b0:, b - b0]
-            else:
-                # scored against the row as stored, whose stuck cells already hold weight
-                hid[b:, m] = fuzzy.power_activation(units[j:stop] @ state._unit[m],
-                                                    len(cfg.groups), cfg.p)
-                out[start:] += np.outer(hid[start:, m], state._w_out[:, m] @ proj)
-            rows, h = slice(lo[j], hi[j]), hid[b, :m + 1]
-            delta = np.outer(fuzzy_targets[j, rows], h)
-            delta *= cfg.alpha
-            if faults is not None:
-                delta[faults.out_mask[rows, :m + 1]] = 0.0
-            state._w_out[rows, :m + 1] += delta
-            # folded into the later rows' outputs; without faults delta is
-            # alpha * u (x) h, so the fold is rank 1
-            out[start:] += (np.outer(hid[start:, :m + 1] @ h, hebb[j]) if faults is None
-                            else hid[start:, :m + 1] @ (delta.T @ proj[rows]))
+        start, selfs, adds = 0, None, []
+        try:
+            while start < stop - i:
+                if targets.ndim == 1:
+                    err = np.abs(fuzzy.centroid(out[start:])[0] - targets[i + start:stop])
+                else:
+                    err = 1.0 - fuzzy.pair_cosine(out[start:], targets[i + start:stop])
+                # inf where nothing fired (fmin drops the NaN)
+                err = np.fmin(err, np.inf, out=stats.errors[i + start:stop])
+                novel = np.flatnonzero(err >= cfg.novelty_threshold)
+                if novel.size == 0:
+                    break
+                b = start + int(novel[0])
+                j, start = i + b, b + 1
+                try:
+                    m = state._append_row([X[j] for X in mats], units[j])
+                except CapacityExceeded as e:
+                    raise CapacityExceeded(f"sample {j}: {e}") from e
+                stats.add_indices.append(m)
+                adds.append(b)
+                h = hid[b, :m + 1]
+                if faults is None:
+                    # the stored row copies the input: its column is a self-activation
+                    if selfs is None:
+                        b0, selfs = b, fuzzy.power_activation(units[j:stop] @ units[j:stop].T,
+                                                              len(cfg.groups), cfg.p)
+                    hid[b:, m] = selfs[b - b0:, b - b0]
+                    out[start:] += np.outer(hid[start:, :m + 1] @ h, hebb[j])
+                else:
+                    # scored against the row as stored, whose stuck cells already hold weight
+                    hid[b:, m] = fuzzy.power_activation(units[j:stop] @ state._unit[m],
+                                                        len(cfg.groups), cfg.p)
+                    delta = cfg.alpha * np.outer(fuzzy_targets[j], h)
+                    delta[faults.out_mask[:, :m + 1]] = 0.0
+                    out[start:] += np.outer(hid[start:, m], state._w_out[:, m] @ proj)
+                    out[start:] += hid[start:, :m + 1] @ (delta.T @ proj)
+        finally:  # the chunk's updates, written at once; stuck cells add +0.0
+            if adds:
+                m = state.n_minterms
+                delta = cfg.alpha * (fuzzy_targets[i:stop][adds].T @ hid[adds, :m])
+                state._w_out[:, :m] += (delta if faults is None
+                                        else np.where(faults.out_mask[:, :m], 0.0, delta))
     stats.n_minterms_added = len(stats.add_indices)
     return stats
 

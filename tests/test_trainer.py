@@ -201,6 +201,24 @@ def test_stuck_cells_in_a_column_added_mid_chunk():
     assert assert_matches_oracle(cfg, mats, targets, faults) == [0, 5, 6, 7, 8]
 
 
+@pytest.mark.parametrize("fuzzy_targets", [False, True], ids=["crisp", "fuzzy"])
+def test_stuck_out_cells_keep_their_exact_bits(fuzzy_targets):
+    # each chunk writes its adds to w_out at once; the masked write must leave
+    # every stuck cell bit-for-bit as the plan drew it, in every chunk's columns
+    n = 3 * C + 1
+    cfg, mats, targets = block_stream(range(1, n), n)
+    if fuzzy_targets:
+        targets = fuzzy.triangular_matrix(cfg.output_universe, targets, 0.3)
+    faults = faults_for(cfg, n)
+    state = NetworkState(cfg, faults=faults)
+    stats = train_matrix(state, mats, targets)
+    m = state.n_minterms
+    mask = faults.out_mask[:, :m]
+    add_chunks = np.flatnonzero(~(stats.errors < cfg.novelty_threshold)) // C
+    assert len(set(add_chunks[mask.any(axis=0)])) >= 3
+    assert np.all(state.w_out[mask] == faults.out_stuck[:, :m][mask])
+
+
 def test_one_stored_row_gemm_per_chunk(monkeypatch):
     n = 3 * C + 1
     cfg, mats, targets = block_stream(range(1, n), n)
