@@ -2,12 +2,15 @@
 """End-to-end benchmark figures: each nfbench workload run several times, as medians.
 
 Runs `nfbench/run.py --trace 0` --repeats times (at least 5) per workload, seeds
-1 to --repeats, and writes a JSON file with each end-to-end metric's median over
-the runs, whether every run was correct and how many operations failed, the
-machine info nfbench reports, and the summary of scripts/fingerprint.py.  With
---baseline DIR another checkout (the parent commit, say) runs the same runs,
-alternating with this one run by run, and its figures are recorded next to
-them.  Per-layer (traced) figures are not recorded.
+1 to --repeats, and writes a JSON file with each end-to-end metric's median and
+quartiles over the runs, whether every run was correct and how many operations
+failed, the machine info nfbench reports, and the summary of
+scripts/fingerprint.py.  With --baseline DIR another checkout (the parent
+commit, say) runs the same runs, alternating with this one run by run, and its
+figures are recorded next to them; each metric of this checkout then also
+records how many of the seed-matched pairs it won, by the direction
+BENCHMARK.json gives it (a tie wins for neither).  Per-layer (traced) figures
+are not recorded.
 
     python scripts/bench.py --out BENCH_<n>.json [--seconds 20] [--repeats 5] \\
         [--workloads train-novel,readout] [--baseline DIR]
@@ -46,15 +49,34 @@ def fingerprint(checkout: Path) -> dict:
     return {"exit": rc, "summary": [s for s in lines if not s.startswith(("differs", " "))]}
 
 
-def figures(results: dict) -> dict:
-    """Per workload: each metric's median over its runs, the run count, whether every
-    run was correct, and the failed operations of all runs."""
-    out = {}
+def directions() -> dict:
+    """Each end-to-end metric's better direction, "higher" or "lower", from BENCHMARK.json."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def won(value: float, other: float, better: str) -> bool:
+    return value > other if better == "higher" else value < other
+
+
+def figures(results: dict, baseline: dict | None = None) -> dict:
+    """Per workload: each metric's median and quartiles over its runs, the run count,
+    whether every run was correct, and the failed operations of all runs.  Given the
+    baseline's runs of the same seeds, each metric also counts the pairs it won."""
+    out, better = {}, directions()
     for workload, runs in results.items():
-        metrics = {name: {"median": statistics.median(r["metrics"][name]["value"] for r in runs),
-                          "unit": m["unit"]} for name, m in runs[0]["metrics"].items()}
+        metrics = {}
+        for name, m in runs[0]["metrics"].items():
+            values = [r["metrics"][name]["value"] for r in runs]
+            q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+            metrics[name] = {"median": statistics.median(values), "q1": q1, "q3": q3,
+                             "unit": m["unit"]}
+            if baseline is not None:
+                others = [r["metrics"][name]["value"] for r in baseline[workload]]
+                metrics[name]["pairs_won"] = sum(won(v, o, better[name])
+                                                 for v, o in zip(values, others))
         out[workload] = {"runs": len(runs), "correct": all(r["correct"] for r in runs),
-                         "failed": sum(r["failed"] for r in runs), "medians": metrics}
+                         "failed": sum(r["failed"] for r in runs), "metrics": metrics}
     return out
 
 
@@ -89,12 +111,12 @@ def main(argv=None) -> int:
                 results[c][workload].append(result)
                 print(f"{c.name} {workload} seed {seed}: correct {result['correct']}, "
                       f"failed {result['failed']}", file=sys.stderr)
+    baseline = results[checkouts[1]] if args.baseline else None
     report = {"seconds": args.seconds, "seeds": list(range(1, args.repeats + 1)),
               "machine": machine, "fingerprint": fingerprint(ROOT),
-              "workloads": figures(results[ROOT])}
+              "workloads": figures(results[ROOT], baseline)}
     if args.baseline:
-        report["baseline"] = {"commit": commit(checkouts[1]),
-                              "workloads": figures(results[checkouts[1]])}
+        report["baseline"] = {"commit": commit(checkouts[1]), "workloads": figures(baseline)}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

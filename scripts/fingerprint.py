@@ -8,7 +8,9 @@ listed with each moved value: its row, column, golden value, new value and
 relative change.  A summary follows, one line per differing file: its largest
 relative change and whether any cell other than fvu_or_rate moved (exit 1
 when any file differs).  A regeneration is a reviewed change: CHANGES.md
-lists each moved row and why it moved.
+lists each moved row and why it moved.  The runs use one BLAS thread, as
+nfbench does, whatever the environment asks for: the GEMMs split their sums
+by thread, so the last digit of an FVU depends on the thread count.
 
     PYTHONPATH=src python scripts/fingerprint.py [--write]
 """
@@ -17,11 +19,16 @@ import argparse
 import contextlib
 import csv
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
 
-from neurofuzzy import cli
+# set before neurofuzzy imports numpy, which reads them once
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+
+from neurofuzzy import cli  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 

@@ -8,7 +8,9 @@ above the device threshold drives
 
 integrated by explicit Euler at a fixed step.  M is affine in x, so the steps
 are taken on M itself, dM/dt = (R_on - R_off) * dx/dt clamped to [R_on, R_off]:
-the same iterates as stepping x and clamping it to [0, 1], up to rounding.
+the same iterates as stepping x and clamping it to [0, 1], up to rounding.  A
+span of steps no device can leave the bounds in skips the clamps, and a device
+pinned on the bound it drives toward stops stepping; neither changes a bit.
 Voltages at or below the threshold never move the state, which is what makes
 sub-threshold reads non-destructive; delta_weight_sweep traces the weight
 change of one write pulse, zero up to the threshold and rising above it.
@@ -24,20 +26,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    CapacityExceeded,
-    DimensionMismatch,
-    ReadDisturbRisk,
-    WeightOutOfRange,
-)
+from .errors import CapacityExceeded, DimensionMismatch, ReadDisturbRisk, WeightOutOfRange
 # SCORE_ROWS is the chunk size score_batch reads the crossbars in
 from .fuzzy import SCORE_ROWS, centroid, centroid_matrix, inverse_norms, score_batch  # noqa: F401
 
 HEBBIAN_PULSE_SECONDS = 0.05
-# Most Euler steps one write pulse may take, round(HEBBIAN_PULSE_SECONDS / dt).
-# It admits dt = 5e-8 s, finer than the 1e-7 s the convergence checks use; an
-# 81-point sweep at the cap takes about 3 s on one core, so a smaller dt is
-# rejected rather than run for minutes.
+# Most Euler steps one pulse may take, round(duration / dt): dt >= 5e-8 s for the
+# write pulse, finer than the 1e-7 s the convergence checks use.  The default sweep
+# at the cap takes about 1.4 s on one core, so more steps are rejected, not run.
 MAX_PULSE_STEPS = 1_000_000
 
 
@@ -75,22 +71,45 @@ class MemristorParams:
 def _pulse_array(x: np.ndarray, volts: np.ndarray, params: MemristorParams,
                  duration: float) -> np.ndarray:
     """Vectorized pulse on an array of device states under per-device voltages: round(duration/dt)
-    in-place Euler steps M += a / M, a = (R_on - R_off) k v dt, clamped to [R_on, R_off] by array
-    bounds (cheaper per call than float scalars); sub-threshold devices keep their state."""
+    in-place Euler steps M += a / M, a = (R_on - R_off) k v dt, clamped to [R_on, R_off], bit for
+    bit, though spans that no device can leave the bounds in skip the clamps, and a device pinned
+    on the bound it drives toward is retired.  Sub-threshold devices keep their state."""
     x = x.copy()
     active = np.abs(volts) > params.v_threshold
-    if not np.any(active):
-        return x
     r_on, r_off = params.r_on, params.r_off
-    m = r_off + (r_on - r_off) * x[active]
+    m_end = r_off + (r_on - r_off) * x[active]
     a = (r_on - r_off) * (params.drift_gain * volts[active] * params.dt)
-    t, lo, hi = np.empty_like(m), np.full_like(m, r_on), np.full_like(m, r_off)
-    for _ in range(int(round(duration / params.dt))):
-        np.divide(a, m, out=t)
-        np.add(m, t, out=m)
-        np.maximum(m, lo, out=m)
-        np.minimum(m, hi, out=m)
-    x[active] = (r_off - m) / (r_off - r_on)
+    m, idx, t, block = m_end.copy(), np.arange(m_end.size), np.empty_like(m_end), 16
+    steps = int(round(duration / params.dt))
+    while steps > 0 and m.size:
+        # A step moves M monotonically, by |a|/M and at most 2^-52 R_off of rounding (if |a|/M
+        # <= R_off; else the count is < 1).  A rising device (a > 0) divides by no less than its
+        # M now, so needs (R_off - M) / (a/M + e) steps to reach R_off, e = 2^-50 R_off; a falling
+        # one divides by no less than h = (M + R_on)/2 until halfway to R_on, (M - h) / (|a|/h + e)
+        # steps away.  Half the least count, less one step, is the margin for the counts' rounding.
+        low = np.where(a > 0, m, 0.5 * (m + r_on))
+        room = np.where(a > 0, r_off - m, m - low)
+        span = int(np.min(room / (np.abs(a) / low + r_off * 2.0 ** -50)) / 2) - 1
+        if span >= block:
+            span = min(span, steps)
+            for _ in range(span):
+                np.divide(a, m, out=t)
+                np.add(m, t, out=m)
+        else:
+            span = min(block, steps)
+            lo, hi = np.full_like(m, r_on), np.full_like(m, r_off)  # faster than scalar bounds
+            for _ in range(span):
+                np.divide(a, m, out=t)
+                np.add(m, t, out=m)
+                np.maximum(m, lo, out=m)
+                np.minimum(m, hi, out=m)
+            # M + a/M overshoots the bound a device drives toward and is clamped back to it
+            pinned = m == np.where(a > 0, r_off, r_on)
+            m_end[idx[pinned]] = m[pinned]
+            m, a, idx, t = m[~pinned], a[~pinned], idx[~pinned], t[~pinned]
+        steps -= span
+    m_end[idx] = m
+    x[active] = (r_off - m_end) / (r_off - r_on)
     return x
 
 
@@ -101,8 +120,7 @@ class Crossbar:
                  r_f: float | None = None):
         if rows < 1 or cols < 1:
             raise DimensionMismatch("crossbar needs at least one row and column")
-        self.rows = rows
-        self.cols = cols
+        self.rows, self.cols = rows, cols
         self.params = params if params is not None else MemristorParams()
         self.r_f = self.params.r_off if r_f is None else float(r_f)
         if self.r_f <= 0:
@@ -134,6 +152,13 @@ def delta_weight_sweep(params: MemristorParams | None = None, r_f: float | None 
     r_f = params.r_off if r_f is None else r_f
     volts = np.linspace(0.0, 2.0 * params.v_threshold, 81) if voltages is None \
         else np.asarray(voltages, dtype=np.float64)
+    if not np.isfinite(volts).all():
+        raise ValueError(f"voltages must be finite, got {volts[~np.isfinite(volts)][0]}")
+    if not (math.isfinite(duration) and duration >= 0):
+        raise ValueError(f"duration must be finite and >= 0 s, got {duration}")
+    if round(duration / params.dt) > MAX_PULSE_STEPS:
+        raise ValueError(f"duration = {duration} s takes {round(duration / params.dt)} Euler "
+                         f"steps at dt = {params.dt} s, more than {MAX_PULSE_STEPS}")
     x = _pulse_array(np.zeros(volts.shape), volts, params, duration)
     return volts, r_f / params.memristance(x) - r_f / params.r_off
 

@@ -60,6 +60,33 @@ def euler_pulse_x(x, volts, params, duration):
     return x
 
 
+def clamped_pulse_x(x, volts, params, duration):
+    """Device states after a pulse, by the clamped Euler loop on the memristance M.
+
+    A frozen copy of the package's integrator as it stood before it skipped
+    any clamp: M = R_off + (R_on - R_off) x, and each of the round(duration /
+    dt) steps adds a / M to M, a = (R_on - R_off) k v dt, then clamps M to
+    [R_on, R_off].  Devices at or below the threshold keep their state.  The
+    package's integrator must give these states bit for bit.
+    """
+    x = np.array(x, dtype=np.float64)
+    volts = np.asarray(volts, dtype=np.float64)
+    active = np.abs(volts) > params.v_threshold
+    if not np.any(active):
+        return x
+    r_on, r_off = params.r_on, params.r_off
+    m = r_off + (r_on - r_off) * x[active]
+    a = (r_on - r_off) * (params.drift_gain * volts[active] * params.dt)
+    t, lo, hi = np.empty_like(m), np.full_like(m, r_on), np.full_like(m, r_off)
+    for _ in range(int(round(duration / params.dt))):
+        np.divide(a, m, out=t)
+        np.add(m, t, out=m)
+        np.maximum(m, lo, out=m)
+        np.minimum(m, hi, out=m)
+    x[active] = (r_off - m) / (r_off - r_on)
+    return x
+
+
 def vmm(cb, input_voltages, cols=slice(None)):
     """Analog vector-matrix multiply out_i = -sum_j (R_f/M_ij) I_j, on one row or a batch.
 

@@ -21,7 +21,14 @@ from neurofuzzy.errors import (
     WeightOutOfRange,
 )
 from neurofuzzy.fuzzy import triangular_matrix
-from oracles import crossbar_forward, euler_pulse_x, forward_batch, ion_drift_x, vmm
+from oracles import (
+    clamped_pulse_x,
+    crossbar_forward,
+    euler_pulse_x,
+    forward_batch,
+    ion_drift_x,
+    vmm,
+)
 
 PARAMS = MemristorParams()
 
@@ -141,6 +148,100 @@ class TestIntegratorAgainstOracle:
         assert not np.any(got[~quiet] == x0[~quiet])
 
 
+def assert_bit_exact(x0, volts, duration, params=PARAMS):
+    """_pulse_array gives the frozen clamped loop's states bit for bit, and leaves x0 alone."""
+    x0, volts = np.array(x0, dtype=np.float64), np.array(volts, dtype=np.float64)
+    before = x0.copy()
+    got = _pulse_array(x0, volts, params, duration)
+    assert np.array_equal(x0, before)
+    want = clamped_pulse_x(before, volts, params, duration)
+    assert np.array_equal(got, want), np.flatnonzero(got != want)
+    return got
+
+
+def one_step_volts(m0, target, params=PARAMS):
+    """Per device, volts whose single Euler step takes M from m0 to about target, and the
+    same volts a few ulps either side: M + a/M lands on or next to the bound."""
+    a = (target - m0) * m0
+    v = a / ((params.r_on - params.r_off) * params.drift_gain * params.dt)
+    return (v[:, None] * (1.0 + np.arange(-4, 5) * 2.0 ** -52)).ravel()
+
+
+class TestIntegratorBitExact:
+    """_pulse_array against the clamped loop on M in tests/oracles.py, under array_equal."""
+
+    @pytest.mark.parametrize("dt", [PARAMS.dt, PARAMS.dt / 2], ids=["dt", "dt/2"])
+    def test_default_sweep(self, dt):
+        assert_bit_exact(np.zeros(SWEEP_VOLTS.shape), SWEEP_VOLTS,
+                         crossbar.HEBBIAN_PULSE_SECONDS, MemristorParams(dt=dt))
+
+    def test_negative_drives_from_spread_states(self):
+        x0 = np.linspace(1.0, 0.2, SWEEP_VOLTS.size)
+        assert_bit_exact(x0, -SWEEP_VOLTS, crossbar.HEBBIAN_PULSE_SECONDS)
+
+    @pytest.mark.parametrize("volts", [40.0, 1e6, np.inf])
+    def test_saturating_drives(self, volts):
+        rng = np.random.default_rng(5)
+        x0 = rng.uniform(0.0, 1.0, 60)
+        got = assert_bit_exact(x0, rng.choice([-volts, volts], 60), crossbar.HEBBIAN_PULSE_SECONDS)
+        assert set(got.tolist()) == {0.0, 1.0}
+
+    def test_devices_on_a_bound(self):
+        # x = 1 is M = R_on, which a positive drive pushes toward; x = 0 is M = R_off.
+        # The first two devices sit on the bound they drive toward, the next two leave theirs.
+        x0, volts = [1.0, 0.0, 0.0, 1.0], [2.0, -2.0, 2.0, -2.0]
+        assert_bit_exact(x0[:2], volts[:2], crossbar.HEBBIAN_PULSE_SECONDS)
+        assert_bit_exact(x0[2:], volts[2:], crossbar.HEBBIAN_PULSE_SECONDS)
+        got = assert_bit_exact(x0 + [0.5, 0.5], volts + [3.0, -3.0], crossbar.HEBBIAN_PULSE_SECONDS)
+        assert got[:2].tolist() == [1.0, 0.0] and 0.0 < got[2] and got[3] < 1.0
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 40])
+    def test_drive_that_pins_in_one_step(self, steps):
+        m0 = np.linspace(PARAMS.r_on, PARAMS.r_off, 41)[1:-1]
+        x0 = (PARAMS.r_off - m0) / (PARAMS.r_off - PARAMS.r_on)
+        volts = np.concatenate([one_step_volts(m0, PARAMS.r_on), one_step_volts(m0, PARAMS.r_off)])
+        assert_bit_exact(np.repeat(np.tile(x0, 2), 9), volts, steps * PARAMS.dt)
+
+    @pytest.mark.parametrize("steps", [16, 32, 64])
+    def test_slow_drive_that_pins_as_the_pulse_ends(self, steps):
+        # rising devices a few ulps of R_off per step, steps + 1/2 exact steps below R_off:
+        # each step rounds up, so the clamped loop pins them within the pulse
+        params = MemristorParams(v_threshold=0.0)
+        t = np.array([0.6, 0.8, 1.6, 1.75, 1.9, 2.6, 2.9, 3.7, 10.6]) * np.spacing(params.r_off)
+        x0 = (steps + 0.5) * t / (params.r_off - params.r_on)
+        m0 = params.r_off + (params.r_on - params.r_off) * x0
+        volts = t * m0 / ((params.r_on - params.r_off) * params.drift_gain * params.dt)
+        got = assert_bit_exact(x0, volts, steps * params.dt, params)
+        assert (got == 0.0).any()
+
+    def test_pinned_devices_are_retired(self, monkeypatch):
+        # every device pins within 0.05 s; a 0.5 s pulse steps none of them after that
+        calls = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def divide(self, *args, **kwargs):
+                calls.append(1)
+                return np.divide(*args, **kwargs)
+        monkeypatch.setattr(crossbar, "np", CountingNumpy())
+        rng = np.random.default_rng(6)
+        assert_bit_exact(rng.uniform(0.0, 1.0, 60), rng.choice([-40.0, 40.0], 60), 0.5)
+        assert 0 < len(calls) < round(crossbar.HEBBIAN_PULSE_SECONDS / PARAMS.dt)
+
+    def test_half_second_pulse(self):
+        rng = np.random.default_rng(8)
+        assert_bit_exact(rng.uniform(0.0, 1.0, 81), np.linspace(-3.0, 30.0, 81), 0.5)
+
+    @given(st.lists(st.tuples(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+                              st.floats(-60.0, 60.0)), min_size=1, max_size=12),
+           st.integers(0, 3000))
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_states_and_drives(self, draws, steps):
+        assert_bit_exact([x for x, _ in draws], [v for _, v in draws], steps * PARAMS.dt)
+
+
 class TestVmm:
     """The analog-read oracle of tests/oracles.py."""
 
@@ -223,6 +324,33 @@ class TestHebbianPulse:
         volts, dw = delta_weight_sweep(PARAMS, voltages=np.linspace(0, 2, 41))
         # u + v enters only through the sum, so monotone sweep covers both axes
         assert all(b >= a for a, b in zip(dw, dw[1:]))
+
+
+class TestSweepInputs:
+    """delta_weight_sweep rejects what no write pulse can be, naming the value."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_voltage_is_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"voltage.*{bad}"):
+            delta_weight_sweep(PARAMS, voltages=[0.5, 2.0, bad])
+
+    @pytest.mark.parametrize("duration", [-0.01, np.nan, np.inf, -np.inf])
+    def test_duration_must_be_finite_and_non_negative(self, duration):
+        with pytest.raises(ValueError, match=f"duration.*{duration}"):
+            delta_weight_sweep(PARAMS, voltages=[2.0], duration=duration)
+
+    def test_duration_beyond_the_step_cap_is_rejected(self):
+        steps = crossbar.MAX_PULSE_STEPS + 1
+        with pytest.raises(ValueError, match=f"duration.*{steps * PARAMS.dt}.*{steps}"):
+            delta_weight_sweep(PARAMS, voltages=[2.0], duration=steps * PARAMS.dt)
+
+    def test_zero_duration_and_the_cap_itself_are_accepted(self):
+        _, dw = delta_weight_sweep(PARAMS, voltages=[2.0], duration=0.0)
+        assert dw.tolist() == [0.0]
+        # the cap's 1,000,000 steps at 2 V drive a pristine device onto R_on
+        _, dw = delta_weight_sweep(PARAMS, voltages=[2.0, -2.0, 0.5],
+                                   duration=crossbar.MAX_PULSE_STEPS * PARAMS.dt)
+        assert dw.tolist() == [PARAMS.r_off / PARAMS.r_on - 1.0, 0.0, 0.0]
 
 
 class TestMemristorParams:

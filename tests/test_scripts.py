@@ -3,6 +3,9 @@
 import csv
 import importlib.util
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +53,48 @@ class TestBench:
         assert info.value.code == 2
         assert "train-nvel" in capsys.readouterr().err
         assert not out.exists()
+
+    @staticmethod
+    def runs(**metrics):
+        """Synthetic nfbench results, run i holding the i-th value of each metric."""
+        units = {"device_steps_per_s": "1/s", "run_s": "s"}
+        return [{"metrics": {name: {"value": v, "unit": units[name]} for name, v in run.items()},
+                 "correct": True, "failed": 0}
+                for run in (dict(zip(metrics, vs)) for vs in zip(*metrics.values()))]
+
+    def test_figures_record_median_and_quartiles(self):
+        fig = load("bench").figures({"readout": self.runs(device_steps_per_s=[5, 1, 4, 2, 3])})
+        assert fig["readout"]["runs"] == 5 and fig["readout"]["correct"]
+        assert fig["readout"]["metrics"]["device_steps_per_s"] == {
+            "median": 3, "q1": 2, "q3": 4, "unit": "1/s"}
+
+    def test_figures_count_the_pairs_won_by_each_metric_direction(self):
+        bench = load("bench")
+        change = {"readout": self.runs(device_steps_per_s=[10, 8, 5, 7, 9], run_s=[1, 2, 3, 4, 5])}
+        parent = {"readout": self.runs(device_steps_per_s=[9, 9, 5, 6, 8], run_s=[2, 2, 2, 5, 6])}
+        fig = bench.figures(change, parent)["readout"]["metrics"]
+        # higher is better: 10 > 9, 7 > 6 and 9 > 8 win, 8 < 9 loses, 5 = 5 wins for neither
+        assert fig["device_steps_per_s"]["pairs_won"] == 3
+        # lower is better: 1 < 2, 4 < 5 and 5 < 6 win, 3 > 2 loses, 2 = 2 wins for neither
+        assert fig["run_s"]["pairs_won"] == 3
+        assert "pairs_won" not in bench.figures(parent)["readout"]["metrics"]["run_s"]
+
+
+class TestFingerprint:
+    def test_pins_one_blas_thread_over_the_environment(self):
+        # the pin must be set before numpy loads OpenBLAS, so it is read in a new process
+        code = ("import importlib.util, os, sys\n"
+                "spec = importlib.util.spec_from_file_location('fingerprint', sys.argv[1])\n"
+                "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+                "sys.path.insert(0, sys.argv[2])\n"
+                "import run\n"
+                "print(*[os.environ[v] for v in run.BLAS_THREAD_VARS], run.blas_threads())\n")
+        root = SCRIPTS.parent
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "4",
+               "MKL_NUM_THREADS": "4", "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run([sys.executable, "-c", code, str(SCRIPTS / "fingerprint.py"),
+                               str(root / "nfbench")], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        *pinned, threads = proc.stdout.split()
+        assert pinned == ["1", "1", "1"]
+        assert threads in ("1", "None")   # None: no OpenBLAS found to ask
