@@ -4,10 +4,11 @@
 Runs `nfbench/run.py --trace 0` --repeats times (at least 5) per workload, seeds
 1 to --repeats, and writes a JSON file with each end-to-end metric's median and
 quartiles over the runs, whether every run was correct and how many operations
-failed, the machine info nfbench reports, and the summary of
-scripts/fingerprint.py.  With --baseline DIR another checkout (the parent
-commit, say) runs the same runs, alternating with this one run by run, and its
-figures are recorded next to them; each metric of this checkout then also
+failed, the machine info nfbench reports, the summary of
+scripts/fingerprint.py and src_lines, the line count of src/neurofuzzy/*.py.
+With --baseline DIR another checkout (the parent commit, say) runs the same
+runs, alternating with this one run by run, and its figures and src_lines are
+recorded next to them; each metric of this checkout then also
 records how many of the seed-matched pairs it won, by the direction
 BENCHMARK.json gives it (a tie wins for neither).  Per-layer (traced) figures
 are not recorded.
@@ -47,6 +48,11 @@ def fingerprint(checkout: Path) -> dict:
     """scripts/fingerprint.py's exit code and its one-line-per-file summary."""
     rc, lines, _ = run(checkout, ["scripts/fingerprint.py"], PYTHONPATH="src")
     return {"exit": rc, "summary": [s for s in lines if not s.startswith(("differs", " "))]}
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the package's modules, src/neurofuzzy/*.py, as wc -l counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "neurofuzzy").glob("*.py"))
 
 
 def directions() -> dict:
@@ -113,10 +119,11 @@ def main(argv=None) -> int:
                       f"failed {result['failed']}", file=sys.stderr)
     baseline = results[checkouts[1]] if args.baseline else None
     report = {"seconds": args.seconds, "seeds": list(range(1, args.repeats + 1)),
-              "machine": machine, "fingerprint": fingerprint(ROOT),
+              "machine": machine, "fingerprint": fingerprint(ROOT), "src_lines": src_lines(ROOT),
               "workloads": figures(results[ROOT], baseline)}
     if args.baseline:
-        report["baseline"] = {"commit": commit(checkouts[1]), "workloads": figures(baseline)}
+        report["baseline"] = {"commit": commit(checkouts[1]), "src_lines": src_lines(checkouts[1]),
+                              "workloads": figures(baseline)}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

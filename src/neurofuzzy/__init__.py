@@ -3,7 +3,7 @@
 from . import benchmarks, crossbar, errors, experiments, fuzzy, network
 from .crossbar import Crossbar, MemristorParams
 from .experiments import ExperimentConfig, ExperimentReport
-from .fuzzy import MembershipVector, Universe, build_universe, universe_from_count
+from .fuzzy import MembershipVector, Universe, universe_from_count
 from .network import (
     InputGroup,
     NetworkConfig,

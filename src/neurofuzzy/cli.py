@@ -106,9 +106,6 @@ _UNUSED = {"classify": {"function", "test_seed", "noise_variance", "nz", "output
 def _crossbar_setup(file_cfg: dict) -> dict:
     """The [crossbar] section as ExperimentConfig fields; the only reader of that section."""
     cb = dict(file_cfg.get("crossbar", {}))
-    for key in ("r_f", "scale_in", "scale_out"):
-        if key in cb and not 0 < cb[key] < np.inf:
-            raise ConfigError(f"[crossbar] {key} must be finite and positive, got {cb[key]}")
     try:
         device = MemristorParams(**{k: cb.pop(k) for k in _DEVICE_KEYS if k in cb})
     except ValueError as e:
@@ -291,7 +288,10 @@ def cmd_crossbar_compare(args, file_cfg) -> int:
     cfg = None if args.sweep_only else resolve(args, file_cfg)
     setup = _crossbar_setup(file_cfg)
     out_dir = _out_dir(args)
-    volts, dws = crossbar.delta_weight_sweep(setup["device"], setup.get("r_f"))
+    try:
+        volts, dws = crossbar.delta_weight_sweep(setup["device"], setup.get("r_f"))
+    except ValueError as e:   # the sweep checks r_f; --sweep-only resolves no run to check it
+        raise ConfigError(f"bad [crossbar] r_f: {e}") from e
     sweep_path = out_dir / "device_weight_sweep.csv"
     atomic_write(sweep_path, crossbar.sweep_csv(volts, dws))
     _progress(f"wrote {sweep_path}")

@@ -123,8 +123,8 @@ class Crossbar:
         self.rows, self.cols = rows, cols
         self.params = params if params is not None else MemristorParams()
         self.r_f = self.params.r_off if r_f is None else float(r_f)
-        if self.r_f <= 0:
-            raise ValueError("feedback resistance must be positive")
+        if not 0 < self.r_f < math.inf:
+            raise ValueError(f"feedback resistance must be finite and > 0, got {self.r_f}")
         self.x = np.zeros((rows, cols))
         self.fault_mask = np.zeros((rows, cols), dtype=bool)
 
@@ -150,6 +150,8 @@ def delta_weight_sweep(params: MemristorParams | None = None, r_f: float | None 
     if dt is not None:
         params = replace(params, dt=dt)
     r_f = params.r_off if r_f is None else r_f
+    if not 0 < r_f < math.inf:
+        raise ValueError(f"feedback resistance must be finite and > 0, got {r_f}")
     volts = np.linspace(0.0, 2.0 * params.v_threshold, 81) if voltages is None \
         else np.asarray(voltages, dtype=np.float64)
     if not np.isfinite(volts).all():
@@ -233,9 +235,10 @@ def map_network(state, params: MemristorParams | None = None, r_f: float | None 
     neuron), cb2 the output matrix.  Logical weights map linearly onto
     conductance above the pristine floor; the scale is chosen so the largest
     weight lands on R_on unless overridden.  Pre-distorted crossbars may be
-    passed in; their stuck cells are skipped.  A faulted state already holds
-    its stuck weights, so the crossbars made here are programmed with them and
-    then take the fault plan's masks.  Returns (cb1, cb2, mapping).
+    passed in, with the mapping's device and R_f (else ValueError); their stuck
+    cells are skipped.  A faulted state already holds its stuck weights, so the
+    crossbars made here are programmed with them and then take the fault plan's
+    masks.  Returns (cb1, cb2, mapping).
     """
     from .network import NetworkState  # local import to avoid a cycle
 
@@ -248,6 +251,8 @@ def map_network(state, params: MemristorParams | None = None, r_f: float | None 
     total_cols = sum(counts)
     nz = state.config.output_universe.count
 
+    if any(cb is not None and (cb.params, cb.r_f) != (params, r_f) for cb in (cb1, cb2)):
+        raise ValueError("a given crossbar's device constants or R_f differ from the mapping's")
     made = (cb1 is None, cb2 is None)
     if cb1 is None:
         cb1 = Crossbar(n_v, total_cols, params, r_f)

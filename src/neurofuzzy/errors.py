@@ -7,16 +7,8 @@ class NeuroFuzzyError(Exception):
 
 # --- universe / membership construction ---
 
-class NonPositiveResolution(NeuroFuzzyError):
-    pass
-
-
 class EmptyRange(NeuroFuzzyError):
     pass
-
-
-class MisalignedRange(NeuroFuzzyError):
-    """Universe span is not an integer multiple of the resolution."""
 
 
 class OutOfRange(NeuroFuzzyError):

@@ -89,6 +89,10 @@ class ExperimentConfig:
             raise ValueError(f"input_hs_scale must be finite and > 0, got {self.input_hs_scale}")
         if not np.isfinite(self.input_hs_shrink_exp):
             raise ValueError(f"input_hs_shrink_exp must be finite, got {self.input_hs_shrink_exp}")
+        for key in ("r_f", "scale_in", "scale_out"):
+            value = getattr(self, key)
+            if value is not None and not 0 < value < np.inf:
+                raise ValueError(f"{key} must be finite and > 0, got {value}")
 
     @property
     def label(self) -> str:

@@ -1,12 +1,13 @@
 """Discretized fuzzy sets and the kernels the network and the crossbar share.
 
-A linguistic variable is discretized onto a ``Universe``: an evenly spaced grid
-with one neuron per grid point. Fuzzy sets over a universe are stored as
-``MembershipVector`` samples with all degrees in [0, 1]. Crisp values enter the
-system through triangular fuzzification and leave it through centroid
-defuzzification; similarity between membership vectors is the cosine of the
-two sampled curves, so every per-variable similarity is itself a confidence
-degree in [0, 1].
+A linguistic variable is discretized onto a ``Universe``: count evenly spaced
+grid points on [lo, hi], one neuron per point (universe_from_count). Fuzzy sets
+over a universe are sampled membership vectors with all degrees in [0, 1].
+Crisp values, inputs and training targets alike, enter the system through
+triangular fuzzification, and outputs leave it through centroid
+defuzzification; similarity between an input and a stored row is the cosine of
+the two sampled curves, so every per-variable similarity is itself a
+confidence degree in [0, 1].
 """
 
 from dataclasses import dataclass
@@ -16,16 +17,14 @@ import numpy as np
 from .errors import (
     DegenerateFuzzification,
     EmptyRange,
-    MisalignedRange,
     NegativeSupport,
-    NonPositiveResolution,
     OperandOutOfRange,
     OutOfRange,
     UniverseMismatch,
 )
 
-# Relative tolerance for deciding that a span is an integer multiple of the
-# resolution, and for boundary checks on crisp inputs.
+# Relative tolerance, of the larger bound magnitude (at least 1), for boundary
+# checks on crisp values.
 ALIGN_RTOL = 1e-9
 
 # Cosines within this band of 1 are rounding artifacts of norm computation;
@@ -75,14 +74,6 @@ def inverse_norms(rows):
     """1 / the 2-norm of each row (last axis), via pow2_scale; 0 for an all-zero row."""
     _, inv, e = pow2_scale(rows)
     return np.ldexp(inv, -e)
-
-
-def pair_cosine(a, b):
-    """Cosine of row i of a with row i of b, snapped as by power_activation with
-    one group and p = 1; NaN where either row is all zero."""
-    a, b = unit_rows(a), unit_rows(b)
-    cos = power_activation(np.einsum("ij,ij->i", a, b), 1, 1)
-    return np.where(a.any(axis=1) & b.any(axis=1), cos, np.nan)
 
 
 def int_power(x, p: int, work=None):
@@ -178,30 +169,14 @@ class Universe:
         return (values >= self.lo - tol) & (values <= self.hi + tol)
 
 
-def build_universe(lo: float, hi: float, resolution: float) -> Universe:
-    """Construct a universe from bounds and resolution.
-
-    The span must be an integer multiple of the resolution (to ALIGN_RTOL
-    relative); e.g. a variable on [0, 10] at resolution 0.1 needs 101 neurons.
-    """
-    if resolution <= 0:
-        raise NonPositiveResolution(f"resolution must be > 0, got {resolution}")
-    if hi <= lo:
-        raise EmptyRange(f"need hi > lo, got [{lo}, {hi}]")
-    q = (hi - lo) / resolution
-    k = round(q)
-    if k < 1 or abs(q - k) > ALIGN_RTOL * max(1.0, q):
-        raise MisalignedRange(
-            f"span {hi - lo} is not an integer multiple of resolution {resolution}"
-        )
-    return Universe(lo=float(lo), hi=float(hi), resolution=float(resolution), count=k + 1)
-
-
 def universe_from_count(lo: float, hi: float, count: int) -> Universe:
-    """Universe with a given neuron count; resolution = span / (count - 1)."""
-    if count < 2:
-        raise EmptyRange(f"need at least 2 grid points, got {count}")
-    return build_universe(lo, hi, (hi - lo) / (count - 1))
+    """Universe of count neurons on [lo, hi]; resolution = span / (count - 1)."""
+    if not (count >= 2 and float(count).is_integer()):
+        raise EmptyRange(f"need a whole number of at least 2 grid points, got {count}")
+    if not -np.inf < lo < hi < np.inf:
+        raise EmptyRange(f"need finite bounds with hi > lo, got [{lo}, {hi}]")
+    return Universe(lo=float(lo), hi=float(hi), resolution=float((hi - lo) / (count - 1)),
+                    count=int(count))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ where s_i^g is the cosine similarity of input group g to row i.  The second
 layer is a plain weighted sum: output_raw = W_out @ v, read out as a fuzzy
 membership function over the output universe.
 
-Training is single-pass and optimization-free.  Each sample is first checked
-for novelty (inference error against its target); familiar samples are
+Training is single-pass and optimization-free, on crisp targets.  A sample's
+novelty is the absolute error of its centroid readout; familiar samples are
 skipped, novel ones append one min-term row per group (an exact copy of the
 fuzzified inputs) and then Hebbian-update the full output matrix:
 
@@ -45,7 +45,7 @@ from .errors import (
     VersionMismatch,
     ZeroVector,
 )
-from .fuzzy import MembershipVector, Universe
+from .fuzzy import Universe
 
 _FORMAT = "neurofuzzy-state-v1"
 # the v1 format's entry for the Hebbian rule, which is always the product alpha * v_j * u_i
@@ -126,7 +126,7 @@ class TrainingStats:
     n_samples: int = 0
     n_minterms_added: int = 0
     add_indices: list = field(default_factory=list)
-    errors: np.ndarray | None = None   # each sample's novelty error before its own update
+    errors: np.ndarray | None = None   # each sample's |centroid - target| before its update
 
 
 class NetworkState:
@@ -258,19 +258,18 @@ CHUNK_MAX = 64
 
 
 def _check_stream(state: NetworkState, mats, targets) -> np.ndarray:
-    """Validate a whole stream before training writes anything; returns the
-    (B, nz) fuzzy targets, crisp ones fuzzified here."""
-    out_u, n = state.config.output_universe, targets.shape[0]
+    """Validate a whole stream of (B,) crisp targets before training writes
+    anything; returns the targets fuzzified, (B, nz)."""
+    out_u, n = state.config.output_universe, len(targets) if targets.ndim else 0
     want = [(n, g.universe.count) for g in state.config.groups]
-    if [X.shape for X in mats] != want or targets.shape[1:] not in ((), (out_u.count,)):
+    if [X.shape for X in mats] != want or targets.ndim != 1:
         raise UniverseMismatch(f"input shapes {[X.shape for X in mats]} and target shape "
-                               f"{targets.shape} do not fit {want} and {out_u.count} outputs")
+                               f"{targets.shape} do not fit {want} and ({n},) crisp targets")
     # a stored weight must be finite and non-negative, or the state cannot be reloaded
-    memberships = mats + ([targets] if targets.ndim == 2 else [])
     out_of_range = ~np.logical_and.reduce([(np.isfinite(X) & (X >= 0.0)).all(axis=1)
-                                       for X in memberships])
+                                           for X in mats])
     zero = ~np.logical_and.reduce([X.any(axis=1) for X in mats])
-    bad = out_of_range | zero | (~out_u.contains(targets) if targets.ndim == 1 else False)
+    bad = out_of_range | zero | ~out_u.contains(targets)
     if bad.any():
         k = int(np.argmax(bad))
         if out_of_range[k]:
@@ -279,8 +278,6 @@ def _check_stream(state: NetworkState, mats, targets) -> np.ndarray:
             raise ZeroVector(f"sample {k}: all-zero input membership vector")
         raise TargetOutOfRange(f"sample {k}: target {targets[k]} outside output "
                                f"universe [{out_u.lo}, {out_u.hi}]")
-    if targets.ndim == 2:
-        return targets
     hs = state.config.output_half_support
     try:
         return fuzzy.triangular_matrix(out_u, targets, hs)
@@ -293,28 +290,27 @@ def _check_stream(state: NetworkState, mats, targets) -> np.ndarray:
 def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
     """Present fuzzified samples in order: skip the familiar, grow on the novel.
 
-    mats[g] is the (B, count_g) matrix of group g's rows; targets is (B,) crisp
-    or (B, nz) fuzzy.  The novelty error is the absolute centroid error (crisp)
-    or one minus the cosine of output and target (fuzzy), inf where nothing
-    fires.  Each chunk of CHUNK_MAX samples is scored by one GEMM against the
-    stored rows, its outputs projected through P (the centroid matrix if crisp,
-    else the identity).  An add at chunk row b takes its hidden column from the
-    chunk's self-activations (pristine) or the row as stored (faulted) and folds
-    its update into the rows after b, without faults as the rank-1 (hid @ v) (x)
-    alpha * (u @ P); w_out gets the chunk's updates at its end, in one masked
-    GEMM.  The result is that of presenting the samples one at a time.  The
-    stream is validated first: an invalid sample k raises with "sample k" and
-    changes nothing; a fault plan out of rows at sample k raises
-    CapacityExceeded, samples 0..k-1 trained.
+    mats[g] is the (B, count_g) matrix of group g's rows; targets is (B,) crisp,
+    fuzzified at the output half support.  The novelty error is the absolute
+    centroid error, inf where nothing fires.  Each chunk of CHUNK_MAX samples
+    is scored by one GEMM against the stored rows, its outputs projected
+    through P, the centroid matrix.  An add at chunk row b takes its hidden
+    column from the chunk's self-activations (pristine) or the row as stored
+    (faulted) and folds its update into the rows after b, without faults as
+    the rank-1 (hid @ v) (x) alpha * (u @ P); w_out gets the chunk's updates at
+    its end, in one masked GEMM.  The result is that of presenting the samples
+    one at a time.  The stream is validated first: an invalid sample k raises
+    with "sample k" and changes nothing; a fault plan out of rows at sample k
+    raises CapacityExceeded, samples 0..k-1 trained.
     """
     cfg, faults = state.config, state.faults
     targets = np.asarray(targets, dtype=np.float64)
     mats = [np.asarray(X, dtype=np.float64) for X in mats]
     fuzzy_targets = _check_stream(state, mats, targets)
-    n, nz = fuzzy_targets.shape
+    n = len(targets)
     units = fuzzy.unit_concat(mats)
     stats = TrainingStats(n_samples=n, errors=np.full(n, np.inf))
-    proj = fuzzy.centroid_matrix(cfg.output_universe.grid()) if targets.ndim == 1 else np.eye(nz)
+    proj = fuzzy.centroid_matrix(cfg.output_universe.grid())
     hebb = cfg.alpha * (fuzzy_targets @ proj)
     for i in range(0, n, CHUNK_MAX):
         stop = min(i + CHUNK_MAX, n)
@@ -327,10 +323,7 @@ def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
         start, selfs, adds = 0, None, []
         try:
             while start < stop - i:
-                if targets.ndim == 1:
-                    err = np.abs(fuzzy.centroid(out[start:])[0] - targets[i + start:stop])
-                else:
-                    err = 1.0 - fuzzy.pair_cosine(out[start:], targets[i + start:stop])
+                err = np.abs(fuzzy.centroid(out[start:])[0] - targets[i + start:stop])
                 # inf where nothing fired (fmin drops the NaN)
                 err = np.fmin(err, np.inf, out=stats.errors[i + start:stop])
                 novel = np.flatnonzero(err >= cfg.novelty_threshold)
@@ -370,24 +363,17 @@ def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
     return stats
 
 
-def train_one(state: NetworkState, inputs, target_crisp: float | None = None,
-              target_fuzzy: MembershipVector | None = None) -> TrainingStats:
-    """train_dataset of one sample; give exactly one of target_crisp / target_fuzzy."""
-    if (target_crisp is None) == (target_fuzzy is None):
-        raise ValueError("give exactly one of target_crisp / target_fuzzy")
-    target = float(target_crisp) if target_fuzzy is None else target_fuzzy
-    return train_dataset(state, [(inputs, target)])
+def train_one(state: NetworkState, inputs, target_crisp: float) -> TrainingStats:
+    """train_dataset of one sample."""
+    return train_dataset(state, [(inputs, target_crisp)])
 
 
 def train_dataset(state: NetworkState, samples) -> TrainingStats:
-    """train_matrix over (inputs, target) pairs; targets all floats or all MembershipVectors."""
+    """train_matrix over (inputs, crisp target) pairs, inputs one MembershipVector per group."""
     samples = list(samples)
-    fuzzy_targets = [isinstance(t, MembershipVector) for _, t in samples]
-    if any(fuzzy_targets) and not all(fuzzy_targets):
-        raise ValueError("a stream mixes crisp and fuzzy targets")
     groups = state.config.groups
     # train_matrix checks the values; the universes are checked here
-    for i, (inputs, target) in enumerate(samples):
+    for i, (inputs, _) in enumerate(samples):
         if len(inputs) != len(groups):
             raise UniverseMismatch(f"sample {i}: expected {len(groups)} input groups, "
                                    f"got {len(inputs)}")
@@ -395,14 +381,9 @@ def train_dataset(state: NetworkState, samples) -> TrainingStats:
             if mv.universe != g.universe:
                 raise UniverseMismatch(f"sample {i}: input universe does not match "
                                        f"group {g.name!r}")
-        if fuzzy_targets[i] and target.universe != state.config.output_universe:
-            raise UniverseMismatch(f"sample {i}: fuzzy target universe does not match "
-                                   "the output universe")
     mats = [np.array([inputs[g].values for inputs, _ in samples]).reshape(
                 len(samples), grp.universe.count) for g, grp in enumerate(groups)]
-    targets = np.array([t.values if f else float(t)
-                        for (_, t), f in zip(samples, fuzzy_targets)])
-    return train_matrix(state, mats, targets)
+    return train_matrix(state, mats, np.array([float(t) for _, t in samples]))
 
 
 # --- serialization ----------------------------------------------------------

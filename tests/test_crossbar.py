@@ -344,6 +344,13 @@ class TestSweepInputs:
         with pytest.raises(ValueError, match=f"duration.*{steps * PARAMS.dt}.*{steps}"):
             delta_weight_sweep(PARAMS, voltages=[2.0], duration=steps * PARAMS.dt)
 
+    @pytest.mark.parametrize("r_f", [np.nan, np.inf, 0.0, -5.0])
+    def test_feedback_resistance_must_be_finite_and_positive(self, r_f):
+        with pytest.raises(ValueError, match=f"feedback resistance.*{r_f}"):
+            delta_weight_sweep(PARAMS, r_f=r_f)
+        with pytest.raises(ValueError, match=f"feedback resistance.*{r_f}"):
+            Crossbar(2, 2, r_f=r_f)
+
     def test_zero_duration_and_the_cap_itself_are_accepted(self):
         _, dw = delta_weight_sweep(PARAMS, voltages=[2.0], duration=0.0)
         assert dw.tolist() == [0.0]
@@ -428,6 +435,27 @@ class TestMapNetwork:
         wrong_cols = Crossbar(g1_state.n_minterms, 150)
         with pytest.raises(DimensionMismatch):
             map_network(g1_state, cb1=wrong_cols)
+
+    @pytest.mark.parametrize("setup", [{"r_f": 5000.0}, {"params": MemristorParams(r_on=200.0)}],
+                             ids=["r_f", "params"])
+    @pytest.mark.parametrize("which", ["cb1", "cb2"])
+    def test_a_given_crossbar_of_another_setup_is_rejected(self, g1_state, which, setup):
+        # programmed with the mapping's device and R_f, it would read 0.5-0.7 relative error
+        pristine = dict(zip(("cb1", "cb2"), distorted_pair(g1_state, fraction=0.0)))
+        cb = Crossbar(pristine[which].rows, pristine[which].cols, **setup)
+        with pytest.raises(ValueError, match="differ"):
+            map_network(g1_state, **{which: cb})
+        assert not cb.x.any()
+
+    def test_given_crossbars_of_the_mapping_setup_read_as_the_network(self, g1_state):
+        params = MemristorParams(r_on=200.0)
+        cb1, cb2 = (Crossbar(cb.rows, cb.cols, params, 5000.0)
+                    for cb in distorted_pair(g1_state, fraction=0.0))
+        mapped = map_network(g1_state, params, r_f=5000.0, cb1=cb1, cb2=cb2)
+        mats = g1_state.fuzzify(np.random.default_rng(8).uniform(0, 1, size=(100, 2)))
+        ideal = network.output_batch(g1_state, mats)
+        got = crossbar_forward_batch(*mapped, mats)
+        assert np.abs(got - ideal).max() <= 1e-12 * np.abs(ideal).max()
 
 
 class TestCrossbarForward:

@@ -207,8 +207,8 @@ class TestTrainingInvariants:
         from neurofuzzy import network
         from neurofuzzy.benchmarks import eval_benchmark, gen_uniform_samples
         from neurofuzzy.experiments import _network_config
-        from neurofuzzy.fuzzy import triangular_matrix
-        from neurofuzzy.network import MembershipVector, NetworkState
+        from neurofuzzy.fuzzy import MembershipVector, triangular_matrix
+        from neurofuzzy.network import NetworkState
 
         cfg = quick(seed=6)
         net_cfg = _network_config(cfg)
@@ -262,3 +262,10 @@ class TestConfigValidation:
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
             ExperimentConfig(function="g1", fault_fraction=1.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("key", ["r_f", "scale_in", "scale_out"])
+    def test_bad_crossbar_setup(self, key, value):
+        # a mapping with such a value reads every test point as unactivated
+        with pytest.raises(ValueError, match=f"{key} must be finite and > 0, got {value}"):
+            paper_modeling_config("g1", backend="crossbar", **{key: value})

@@ -10,80 +10,80 @@ from neurofuzzy import fuzzy
 from neurofuzzy.errors import (
     DegenerateFuzzification,
     EmptyRange,
-    MisalignedRange,
     NegativeSupport,
-    NonPositiveResolution,
     OutOfRange,
 )
 from neurofuzzy.fuzzy import (
-    build_universe,
     centroid,
     centroid_matrix,
-    pair_cosine,
     triangular_matrix,
     universe_from_count,
 )
 
 
-class TestBuildUniverse:
+class TestUniverseFromCount:
     def test_neuron_per_value_example(self):
-        u = build_universe(0, 10, 0.1)
+        u = universe_from_count(0, 10, 101)
         assert u.count == 101
+        assert u.resolution == pytest.approx(0.1, rel=1e-12)
 
     def test_two_point_axis(self):
-        u = build_universe(0, 1, 1)
+        u = universe_from_count(0, 1, 2)
         assert u.count == 2
         assert np.allclose(u.grid(), [0.0, 1.0])
 
     def test_percent_grid(self):
-        u = build_universe(0, 1, 0.01)
+        u = universe_from_count(0, 1, 101)
         assert u.count == 101
         assert u.grid()[50] == pytest.approx(0.50, abs=1e-12)
 
-    def test_errors(self):
-        with pytest.raises(NonPositiveResolution):
-            build_universe(0, 1, 0)
+    # empty or reversed bounds, bounds that are not finite, too few or fractional grid points
+    @pytest.mark.parametrize("lo, hi, count", [
+        (1, 1, 5), (1, 0, 5), (0, np.nan, 5), (0, np.inf, 5), (-np.inf, 0, 5),
+        (0, 1, 1), (0, 1, 0), (0, 1, 2.5), (0, 1, np.nan),
+    ])
+    def test_errors(self, lo, hi, count):
         with pytest.raises(EmptyRange):
-            build_universe(1, 1, 0.1)
-        with pytest.raises(MisalignedRange):
-            build_universe(0, 1, 0.3)
+            universe_from_count(lo, hi, count)
 
     def test_from_count_round_trips(self):
         u = universe_from_count(0.0, 6.2346, 116)
         assert u.count == 116
         assert u.grid()[-1] == pytest.approx(6.2346, rel=1e-12)
+        # a NumPy count is stored as a Python int, which the state format can write
+        assert type(universe_from_count(0.0, 1.0, np.int64(5)).count) is int
 
     def test_nearest_index_ties_break_low(self):
         # a singleton sits on the nearest grid point, ties to the lower one
-        u = build_universe(0, 1, 0.5)   # grid 0, 0.5, 1
+        u = universe_from_count(0, 1, 3)   # grid 0, 0.5, 1
         peaks = np.argmax(triangular_matrix(u, [0.25, 0.75, 0.26], 0), axis=1)
         assert peaks.tolist() == [0, 1, 1]
 
 
 class TestFuzzify:
     def test_singleton_at_grid_point(self):
-        u = build_universe(0, 1, 0.5)
+        u = universe_from_count(0, 1, 3)
         assert triangular_matrix(u, [0.5], 0).tolist() == [[0, 1, 0]]
 
     def test_triangle_on_grid(self):
-        u = build_universe(0, 1, 0.25)
+        u = universe_from_count(0, 1, 5)
         out = triangular_matrix(u, [0.5], 0.5)[0]
         assert out.tolist() == [0, 0.5, 1, 0.5, 0]
 
     def test_peak_between_grid_points(self):
-        u = build_universe(0, 1, 0.25)
+        u = universe_from_count(0, 1, 5)
         out = triangular_matrix(u, [0.1], 0.2)[0]
         assert np.allclose(out, [0.5, 0.25, 0, 0, 0])
 
     def test_errors(self):
-        u = build_universe(0, 1, 0.25)
+        u = universe_from_count(0, 1, 5)
         with pytest.raises(OutOfRange):
             triangular_matrix(u, [0.5, 1.5], 0.1)
         with pytest.raises(NegativeSupport):
             triangular_matrix(u, [0.5], -0.1)
 
     def test_degenerate_support_rejected(self):
-        u = build_universe(0, 1, 0.25)
+        u = universe_from_count(0, 1, 5)
         # crisp mid-cell with support narrower than half the spacing
         with pytest.raises(DegenerateFuzzification):
             triangular_matrix(u, [0.5, 0.125], 0.05)
@@ -92,7 +92,7 @@ class TestFuzzify:
     @settings(max_examples=200)
     def test_peak_lower_bound(self, crisp, hs_mult):
         # triangle sampled at grid spacing: peak >= 1 - res/(2*hs)
-        u = build_universe(0, 1, 0.01)
+        u = universe_from_count(0, 1, 101)
         hs = hs_mult * u.resolution
         out = triangular_matrix(u, [crisp], hs)[0]
         assert out.max() >= 1 - u.resolution / (2 * hs) - 1e-12
@@ -100,7 +100,7 @@ class TestFuzzify:
     @given(crisp=st.floats(0, 1))
     @settings(max_examples=100)
     def test_singleton_round_trip(self, crisp):
-        u = build_universe(0, 1, 0.01)
+        u = universe_from_count(0, 1, 101)
         got, fired = centroid(triangular_matrix(u, [crisp], 0)[0] @ centroid_matrix(u.grid()))
         assert fired and got in u.grid()
         assert abs(got - crisp) <= np.abs(u.grid() - crisp).min() + 1e-12
@@ -145,26 +145,26 @@ def row_centroid(u, values):
 
 class TestDefuzzify:
     def test_singleton_centroid(self):
-        u = build_universe(0, 1, 0.5)
+        u = universe_from_count(0, 1, 3)
         assert row_centroid(u, [0, 1, 0]) == pytest.approx(0.5)
 
     def test_symmetry(self):
-        u = build_universe(0, 1, 0.5)
+        u = universe_from_count(0, 1, 3)
         assert row_centroid(u, [1, 1, 1]) == pytest.approx(0.5)
 
     def test_weighted_mean(self):
-        u = build_universe(0, 1, 0.25)
+        u = universe_from_count(0, 1, 5)
         got = row_centroid(u, [0.25, 0.5, 0.25, 0, 0])
         assert got == pytest.approx(0.25, rel=1e-12)
 
     def test_all_zero_does_not_fire(self):
-        u = build_universe(0, 1, 0.5)
+        u = universe_from_count(0, 1, 3)
         pred, fired = centroid(np.zeros((2, 3)) @ centroid_matrix(u.grid()))
         assert not fired.any() and np.isnan(pred).all()
 
     def test_subnormal_weights(self):
         # exact in units of the smallest subnormal: 0 and (2 * 1.0) / 3
-        u = build_universe(0, 1, 0.25)
+        u = universe_from_count(0, 1, 5)
         assert row_centroid(u, [5e-324, 0, 0, 0, 0]) == 0.0
         got = row_centroid(u, [5e-324, 0, 0, 0, 1e-323])
         assert got == pytest.approx(2 / 3, rel=1e-12)
@@ -178,7 +178,7 @@ class TestDefuzzify:
     def test_scale_invariance(self, values, c):
         # centroid is computed on raw (possibly unbounded) activations, so
         # scale the weighted sum directly
-        u = build_universe(0, 1, 0.25)
+        u = universe_from_count(0, 1, 5)
         vals = np.asarray(values)
         if vals.sum() == 0:
             return
@@ -189,8 +189,10 @@ class TestDefuzzify:
 
 
 def row_cosine(a, b) -> float:
-    """pair_cosine of two membership vectors, each a 1-row batch."""
-    return float(pair_cosine(np.array([a], dtype=float), np.array([b], dtype=float))[0])
+    """The scoring kernel's cosine of two membership vectors, each a 1-row batch:
+    one group, p = 1."""
+    a, b = (fuzzy.unit_rows(np.array([r], dtype=float)) for r in (a, b))
+    return float(fuzzy.power_activation(a @ b.T, 1, 1)[0, 0])
 
 
 def pow2_route(rows):
@@ -241,10 +243,6 @@ class TestSimilarity:
     def test_half_overlap(self):
         got = row_cosine([1, 1, 0], [0, 1, 1])
         assert got == pytest.approx(0.5, rel=1e-12)
-
-    def test_zero_vector_is_nan(self):
-        assert np.isnan(row_cosine([0, 0, 0], [1, 0, 0]))
-        assert np.isnan(row_cosine([1, 0, 0], [0, 0, 0]))
 
     @pytest.mark.parametrize("scale", [3.8e-295, 3.1063110723741964e-287, 5e-324])
     def test_tiny_proportional_vectors(self, scale):

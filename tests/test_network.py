@@ -16,7 +16,7 @@ from neurofuzzy.errors import (
     UntrainedNetwork,
     VersionMismatch,
 )
-from neurofuzzy.fuzzy import MembershipVector, build_universe, universe_from_count
+from neurofuzzy.fuzzy import MembershipVector, universe_from_count
 from neurofuzzy.network import (
     InputGroup,
     NetworkConfig,
@@ -137,7 +137,8 @@ class TestForward:
         stored, probe = mv(u4, [0, 0, 0, 5e-324]), mv(u4, [0, 0, 0.5, 1])
         train_one(state, [stored], target_crisp=0.5)
         hidden, _ = forward_batch(state, one_row([probe]))
-        sim = fuzzy.pair_cosine(stored.values[None, :], probe.values[None, :])[0]
+        units = [fuzzy.unit_rows(m.values[None, :]) for m in (stored, probe)]
+        sim = fuzzy.power_activation(units[0] @ units[1].T, 1, 1)[0, 0]
         assert sim == pytest.approx(2 / math.sqrt(5), rel=1e-12)
         assert hidden[0, 0] == pytest.approx(sim ** 7, rel=1e-12)
 
@@ -152,7 +153,7 @@ class TestForward:
         cfg = small_config()
         state = NetworkState(cfg)
         train_one(state, fuzz_sample(cfg, 0.5, 0.5), target_crisp=0.5)
-        other = build_universe(0, 1, 0.1)
+        other = universe_from_count(0, 1, 11)
         with pytest.raises(UniverseMismatch):
             train_one(state, [mv(other, np.ones(11)), mv(other, np.ones(11))],
                       target_crisp=0.5)
@@ -352,18 +353,6 @@ class TestTrainOne:
         state = NetworkState(cfg)
         with pytest.raises(TargetOutOfRange):
             train_one(state, fuzz_sample(cfg, 0.5, 0.5), target_crisp=2.0)
-
-    def test_fuzzy_target_novelty(self):
-        cfg = small_config(threshold=0.5)
-        state = NetworkState(cfg)
-        inputs = fuzz_sample(cfg, 0.5, 0.5)
-        uz = cfg.output_universe
-        target = mv(uz, fuzzy.triangular_matrix(uz, [0.5], 0.3)[0])
-        assert train_one(state, inputs, target_fuzzy=target).add_indices == [0]
-        # same sample again: output is proportional to the target, cosine 1
-        stats = train_one(state, inputs, target_fuzzy=target)
-        assert stats.add_indices == []
-        assert stats.errors[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_hebbian_updates_all_columns(self):
         cfg = small_config(nx=8, ny=8, nz=5, threshold=1e-9, out_hs=0.4)

@@ -3,6 +3,7 @@
 import csv
 import importlib.util
 import io
+import json
 import os
 import subprocess
 import sys
@@ -78,6 +79,27 @@ class TestBench:
         # lower is better: 1 < 2, 4 < 5 and 5 < 6 win, 3 > 2 loses, 2 = 2 wins for neither
         assert fig["run_s"]["pairs_won"] == 3
         assert "pairs_won" not in bench.figures(parent)["readout"]["metrics"]["run_s"]
+
+
+    def test_records_the_package_line_count_of_each_checkout(self, monkeypatch, tmp_path):
+        bench = load("bench")
+        result = {"metrics": {"run_s": {"value": 1.0, "unit": "s"}}, "correct": True, "failed": 0}
+        monkeypatch.setattr(bench, "nfbench", lambda *args: ({"cpus": 1}, result))
+        monkeypatch.setattr(bench, "fingerprint", lambda checkout: {"exit": 0, "summary": []})
+        monkeypatch.setattr(bench, "commit", lambda checkout: "parent")
+        package = tmp_path / "parent" / "src" / "neurofuzzy"
+        package.mkdir(parents=True)
+        (package / "a.py").write_text("x = 1\ny = 2\n")
+        (package / "b.py").write_text("z = 3\n")
+        (package / "notes.txt").write_text("not a module\n")
+        out = tmp_path / "bench.json"
+        assert bench.main(["--out", str(out), "--workloads", "readout",
+                           "--baseline", str(tmp_path / "parent")]) == 0
+        report = json.loads(out.read_text())
+        assert report["baseline"]["src_lines"] == 3
+        ours = sum(len(p.read_text().splitlines())
+                   for p in (SCRIPTS.parent / "src" / "neurofuzzy").glob("*.py"))
+        assert report["src_lines"] == ours > 1000
 
 
 class TestFingerprint:

@@ -38,14 +38,6 @@ def config(threshold=0.15):
         novelty_threshold=threshold, output_half_support=0.3)
 
 
-def snapped_cosine(a, b):
-    """Cosine of two nonzero rows, each scaled by a power of two to a largest
-    entry in [0.5, 1) before its norm is taken; within 1e-12 of 1 it is 1."""
-    a, b = (np.ldexp(r, -np.frexp(np.abs(r).max())[1]) for r in (a, b))
-    cos = float((a / np.sqrt(a @ a)) @ (b / np.sqrt(b @ b)))
-    return 1.0 if cos >= 1.0 - 1e-12 else max(cos, 0.0)
-
-
 def oracle_train(state, mats, targets):
     """The per-sample trainer: one forward pass to test novelty, then, for a
     novel sample, an append, a second forward pass and the Hebbian update
@@ -56,20 +48,13 @@ def oracle_train(state, mats, targets):
     added, errors = [], []
     for k in range(len(targets)):
         xs = [X[k:k + 1] for X in mats]
-        if targets.ndim == 1:
-            u = fuzzy.triangular_matrix(out_u, targets[k:k + 1], cfg.output_half_support)[0]
-        else:
-            u = targets[k]
+        u = fuzzy.triangular_matrix(out_u, targets[k:k + 1], cfg.output_half_support)[0]
         err = np.inf
         if state.n_minterms > 0:
             out = forward_batch(state, xs)[1][0]
-            if targets.ndim == 1:
-                total = out.sum()
-                if total > 0.0:
-                    err = abs(float(out @ out_u.grid()) / total - targets[k])
-            else:
-                if out.any() and u.any():
-                    err = 1.0 - snapped_cosine(out, u)
+            total = out.sum()
+            if total > 0.0:
+                err = abs(float(out @ out_u.grid()) / total - targets[k])
         errors.append(err)
         if err < cfg.novelty_threshold:
             continue
@@ -83,15 +68,12 @@ def oracle_train(state, mats, targets):
     return added, np.array(errors)
 
 
-def random_stream(cfg, seed, n, fuzzy_targets=False):
+def random_stream(cfg, seed, n):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, size=(n, 2))
     mats = [fuzzy.triangular_matrix(g.universe, pts[:, i], g.half_support)
             for i, g in enumerate(cfg.groups)]
-    crisp = (pts[:, 0] + pts[:, 1]) / 2.0
-    if fuzzy_targets:
-        return mats, fuzzy.triangular_matrix(cfg.output_universe, crisp, 0.3)
-    return mats, crisp
+    return mats, (pts[:, 0] + pts[:, 1]) / 2.0
 
 
 def faults_for(cfg, n, seed=3):
@@ -124,11 +106,10 @@ def assert_matches_oracle(cfg, mats, targets, faults=None, prefix=None):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("faulted", [False, True], ids=["pristine", "faulted"])
-@pytest.mark.parametrize("fuzzy_targets", [False, True], ids=["crisp", "fuzzy"])
-def test_random_streams_match_oracle(fuzzy_targets, faulted, seed):
-    cfg = config(threshold=0.4 if fuzzy_targets else 0.1)
+def test_random_streams_match_oracle(faulted, seed):
+    cfg = config(threshold=0.1)
     n = 150
-    mats, targets = random_stream(cfg, seed, n, fuzzy_targets)
+    mats, targets = random_stream(cfg, seed, n)
     added = assert_matches_oracle(cfg, mats, targets,
                                   faults_for(cfg, n) if faulted else None)
     assert 0 < len(added) < n      # the streams exercise both adds and skips
@@ -169,14 +150,11 @@ def test_adds_at_chunk_edges(novel_at, n):
 
 
 @pytest.mark.parametrize("faulted", [False, True], ids=["pristine", "faulted"])
-@pytest.mark.parametrize("fuzzy_targets", [False, True], ids=["crisp", "fuzzy"])
-def test_all_novel_multi_chunk_stream(fuzzy_targets, faulted):
+def test_all_novel_multi_chunk_stream(faulted):
     # every add folds its update into the rest of its chunk, takes its column
     # from the chunk's self-activations (pristine), and the state grows 16 -> 256 rows
     n = 3 * C + 1
     cfg, mats, targets = block_stream(range(1, n), n)
-    if fuzzy_targets:
-        targets = fuzzy.triangular_matrix(cfg.output_universe, targets, 0.3)
     added = assert_matches_oracle(cfg, mats, targets, faults_for(cfg, n) if faulted else None)
     if not faulted:
         assert added == list(range(n))
@@ -201,14 +179,11 @@ def test_stuck_cells_in_a_column_added_mid_chunk():
     assert assert_matches_oracle(cfg, mats, targets, faults) == [0, 5, 6, 7, 8]
 
 
-@pytest.mark.parametrize("fuzzy_targets", [False, True], ids=["crisp", "fuzzy"])
-def test_stuck_out_cells_keep_their_exact_bits(fuzzy_targets):
+def test_stuck_out_cells_keep_their_exact_bits():
     # each chunk writes its adds to w_out at once; the masked write must leave
     # every stuck cell bit-for-bit as the plan drew it, in every chunk's columns
     n = 3 * C + 1
     cfg, mats, targets = block_stream(range(1, n), n)
-    if fuzzy_targets:
-        targets = fuzzy.triangular_matrix(cfg.output_universe, targets, 0.3)
     faults = faults_for(cfg, n)
     state = NetworkState(cfg, faults=faults)
     stats = train_matrix(state, mats, targets)
@@ -308,15 +283,6 @@ class TestAtomicValidation:
             train_matrix(state, mats, targets)
         assert states_equal(before, state)
 
-    @pytest.mark.parametrize("value", [-1.0, np.inf])
-    def test_bad_fuzzy_target(self, value):
-        cfg, state, before = self._trained()
-        mats, targets = random_stream(cfg, 3, 12, fuzzy_targets=True)
-        targets[5, 0] = value
-        with pytest.raises(OperandOutOfRange, match=r"sample 5\b"):
-            train_matrix(state, mats, targets)
-        assert states_equal(before, state)
-
     def test_earliest_bad_operand_is_reported(self):
         cfg, state, before = self._trained()
         mats, targets = random_stream(cfg, 3, 12)
@@ -351,6 +317,11 @@ class TestAtomicValidation:
             train_matrix(state, [mats[0], mats[1][:, :4]], targets)
         with pytest.raises(UniverseMismatch):
             train_matrix(state, mats, np.ones((12, N_OUT + 1)))
+        # targets are crisp, (B,): neither a (B, nz) membership matrix nor a scalar
+        with pytest.raises(UniverseMismatch, match="crisp targets"):
+            train_matrix(state, mats, fuzzy.triangular_matrix(cfg.output_universe, targets, 0.3))
+        with pytest.raises(UniverseMismatch, match="crisp targets"):
+            train_matrix(state, [X[:1] for X in mats], 0.5)
         assert states_equal(before, state)
 
     @pytest.mark.parametrize("k", [3, 8])
@@ -366,26 +337,6 @@ class TestAtomicValidation:
             train_dataset(state, samples)
         assert states_equal(before, state)
 
-    def test_dataset_fuzzy_target_universe(self):
-        cfg, state, before = self._trained()
-        mats, _ = random_stream(cfg, 4, 4)
-        wrong = universe_from_count(0.0, 2.0, N_OUT)
-        samples = [([MembershipVector(g.universe, mats[i][s])
-                     for i, g in enumerate(cfg.groups)],
-                    MembershipVector(wrong if s == 2 else cfg.output_universe,
-                                     np.eye(N_OUT)[s]))
-                   for s in range(4)]
-        with pytest.raises(UniverseMismatch, match=r"sample 2\b"):
-            train_dataset(state, samples)
-        assert states_equal(before, state)
-
-    def test_mixed_target_kinds_rejected(self):
-        cfg, state, before = self._trained()
-        inputs = [MembershipVector(g.universe, np.eye(N_IN)[1]) for g in cfg.groups]
-        fuzzy_target = MembershipVector(cfg.output_universe, np.eye(N_OUT)[0])
-        with pytest.raises(ValueError, match="mixes"):
-            train_dataset(state, [(inputs, 0.5), (inputs, fuzzy_target)])
-        assert states_equal(before, state)
 
 
 @pytest.mark.parametrize("faulted", [False, True], ids=["pristine", "faulted"])
