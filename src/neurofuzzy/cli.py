@@ -20,7 +20,6 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +79,7 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-_DEVICE_KEYS = ("r_on", "r_off", "d", "mu_v", "v_threshold", "dt")
+_DEVICE_KEYS = ("r_on", "r_off", "d", "mu_v", "v_threshold", "dt", "r_f")
 # the ion-drift constants: no mapping or read integrates a pulse, only the sweep does
 _DRIFT_KEYS = {"d", "mu_v", "dt"}
 # only a crossbar mapping or read uses these (r_on and r_off also set an ideal fault plan)
@@ -94,7 +93,7 @@ _ROW_KEYS = {key for rows in experiments.SUITE.values() for row in rows for key 
 # the keys a subcommand never reads (dataset and the drift constants for the modeling
 # ones): classify draws its test points from seed and has label targets;
 # crossbar-compare always maps onto crossbars and draws its own probes, and with
-# --sweep-only it reads the device constants and r_f alone
+# --sweep-only it reads the device constants (r_f among them) alone
 _UNUSED = {"classify": {"function", "test_seed", "noise_variance", "nz", "output_hs_mult",
                         *_DRIFT_KEYS},
            "crossbar-compare": {"dataset", "backend", "n_test", "test_seed"},
@@ -133,11 +132,11 @@ def resolve(args, file_cfg: dict, pins: dict | None = None) -> ExperimentConfig:
 
     Each [network] and [experiment] key, and the flag of the same name, sets
     the ExperimentConfig field of that name; a key the subcommand never
-    reads (_UNUSED) may not be set.  noise and fault start from their
-    study_default.  A suite row passes its pins: _PAPER_PINNED and _ROW_KEYS
-    may then not be set at all.  --paper-defaults drops any _PAPER_PINNED
-    value given instead.  A run on the ideal backend may not set _READ_KEYS;
-    crossbar-compare always reads its crossbars.
+    reads (_UNUSED) may not be set.  noise, fault and crossbar-compare start
+    from their study_default.  A suite row passes its pins: _PAPER_PINNED and
+    _ROW_KEYS may then not be set at all.  --paper-defaults drops any
+    _PAPER_PINNED value given instead.  A run on the ideal backend may not set
+    _READ_KEYS.
     """
     fields = {**getattr(args, "study_default", {}), **(pins or {})}
     target = "dataset" if "dataset" in fields or hasattr(args, "dataset") else "function"
@@ -152,7 +151,7 @@ def resolve(args, file_cfg: dict, pins: dict | None = None) -> ExperimentConfig:
         if key not in pinned and section != "crossbar":
             fields[key] = value
     read = [f"{section}.{key}" for section, key, _ in given if key in _READ_KEYS]
-    if read and fields.get("backend", "ideal") == "ideal" and args.command != "crossbar-compare":
+    if read and fields.get("backend", "ideal") == "ideal":
         raise ConfigError(f"{read[0]} does not apply to {args.command} on the ideal backend")
     if target not in fields:
         raise ConfigError("no benchmark function given (use --fn or the config file)"
@@ -286,12 +285,8 @@ def cmd_crossbar_compare(args, file_cfg) -> int:
                 raise ConfigError(f"{flag} does not apply to crossbar-compare --sweep-only")
         _given(args, file_cfg, "crossbar-compare --sweep-only")
     cfg = None if args.sweep_only else resolve(args, file_cfg)
-    setup = _crossbar_setup(file_cfg)
+    volts, dws = crossbar.delta_weight_sweep(_crossbar_setup(file_cfg)["device"])
     out_dir = _out_dir(args)
-    try:
-        volts, dws = crossbar.delta_weight_sweep(setup["device"], setup.get("r_f"))
-    except ValueError as e:   # the sweep checks r_f; --sweep-only resolves no run to check it
-        raise ConfigError(f"bad [crossbar] r_f: {e}") from e
     sweep_path = out_dir / "device_weight_sweep.csv"
     atomic_write(sweep_path, crossbar.sweep_csv(volts, dws))
     _progress(f"wrote {sweep_path}")
@@ -303,7 +298,7 @@ def cmd_crossbar_compare(args, file_cfg) -> int:
     rng = np.random.default_rng(cfg.seed + 777)
     mats = state.fuzzify(rng.uniform(0.0, 1.0, size=(n_probes, 2)))
     ideal_out = network.output_batch(state, mats)
-    cb_out = experiments._backend_forward(replace(cfg, backend="crossbar"), state)(mats)
+    cb_out = experiments._backend_forward(cfg, state)(mats)
     scale = np.abs(ideal_out).max(axis=1, keepdims=True)
     denom = np.maximum(np.abs(ideal_out), 1e-9 * np.maximum(scale, 1e-300))
     rel = np.abs(cb_out - ideal_out) / denom
@@ -407,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--sweep-only", action="store_true",
                        help="only emit the device weight-change sweep CSV")
     p_cmp.add_argument("--n-probes", type=int, help="probe points (default 100)")
-    p_cmp.set_defaults(func=cmd_crossbar_compare)
+    p_cmp.set_defaults(func=cmd_crossbar_compare, study_default={"backend": "crossbar"})
 
     p_dump = subs.add_parser("dump-state", help="inspect a serialized network")
     _add_out_dir(p_dump)

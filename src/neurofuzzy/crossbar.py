@@ -27,8 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CapacityExceeded, DimensionMismatch, ReadDisturbRisk, WeightOutOfRange
-# SCORE_ROWS is the chunk size score_batch reads the crossbars in
-from .fuzzy import SCORE_ROWS, centroid, centroid_matrix, inverse_norms, score_batch  # noqa: F401
+from .fuzzy import centroid, centroid_matrix, inverse_norms, score_batch
 
 HEBBIAN_PULSE_SECONDS = 0.05
 # Most Euler steps one pulse may take, round(duration / dt): dt >= 5e-8 s for the
@@ -39,7 +38,8 @@ MAX_PULSE_STEPS = 1_000_000
 
 @dataclass(frozen=True)
 class MemristorParams:
-    """HP linear-drift device constants (canonical defaults, all overridable)."""
+    """HP linear-drift device constants and the read's feedback resistance R_f
+    (canonical defaults, all overridable)."""
 
     r_on: float = 100.0          # ohm, fully doped
     r_off: float = 16e3          # ohm, pristine
@@ -47,8 +47,15 @@ class MemristorParams:
     mu_v: float = 1e-14          # m^2 / (V s), ion mobility
     v_threshold: float = 1.0     # V, no drift at or below this magnitude
     dt: float = 1e-5             # s, Euler step
+    # ohm, op-amp feedback resistance; None means r_off.  __post_init__ fills it in,
+    # so dataclasses.replace(p, r_off=...) keeps the old R_f
+    r_f: float | None = None
 
     def __post_init__(self):
+        if self.r_f is None:
+            object.__setattr__(self, "r_f", self.r_off)
+        elif not 0 < self.r_f < math.inf:
+            raise ValueError(f"feedback resistance r_f must be finite and > 0, got {self.r_f}")
         if not all(map(math.isfinite, vars(self).values())):
             raise ValueError("device constants must be finite")
         if not (0 < self.r_on < self.r_off):
@@ -114,17 +121,14 @@ def _pulse_array(x: np.ndarray, volts: np.ndarray, params: MemristorParams,
 
 
 class Crossbar:
-    """rows x cols array of memristive devices plus the op-amp feedback resistor."""
+    """rows x cols array of memristive devices, read through the op-amp feedback
+    resistor params.r_f."""
 
-    def __init__(self, rows: int, cols: int, params: MemristorParams | None = None,
-                 r_f: float | None = None):
+    def __init__(self, rows: int, cols: int, params: MemristorParams | None = None):
         if rows < 1 or cols < 1:
             raise DimensionMismatch("crossbar needs at least one row and column")
         self.rows, self.cols = rows, cols
         self.params = params if params is not None else MemristorParams()
-        self.r_f = self.params.r_off if r_f is None else float(r_f)
-        if not 0 < self.r_f < math.inf:
-            raise ValueError(f"feedback resistance must be finite and > 0, got {self.r_f}")
         self.x = np.zeros((rows, cols))
         self.fault_mask = np.zeros((rows, cols), dtype=bool)
 
@@ -133,25 +137,22 @@ class Crossbar:
 
     def weights(self) -> np.ndarray:
         """Raw stored weights R_f / M_ij (the pristine floor is R_f / R_off)."""
-        return self.r_f / self.memristance()
+        return self.params.r_f / self.memristance()
 
 
-def delta_weight_sweep(params: MemristorParams | None = None, r_f: float | None = None,
+def delta_weight_sweep(params: MemristorParams | None = None,
                        voltages: np.ndarray | None = None,
                        duration: float = HEBBIAN_PULSE_SECONDS,
                        dt: float | None = None):
     """Weight change of a pristine device versus applied voltage.
 
-    Reproduces the single-device learning curve: R_f and the initial
-    memristance both equal R_off, the voltage is held for `duration`, and the
-    reported value is the change of the stored weight R_f / M.
+    Reproduces the single-device learning curve: the device starts at R_off,
+    the voltage is held for `duration`, and the reported value is the change
+    of the stored weight params.r_f / M (R_f = R_off by default).
     """
     params = params if params is not None else MemristorParams()
     if dt is not None:
         params = replace(params, dt=dt)
-    r_f = params.r_off if r_f is None else r_f
-    if not 0 < r_f < math.inf:
-        raise ValueError(f"feedback resistance must be finite and > 0, got {r_f}")
     volts = np.linspace(0.0, 2.0 * params.v_threshold, 81) if voltages is None \
         else np.asarray(voltages, dtype=np.float64)
     if not np.isfinite(volts).all():
@@ -162,7 +163,7 @@ def delta_weight_sweep(params: MemristorParams | None = None, r_f: float | None 
         raise ValueError(f"duration = {duration} s takes {round(duration / params.dt)} Euler "
                          f"steps at dt = {params.dt} s, more than {MAX_PULSE_STEPS}")
     x = _pulse_array(np.zeros(volts.shape), volts, params, duration)
-    return volts, r_f / params.memristance(x) - r_f / params.r_off
+    return volts, params.r_f / params.memristance(x) - params.r_f / params.r_off
 
 
 def sweep_csv(volts: np.ndarray, delta_w: np.ndarray) -> str:
@@ -215,18 +216,18 @@ class CrossbarMapping:
     inv_norms: list = field(default_factory=list)   # per group, 1 / norm of each read-back row
 
 
-def _program_targets(cb: Crossbar, w_scaled: np.ndarray, params: MemristorParams,
-                     r_f: float) -> None:
+def _program_targets(cb: Crossbar, w_scaled: np.ndarray) -> None:
     """Program-and-verify stand-in: set each writable cell straight to the state whose
     conductance sits w_scaled above the floor; distorted cells keep their stuck state."""
-    g_target = (w_scaled + r_f / params.r_off) / r_f
+    params = cb.params
+    g_target = (w_scaled + params.r_f / params.r_off) / params.r_f
     if np.any(g_target > 1.0 / params.r_on * (1.0 + 1e-12)):
         raise WeightOutOfRange("scaled weight needs memristance below R_on")
     x = np.clip((params.r_off - 1.0 / g_target) / (params.r_off - params.r_on), 0.0, 1.0)
     np.copyto(cb.x, x, where=~cb.fault_mask)
 
 
-def map_network(state, params: MemristorParams | None = None, r_f: float | None = None,
+def map_network(state, params: MemristorParams | None = None,
                 cb1: Crossbar | None = None, cb2: Crossbar | None = None,
                 scale_in: float | None = None, scale_out: float | None = None):
     """Program a trained network onto two crossbars.
@@ -235,45 +236,44 @@ def map_network(state, params: MemristorParams | None = None, r_f: float | None 
     neuron), cb2 the output matrix.  Logical weights map linearly onto
     conductance above the pristine floor; the scale is chosen so the largest
     weight lands on R_on unless overridden.  Pre-distorted crossbars may be
-    passed in, with the mapping's device and R_f (else ValueError); their stuck
-    cells are skipped.  A faulted state already holds its stuck weights, so the
-    crossbars made here are programmed with them and then take the fault plan's
-    masks.  Returns (cb1, cb2, mapping).
+    passed in, with the mapping's device constants, R_f included (else
+    ValueError); their stuck cells are skipped.  A faulted state already holds
+    its stuck weights, so the crossbars made here are programmed with them and
+    then take the fault plan's masks.  Returns (cb1, cb2, mapping).
     """
     from .network import NetworkState  # local import to avoid a cycle
 
     if not isinstance(state, NetworkState):
         raise TypeError("map_network expects a trained NetworkState")
     params = params if params is not None else MemristorParams()
-    r_f = params.r_off if r_f is None else float(r_f)
     n_v = state.n_minterms
     counts = [g.universe.count for g in state.config.groups]
     total_cols = sum(counts)
     nz = state.config.output_universe.count
 
-    if any(cb is not None and (cb.params, cb.r_f) != (params, r_f) for cb in (cb1, cb2)):
+    if any(cb is not None and cb.params != params for cb in (cb1, cb2)):
         raise ValueError("a given crossbar's device constants or R_f differ from the mapping's")
     made = (cb1 is None, cb2 is None)
     if cb1 is None:
-        cb1 = Crossbar(n_v, total_cols, params, r_f)
+        cb1 = Crossbar(n_v, total_cols, params)
     if cb2 is None:
-        cb2 = Crossbar(nz, n_v, params, r_f)
+        cb2 = Crossbar(nz, n_v, params)
     if cb1.rows < n_v or cb2.cols < n_v:
         raise CapacityExceeded(f"{n_v} min-terms exceed the provisioned crossbar")
     if cb1.cols != total_cols or cb2.rows != nz:
         raise DimensionMismatch("crossbar shape does not match the network universes")
 
-    w_span = r_f / params.r_on - r_f / params.r_off
+    w_span = params.r_f / params.r_on - params.r_f / params.r_off
     s_in = w_span / 1.0 if scale_in is None else scale_in   # memberships are <= 1
     w_max = float(state.w_out.max()) if n_v else 0.0
     s_out = (w_span / w_max if w_max > 0.0 else 1.0) if scale_out is None else scale_out
 
     w1 = np.zeros((cb1.rows, total_cols))
     w1[:n_v] = np.hstack([state.w_in(g) for g in range(len(counts))])
-    _program_targets(cb1, w1 * s_in, params, r_f)
+    _program_targets(cb1, w1 * s_in)
     w2 = np.zeros((nz, cb2.cols))
     w2[:, :n_v] = state.w_out
-    _program_targets(cb2, w2 * s_out, params, r_f)
+    _program_targets(cb2, w2 * s_out)
     plan = state.faults
     if plan is not None and made[0]:
         cb1.fault_mask = np.hstack([m[:n_v] for m in plan.in_masks])
@@ -284,7 +284,7 @@ def map_network(state, params: MemristorParams | None = None, r_f: float | None 
     mapping = CrossbarMapping(
         group_slices=[slice(e - c, e) for e, c in zip(ends, counts)],
         scale_in=s_in, scale_out=s_out,
-        floor=r_f / params.r_off, v_read=0.5 * params.v_threshold,
+        floor=params.r_f / params.r_off, v_read=0.5 * params.v_threshold,
         p=state.config.p, output_grid=state.config.output_universe.grid(),
     )
     # calibration norms come from the hardware state, so distorted rows are

@@ -64,9 +64,8 @@ class ExperimentConfig:
     fault_fraction: float = 0.0
     fault_seed: int | None = None
     backend: str = "ideal"               # "ideal" | "crossbar"
-    # the crossbar set-up; r_f, scale_in and scale_out default as in crossbar.map_network
+    # the crossbar set-up, R_f in the device; the scales default as in crossbar.map_network
     device: MemristorParams = field(default_factory=MemristorParams)
-    r_f: float | None = None
     scale_in: float | None = None
     scale_out: float | None = None
 
@@ -77,8 +76,13 @@ class ExperimentConfig:
             raise UnknownDatasetId(f"unknown benchmark function {self.function!r}")
         if self.function is None and self.dataset not in CLASSIFICATION:
             raise UnknownDatasetId(f"classification dataset id must be 1..4, got {self.dataset}")
-        if self.n_train < 1 or self.n_test < 1:
-            raise ValueError("need n_train >= 1 and n_test >= 1")
+        # a dataset draws both classes, an FVU needs two test points; numpy seeds are >= 0
+        least = {"n_train": 1 if self.dataset is None else 2, "n_test": 2,
+                 "seed": 0, "test_seed": 0, "fault_seed": 0}
+        for key, low in least.items():
+            value = getattr(self, key)
+            if value is not None and value < low:
+                raise ValueError(f"{key} must be >= {low}, got {value}")
         if not self.noise_variance >= 0:
             raise ValueError(f"noise variance must be >= 0, got {self.noise_variance}")
         if not 0.0 <= self.fault_fraction <= 1.0:
@@ -89,7 +93,7 @@ class ExperimentConfig:
             raise ValueError(f"input_hs_scale must be finite and > 0, got {self.input_hs_scale}")
         if not np.isfinite(self.input_hs_shrink_exp):
             raise ValueError(f"input_hs_shrink_exp must be finite, got {self.input_hs_shrink_exp}")
-        for key in ("r_f", "scale_in", "scale_out"):
+        for key in ("scale_in", "scale_out"):
             value = getattr(self, key)
             if value is not None and not 0 < value < np.inf:
                 raise ValueError(f"{key} must be finite and > 0, got {value}")
@@ -208,8 +212,8 @@ def _train(cfg: ExperimentConfig, net_cfg: NetworkConfig, pts, targets) -> Netwo
 def _backend_forward(cfg: ExperimentConfig, state: NetworkState, crisp: bool = False):
     """Raw outputs (B, nz) of the configured backend, or with crisp its centroid readout."""
     if cfg.backend == "crossbar":
-        cb1, cb2, mapping = crossbar.map_network(state, cfg.device, r_f=cfg.r_f,
-                                                 scale_in=cfg.scale_in, scale_out=cfg.scale_out)
+        cb1, cb2, mapping = crossbar.map_network(state, cfg.device, scale_in=cfg.scale_in,
+                                                 scale_out=cfg.scale_out)
         read = crossbar.crossbar_infer_crisp_batch if crisp else crossbar.crossbar_forward_batch
         return lambda mats: read(cb1, cb2, mapping, mats)
     read = network.infer_crisp_batch if crisp else network.output_batch

@@ -208,10 +208,9 @@ def triangular_matrix(u: Universe, crisps: np.ndarray, half_support: float) -> n
     crisps = np.asarray(crisps, dtype=np.float64)
     if half_support < 0:
         raise NegativeSupport(f"half_support must be >= 0, got {half_support}")
-    tol = ALIGN_RTOL * max(1.0, abs(u.lo), abs(u.hi))
-    if np.any(crisps < u.lo - tol) or np.any(crisps > u.hi + tol):
-        bad = crisps[(crisps < u.lo - tol) | (crisps > u.hi + tol)][0]
-        raise OutOfRange(f"crisp value {bad} outside universe [{u.lo}, {u.hi}]")
+    inside = u.contains(crisps)     # False for NaN
+    if not inside.all():
+        raise OutOfRange(f"crisp value {crisps[~inside][0]} outside universe [{u.lo}, {u.hi}]")
     if half_support == 0.0:
         out = np.zeros((crisps.size, u.count))
         q = (crisps - u.lo) / u.resolution

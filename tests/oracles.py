@@ -95,7 +95,7 @@ def vmm(cb, input_voltages, cols=slice(None)):
     stored states; device states are untouched.
     """
     volts = np.asarray(input_voltages, dtype=np.float64)
-    w = (cb.r_f / cb.memristance())[:, cols]
+    w = (cb.params.r_f / cb.memristance())[:, cols]
     if volts.shape[-1] != w.shape[1]:
         raise DimensionMismatch(f"expected {w.shape[1]} input voltages, got {volts.shape[-1]}")
     if np.any(np.abs(volts) >= cb.params.v_threshold):

@@ -231,6 +231,34 @@ class TestOtherCommands:
         assert "error:" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("argv,key", [
+        (["model", "--fn", "g1", "--seed", "-1"], "seed"),
+        (["suite", "--only", "classification", "--seed", "-3"], "seed"),
+        (["classify", "--dataset", "1", "--n-train", "1"], "n_train"),
+        (["classify", "--dataset", "1", "--n-test", "1"], "n_test"),
+        (["model", "--fn", "g1", "--n-test", "1"], "n_test"),
+    ], ids=["model-seed", "suite-seed", "classify-n-train", "classify-n-test", "model-n-test"])
+    def test_bad_run_setting_exit_1_before_writing(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command,setting", [
+        (["fault", "--fn", "g1"], "fault_seed = -4\nfault_fraction = 0.1"),
+        (["model", "--fn", "g1"], "test_seed = -2"),
+    ], ids=["fault_seed", "test_seed"])
+    def test_negative_seed_in_file_exit_1_before_writing(self, tmp_path, capsys, command,
+                                                         setting):
+        path = tmp_path / "seed.ini"
+        path.write_text(f"[experiment]\n{setting}\n")
+        out = tmp_path / "out"
+        assert cli.main(command + ["--config", str(path), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and setting.split()[0] in err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("setting", ["dt = nan", "dt = 0", "mu_v = inf", "r_f = nan",
                                          "r_f = -1", "dt = 1e-9"])
     def test_bad_device_constant_exit_1_before_writing(self, tmp_path, capsys, setting):

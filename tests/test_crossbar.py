@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,14 +252,14 @@ class TestVmm:
         assert vmm(cb, np.zeros(4)).tolist() == [0.0, 0.0, 0.0]
 
     def test_unity_gain(self):
-        cb = Crossbar(1, 1, r_f=PARAMS.r_off)   # pristine M = R_off = R_f
+        cb = Crossbar(1, 1, MemristorParams(r_f=PARAMS.r_off))   # pristine M = R_off = R_f
         out = vmm(cb, np.array([0.4]))
         assert out[0] == pytest.approx(-0.4, rel=1e-12)
 
     def test_two_column_weighted_sum(self):
-        cb = Crossbar(1, 2, r_f=PARAMS.r_off)
+        cb = Crossbar(1, 2, MemristorParams(r_f=PARAMS.r_off))
         # weights 0.5 and 0.25 via M = 2 R_f and 4 R_f: encode through x
-        for j, m_target in enumerate((2 * cb.r_f, 4 * cb.r_f)):
+        for j, m_target in enumerate((2 * cb.params.r_f, 4 * cb.params.r_f)):
             cb.x[0, j] = (PARAMS.r_off - m_target) / (PARAMS.r_off - PARAMS.r_on)
         out = vmm(cb, np.array([0.4, 0.8]))
         assert out[0] == pytest.approx(-(0.5 * 0.4 + 0.25 * 0.8), rel=1e-9)
@@ -347,9 +349,9 @@ class TestSweepInputs:
     @pytest.mark.parametrize("r_f", [np.nan, np.inf, 0.0, -5.0])
     def test_feedback_resistance_must_be_finite_and_positive(self, r_f):
         with pytest.raises(ValueError, match=f"feedback resistance.*{r_f}"):
-            delta_weight_sweep(PARAMS, r_f=r_f)
+            MemristorParams(r_f=r_f)
         with pytest.raises(ValueError, match=f"feedback resistance.*{r_f}"):
-            Crossbar(2, 2, r_f=r_f)
+            replace(PARAMS, r_f=r_f)
 
     def test_zero_duration_and_the_cap_itself_are_accepted(self):
         _, dw = delta_weight_sweep(PARAMS, voltages=[2.0], duration=0.0)
@@ -371,6 +373,22 @@ class TestMemristorParams:
     def test_non_positive_constants_rejected(self, key):
         with pytest.raises(ValueError):
             MemristorParams(**{key: 0.0})
+
+    def test_feedback_resistance_defaults_to_r_off(self):
+        assert MemristorParams(r_off=8000).r_f == 8000
+        assert PARAMS.r_f == PARAMS.r_off
+        # set once, R_f stays when r_off changes
+        assert replace(PARAMS, r_off=8000.0).r_f == PARAMS.r_off
+
+    def test_a_crossbar_reads_through_its_feedback_resistance(self):
+        cb = Crossbar(1, 2, MemristorParams(r_f=4000.0))    # pristine weights R_f / R_off
+        assert cb.weights().tolist() == [[0.25, 0.25]]
+        assert vmm(cb, np.array([0.4, 0.8]))[0] == pytest.approx(-0.25 * 1.2, rel=1e-12)
+
+    def test_the_sweep_reads_through_its_feedback_resistance(self):
+        _, dw = delta_weight_sweep(PARAMS, voltages=SWEEP_VOLTS)
+        _, half = delta_weight_sweep(MemristorParams(r_f=PARAMS.r_off / 2), voltages=SWEEP_VOLTS)
+        assert np.array_equal(half, dw / 2) and dw.max() > 0
 
 
 class TestDistort:
@@ -408,7 +426,7 @@ class TestMapNetwork:
         state._w_out[:] = 0.0
         cb1, cb2, mapping = map_network(state)
         assert not cb2.x.any()                      # every device pristine
-        floor = cb2.r_f / PARAMS.r_off
+        floor = cb2.params.r_f / PARAMS.r_off
         np.testing.assert_allclose(cb2.weights(), floor, rtol=0, atol=0)
 
     def test_identity_pattern_read_back(self):
@@ -436,22 +454,22 @@ class TestMapNetwork:
         with pytest.raises(DimensionMismatch):
             map_network(g1_state, cb1=wrong_cols)
 
-    @pytest.mark.parametrize("setup", [{"r_f": 5000.0}, {"params": MemristorParams(r_on=200.0)}],
+    @pytest.mark.parametrize("params", [MemristorParams(r_f=5000.0), MemristorParams(r_on=200.0)],
                              ids=["r_f", "params"])
     @pytest.mark.parametrize("which", ["cb1", "cb2"])
-    def test_a_given_crossbar_of_another_setup_is_rejected(self, g1_state, which, setup):
+    def test_a_given_crossbar_of_another_setup_is_rejected(self, g1_state, which, params):
         # programmed with the mapping's device and R_f, it would read 0.5-0.7 relative error
         pristine = dict(zip(("cb1", "cb2"), distorted_pair(g1_state, fraction=0.0)))
-        cb = Crossbar(pristine[which].rows, pristine[which].cols, **setup)
+        cb = Crossbar(pristine[which].rows, pristine[which].cols, params)
         with pytest.raises(ValueError, match="differ"):
             map_network(g1_state, **{which: cb})
         assert not cb.x.any()
 
     def test_given_crossbars_of_the_mapping_setup_read_as_the_network(self, g1_state):
-        params = MemristorParams(r_on=200.0)
-        cb1, cb2 = (Crossbar(cb.rows, cb.cols, params, 5000.0)
+        params = MemristorParams(r_on=200.0, r_f=5000.0)
+        cb1, cb2 = (Crossbar(cb.rows, cb.cols, params)
                     for cb in distorted_pair(g1_state, fraction=0.0))
-        mapped = map_network(g1_state, params, r_f=5000.0, cb1=cb1, cb2=cb2)
+        mapped = map_network(g1_state, params, cb1=cb1, cb2=cb2)
         mats = g1_state.fuzzify(np.random.default_rng(8).uniform(0, 1, size=(100, 2)))
         ideal = network.output_batch(g1_state, mats)
         got = crossbar_forward_batch(*mapped, mats)
@@ -533,7 +551,7 @@ class TestCrossbarForward:
 
     def test_chunk_plus_one_rows_match_single_row_calls(self, g1_state):
         cb1, cb2, mapping = map_network(g1_state)
-        n = crossbar.SCORE_ROWS + 1
+        n = fuzzy.SCORE_ROWS + 1
         pts = np.random.default_rng(8).uniform(0, 1, size=(n, 2))
         mats = [triangular_matrix(g.universe, pts[:, i], g.half_support)
                 for i, g in enumerate(g1_state.config.groups)]
@@ -558,7 +576,7 @@ def assert_matches_vmm_oracle(state, mapped, seed):
     """crossbar_forward_batch against the group-by-group vmm read of tests/oracles.py,
     on a batch one row longer than a scoring chunk."""
     cb1, cb2, mapping = mapped
-    n = crossbar.SCORE_ROWS + 1
+    n = fuzzy.SCORE_ROWS + 1
     mats = state.fuzzify(np.random.default_rng(seed).uniform(0, 1, size=(n, 2)))
     got = crossbar_forward_batch(cb1, cb2, mapping, mats)
     want = crossbar_forward(cb1, cb2, mapping, mats)
@@ -597,7 +615,7 @@ class TestFoldedReadout:
 
     @staticmethod
     def probes(state, seed):
-        n = crossbar.SCORE_ROWS + 1
+        n = fuzzy.SCORE_ROWS + 1
         return state.fuzzify(np.random.default_rng(seed).uniform(0, 1, size=(n, 2)))
 
     def test_pristine(self, g1_state):

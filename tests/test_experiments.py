@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from neurofuzzy import experiments
+from neurofuzzy.crossbar import MemristorParams
 from neurofuzzy.errors import ConstantActual, LengthMismatch, UnknownDatasetId
 from neurofuzzy.experiments import (
     ExperimentConfig,
@@ -263,9 +264,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(function="g1", fault_fraction=1.5)
 
+    @pytest.mark.parametrize("key", ["seed", "test_seed", "fault_seed"])
+    def test_negative_seed(self, key):
+        # numpy's generators refuse a negative seed mid-run
+        with pytest.raises(ValueError, match=f"{key} must be >= 0, got -1"):
+            ExperimentConfig(function="g1", **{key: -1})
+
+    @pytest.mark.parametrize("target,key", [
+        ({"dataset": 1}, "n_train"), ({"dataset": 1}, "n_test"), ({"function": "g1"}, "n_test"),
+    ], ids=["dataset-n_train", "dataset-n_test", "function-n_test"])
+    def test_size_the_generators_cannot_serve(self, target, key):
+        # a dataset draws both classes, and an FVU needs two test points
+        with pytest.raises(ValueError, match=f"{key} must be >= 2, got 1"):
+            ExperimentConfig(**target, **{key: 1})
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
     @pytest.mark.parametrize("key", ["r_f", "scale_in", "scale_out"])
     def test_bad_crossbar_setup(self, key, value):
         # a mapping with such a value reads every test point as unactivated
         with pytest.raises(ValueError, match=f"{key} must be finite and > 0, got {value}"):
-            paper_modeling_config("g1", backend="crossbar", **{key: value})
+            setup = {"device": MemristorParams(r_f=value)} if key == "r_f" else {key: value}
+            paper_modeling_config("g1", backend="crossbar", **setup)

@@ -82,6 +82,14 @@ class TestFuzzify:
         with pytest.raises(NegativeSupport):
             triangular_matrix(u, [0.5], -0.1)
 
+    @pytest.mark.parametrize("half_support", [0.0, 0.5], ids=["singleton", "triangle"])
+    def test_nan_lies_outside_the_universe(self, half_support):
+        u = universe_from_count(0, 1, 5)
+        with pytest.raises(OutOfRange, match="crisp value nan outside"):
+            triangular_matrix(u, [0.5, np.nan, 2.0], half_support)
+        with pytest.raises(OutOfRange, match="crisp value 2.0 outside"):
+            triangular_matrix(u, [0.5, 2.0, np.nan], half_support)
+
     def test_degenerate_support_rejected(self):
         u = universe_from_count(0, 1, 5)
         # crisp mid-cell with support narrower than half the spacing
