@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import crossbar, experiments, network
+from . import crossbar, experiments, fuzzy, network
 from .crossbar import MemristorParams
 from .errors import ConfigError, NeuroFuzzyError, UnknownDatasetId
 from .experiments import REPORT_COLUMNS, ExperimentConfig
@@ -243,7 +243,7 @@ def cmd_suite(args, file_cfg) -> int:
         tables = {args.only: tables[args.only]}
     jobs = {table: [resolve(args, file_cfg, pins) for pins in rows]
             for table, rows in tables.items()}
-    workers = args.jobs or os.cpu_count() or 1
+    workers = args.jobs or fuzzy.usable_cores()
     out_dir = _out_dir(args)
     for table, rows in jobs.items():
         out = out_dir / f"suite_{table}.csv"

@@ -308,7 +308,8 @@ def crossbar_forward_batch(cb1: Crossbar, cb2: Crossbar, mapping: CrossbarMappin
     widths = [np.shape(X)[-1] for X in group_mats]
     if widths != [sl.stop - sl.start for sl in mapping.group_slices]:
         raise DimensionMismatch(f"input groups of {widths} columns do not fit the crossbar")
-    if any(np.abs(X).max(initial=0.0) * v >= cb1.params.v_threshold for X in group_mats):
+    if any(max(X.max(initial=0.0), -X.min(initial=0.0)) * v >= cb1.params.v_threshold
+           for X in group_mats):
         raise ReadDisturbRisk("input read voltage at or above the device threshold")
 
     def check_hidden(hidden):

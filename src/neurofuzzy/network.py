@@ -37,6 +37,7 @@ from .crossbar import MemristorParams, _stuck_cells
 from .errors import (
     CapacityExceeded,
     DegenerateFuzzification,
+    EmptyRange,
     MalformedPayload,
     OperandOutOfRange,
     TargetOutOfRange,
@@ -59,6 +60,10 @@ class InputGroup:
     name: str
     universe: Universe
     half_support: float
+
+    def __post_init__(self):
+        if not 0 <= self.half_support < np.inf:
+            raise ValueError(f"half support must be finite and >= 0, got {self.half_support}")
 
 
 @dataclass(frozen=True)
@@ -462,6 +467,6 @@ def deserialize(payload: bytes) -> NetworkState:
         state._unit[:n] = fuzzy.unit_concat([w[:n] for w in state._w_in])
         state._w_out[:, :n] = _array(data, "w_out", (nz, n))
         state.n_minterms = n
-    except (KeyError, IndexError, ValueError, TypeError) as e:
+    except (KeyError, IndexError, ValueError, TypeError, EmptyRange) as e:
         raise MalformedPayload(f"state container is missing or corrupt: {e}") from e
     return state

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,21 @@ class TestOtherCommands:
         assert not (tmp_path / "escaped.csv").exists()
         assert [p.name for p in out.rglob("*")] == ["state_w_in_a"]
 
+    @pytest.mark.parametrize("case", ["negative input resolution", "input lo above hi",
+                                      "negative half support", "zero output resolution"])
+    def test_dump_state_invalid_universe_or_group_exit_2(self, tmp_path, capsys, case):
+        from neurofuzzy import experiments, network
+        from test_network import INVALID_META_EDITS, edited_meta
+
+        cfg = experiments.paper_modeling_config("g1", n_train=50, n_test=50)
+        payload = network.serialize(experiments.rebuild_trained_state(cfg))
+        path = tmp_path / "net.state"
+        path.write_bytes(edited_meta(payload, INVALID_META_EDITS[case]))
+        out = tmp_path / "out"
+        assert cli.main(["dump-state", "--state", str(path), "--out-dir", str(out)]) == 2
+        assert "MalformedPayload" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_suite_only_table1(self, tmp_path):
         rc = cli.main(["suite", "--only", "table1", "--jobs", "2",
                        "--out-dir", str(tmp_path)])
@@ -363,6 +379,18 @@ class TestOtherCommands:
         assert len(lines) == 6                       # header + 5 rows
         assert lines[0].endswith(",status")
         assert all(line.endswith(",ok") for line in lines[1:])
+
+    def test_suite_jobs_default_to_the_usable_cores(self, tmp_path, monkeypatch):
+        sizes = []
+
+        def pool(max_workers):
+            sizes.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(cli.fuzzy, "usable_cores", lambda: 1)
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", pool)
+        assert cli.main(["suite", "--only", "table1", "--out-dir", str(tmp_path)]) == 0
+        assert sizes == [1]
 
     def test_suite_bad_only(self, tmp_path):
         assert run_cli(["suite", "--only", "table9"], tmp_path) == 1

@@ -14,6 +14,7 @@ from neurofuzzy.errors import (
     OutOfRange,
 )
 from neurofuzzy.fuzzy import (
+    Universe,
     centroid,
     centroid_matrix,
     triangular_matrix,
@@ -41,10 +42,21 @@ class TestUniverseFromCount:
     @pytest.mark.parametrize("lo, hi, count", [
         (1, 1, 5), (1, 0, 5), (0, np.nan, 5), (0, np.inf, 5), (-np.inf, 0, 5),
         (0, 1, 1), (0, 1, 0), (0, 1, 2.5), (0, 1, np.nan),
+        (-1e308, 1e308, 3), (0, 5e-324, 3),     # the spacing overflows, or underflows to 0
     ])
     def test_errors(self, lo, hi, count):
         with pytest.raises(EmptyRange):
             universe_from_count(lo, hi, count)
+
+    # a Universe built directly, as a loaded state builds it, meets the same checks
+    @pytest.mark.parametrize("lo, hi, resolution, count", [
+        (0.0, 1.0, 0.0, 5), (0.0, 1.0, -0.25, 5), (0.0, 1.0, np.nextafter(0.25, 1.0), 5),
+        (5.0, 1.0, -1.0, 5), (0.0, np.inf, np.inf, 5), (0.0, 1.0, 0.4, 3.5), (0.0, 1.0, 1.0, 1),
+    ])
+    def test_direct_construction_errors(self, lo, hi, resolution, count):
+        with pytest.raises(EmptyRange):
+            Universe(lo, hi, resolution, count)
+        assert Universe(0.0, 1.0, 0.25, 5) == universe_from_count(0, 1, 5)
 
     def test_from_count_round_trips(self):
         u = universe_from_count(0.0, 6.2346, 116)

@@ -680,6 +680,32 @@ class TestDeserializeValidation:
             deserialize(_rewrite(_faulted_payload(), meta={key: value}))
 
 
+# the edits of a meta header that each leave a network no valid config describes
+INVALID_META_EDITS = {
+    "negative input resolution": lambda m: m["groups"][0]["universe"].update(resolution=-0.1),
+    "input lo above hi": lambda m: m["groups"][0]["universe"].update(lo=5.0),
+    "negative half support": lambda m: m["groups"][1].update(half_support=-1.0),
+    "zero output resolution": lambda m: m["output_universe"].update(resolution=0.0),
+}
+
+
+def edited_meta(payload, edit):
+    """The payload with its meta header changed in place by edit."""
+    meta = json.loads(bytes(np.load(io.BytesIO(payload))["meta"]).decode())
+    edit(meta)
+    return _rewrite(payload, meta=meta)
+
+
+@pytest.mark.parametrize("edit", INVALID_META_EDITS.values(), ids=INVALID_META_EDITS)
+def test_deserialize_rejects_an_invalid_universe_or_group(edit):
+    from neurofuzzy import experiments
+
+    cfg = experiments.paper_modeling_config("g1", n_train=50, n_test=50)
+    payload = serialize(experiments.rebuild_trained_state(cfg))
+    with pytest.raises(MalformedPayload):
+        deserialize(edited_meta(payload, edit))
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("alpha", [np.inf, np.nan, -1e-3])
     def test_alpha_must_be_finite_non_negative(self, alpha):
@@ -695,6 +721,11 @@ class TestConfigValidation:
     def test_output_half_support_must_be_finite_non_negative(self, out_hs):
         with pytest.raises(ValueError, match="output half support"):
             small_config(out_hs=out_hs)
+
+    @pytest.mark.parametrize("hs", [np.nan, np.inf, -0.1])
+    def test_input_half_support_must_be_finite_non_negative(self, hs):
+        with pytest.raises(ValueError, match="half support"):
+            InputGroup("x", universe_from_count(0.0, 1.0, 4), hs)
 
     def test_exponent_must_be_a_positive_integer(self):
         for p in (0, 2.5):

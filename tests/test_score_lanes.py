@@ -1,0 +1,222 @@
+"""score_batch's lanes: any lane count gives every bit of the one-lane result.
+
+Tier-1 sets no BLAS thread variable, so score_batch runs one lane there; these
+tests force the lane count by replacing fuzzy.score_lanes.  The pools they make
+(L = 2 and L = 3) start at most 3 threads in all.
+"""
+
+import os
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from neurofuzzy import crossbar, experiments, fuzzy, network
+from neurofuzzy.errors import ReadDisturbRisk
+from neurofuzzy.fuzzy import SCORE_ROWS, triangular_matrix
+from suite_csv import run_suite
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.fixture(scope="module")
+def g1():
+    """A trained g1 network and its crossbar mapping."""
+    state = experiments.rebuild_trained_state(experiments.paper_modeling_config("g1"))
+    return state, crossbar.map_network(state)
+
+
+def fuzzified(state, n, seed=0):
+    pts = np.random.default_rng(seed).uniform(0, 1, size=(n, 2))
+    return [triangular_matrix(g.universe, pts[:, i], g.half_support)
+            for i, g in enumerate(state.config.groups)]
+
+
+def lanes(monkeypatch, count):
+    monkeypatch.setattr(fuzzy, "score_lanes", lambda: count)
+
+
+def readouts(state, cbs, mats):
+    """Every scoring entry point of both backends on mats, hidden included."""
+    hidden = np.empty((len(mats[0]), state.n_minterms))
+    raw = network.output_batch(state, mats, hidden=hidden)
+    return [raw, hidden, *network.infer_crisp_batch(state, mats),
+            network.classify_batch(state, mats),
+            crossbar.crossbar_forward_batch(*cbs, mats),
+            *crossbar.crossbar_infer_crisp_batch(*cbs, mats)]
+
+
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("chunks", [1, 2, 4])
+def test_lanes_give_the_one_lane_bits(monkeypatch, g1, count, chunks):
+    state, cbs = g1
+    mats = fuzzified(state, SCORE_ROWS * chunks + 1, seed=chunks)
+    lanes(monkeypatch, 1)
+    want = readouts(state, cbs, mats)
+    lanes(monkeypatch, count)
+    got = readouts(state, cbs, mats)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_a_queued_lane_runs_in_the_caller(monkeypatch, g1):
+    # the pool's one thread is held, so lane 1 is still queued when the caller
+    # gets to it, and the caller scores it in lane 0's buffers
+    state, cbs = g1
+    mats = fuzzified(state, 3 * SCORE_ROWS + 1)
+    lanes(monkeypatch, 1)
+    want = readouts(state, cbs, mats)
+    lanes(monkeypatch, 2)
+    readouts(state, cbs, mats)                  # makes the pool, if no test has
+    release = threading.Event()
+    held = fuzzy._POOLS[2].submit(release.wait, 10.0)
+    try:
+        got = readouts(state, cbs, mats)
+        assert not held.done()
+    finally:
+        release.set()
+    assert held.result()
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def chunk_of(h, hidden):
+    return (h.ctypes.data - hidden.ctypes.data) // hidden.strides[0] // SCORE_ROWS
+
+
+def score(state, mats, hidden, check):
+    return fuzzy.score_batch(mats, state.unit_rows(), state.w_out, state.config.p,
+                             hidden, check)
+
+
+def test_lanes_run_on_pool_threads(monkeypatch, g1):
+    # chunk 0 waits until chunk 1, lane 1's first, has been checked elsewhere
+    state, _ = g1
+    mats = fuzzified(state, 3 * SCORE_ROWS)
+    hidden = np.empty((3 * SCORE_ROWS, state.n_minterms))
+    seen, chunk1 = {}, threading.Event()
+
+    def check(h):
+        k = chunk_of(h, hidden)
+        seen[k] = threading.get_ident()
+        if k == 1:
+            chunk1.set()
+        if k == 0:
+            assert chunk1.wait(10.0)
+
+    lanes(monkeypatch, 2)
+    score(state, mats, hidden, check)
+    assert sorted(seen) == [0, 1, 2]
+    assert seen[0] == seen[2] == threading.get_ident() != seen[1]
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_a_failed_check_leaves_no_lane_running(monkeypatch, g1, count):
+    state, _ = g1
+    mats = fuzzified(state, 5 * SCORE_ROWS)
+    hidden = np.empty((5 * SCORE_ROWS, state.n_minterms))
+    lock, running, calls = threading.Lock(), [0], []
+
+    def check(h):
+        k = chunk_of(h, hidden)
+        with lock:
+            running[0] += 1
+            calls.append(k)
+        try:
+            if k == 2:
+                raise ReadDisturbRisk("chunk 2")
+            time.sleep(0.02)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    lanes(monkeypatch, count)
+    with pytest.raises(ReadDisturbRisk, match="chunk 2"):
+        score(state, mats, hidden, check)
+    assert running[0] == 0
+    done = len(calls)
+    time.sleep(0.1)
+    assert len(calls) == done and 2 in calls
+
+
+def test_a_hot_middle_chunk_raises_as_in_one_lane(monkeypatch, g1):
+    # a copy of a stored row in chunk 2 fires its hidden neuron at 1, above the
+    # threshold at this read voltage; every other input row is zero
+    state, _ = g1
+    cb1, cb2, mapping = crossbar.map_network(state)
+    mapping.v_read = 1.5 * cb2.params.v_threshold
+    mats = [np.zeros((5 * SCORE_ROWS, g.universe.count)) for g in state.config.groups]
+    for g, X in enumerate(mats):
+        X[2 * SCORE_ROWS + 7] = 0.6 * state.w_in(g)[0]
+    errors = []
+    for count in (1, 2, 3):
+        lanes(monkeypatch, count)
+        with pytest.raises(ReadDisturbRisk) as e:
+            crossbar.crossbar_forward_batch(cb1, cb2, mapping, mats)
+        errors.append(str(e.value))
+    assert errors == errors[:1] * 3
+    assert "hidden-layer" in errors[0]
+
+
+@pytest.mark.parametrize("n", [0, 1, SCORE_ROWS])
+def test_one_chunk_runs_in_the_caller(monkeypatch, g1, n):
+    state, _ = g1
+    mats = fuzzified(state, n)
+    hidden = np.empty((n, state.n_minterms))
+    threads = set()
+    monkeypatch.setattr(fuzzy, "_POOLS", {})
+    lanes(monkeypatch, 3)
+    out = score(state, mats, hidden, lambda h: threads.add(threading.get_ident()))
+    assert out.shape == (n, state.config.output_universe.count)
+    assert fuzzy._POOLS == {}
+    assert threads <= {threading.get_ident()}
+
+
+def test_no_blas_variable_starts_no_thread(monkeypatch, g1):
+    state, _ = g1
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(fuzzy, "score_lanes", fuzzy.score_lanes.__wrapped__)
+    before = threading.active_count()
+    network.output_batch(state, fuzzified(state, 4 * SCORE_ROWS))
+    assert fuzzy.score_lanes() == 1
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("env, want", [
+    ({}, 1),                                                  # the BLAS takes every core
+    ({"OPENBLAS_NUM_THREADS": "1"}, 8),
+    ({"OMP_NUM_THREADS": "2"}, 4),
+    ({"MKL_NUM_THREADS": " 3 "}, 2),
+    ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"}, 2),   # the largest rules
+    ({"OMP_NUM_THREADS": "16"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "many"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "-2"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1.5"}, 1),
+    ({"OPENBLAS_NUM_THREADS": ""}, 1),
+])
+def test_lane_rule(monkeypatch, env, want):
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(fuzzy, "usable_cores", lambda: 8)
+    pools = dict(fuzzy._POOLS)
+    assert fuzzy.score_lanes.__wrapped__() == want
+    assert fuzzy._POOLS == pools
+
+
+def test_usable_cores_follows_the_affinity_mask():
+    if hasattr(os, "sched_getaffinity"):
+        assert fuzzy.usable_cores() == len(os.sched_getaffinity(0))
+    assert 1 <= fuzzy.usable_cores() <= (os.cpu_count() or 1)
+
+
+def test_suite_csvs_do_not_depend_on_the_lanes(monkeypatch, tmp_path):
+    lanes(monkeypatch, 1)
+    run_suite(tmp_path / "one", "--only", "table1", "--jobs", "1")
+    lanes(monkeypatch, 2)
+    run_suite(tmp_path / "two", "--only", "table1", "--jobs", "1")
+    one, two = (tmp_path / d / "suite_table1.csv" for d in ("one", "two"))
+    assert one.read_bytes() == two.read_bytes()
