@@ -5,7 +5,8 @@ Runs `nfbench/run.py --trace 0` --repeats times (at least 5) per workload, seeds
 1 to --repeats, and writes a JSON file with each end-to-end metric's median and
 quartiles over the runs, whether every run was correct and how many operations
 failed, the machine info nfbench reports, the summary of
-scripts/fingerprint.py and src_lines, the line count of src/neurofuzzy/*.py.
+scripts/fingerprint.py, src_lines, the line count of src/neurofuzzy/*.py, and
+host_parallel at the start and the end of the run (see host_parallel below).
 With --baseline DIR another checkout (the parent commit, say) runs the same
 runs, alternating with this one run by run, and its figures and src_lines are
 recorded next to them; each metric of this checkout then also
@@ -23,6 +24,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,6 +55,39 @@ def fingerprint(checkout: Path) -> dict:
 def src_lines(checkout: Path) -> int:
     """Lines of the package's modules, src/neurofuzzy/*.py, as wc -l counts them."""
     return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "neurofuzzy").glob("*.py"))
+
+
+def spin(n: int) -> float:
+    """Seconds a fixed CPU-bound pure-Python loop of n steps takes."""
+    start = time.perf_counter()
+    x = 0
+    for i in range(n):
+        x ^= i
+    return time.perf_counter() - start
+
+
+def host_parallel(n: int = 4_000_000) -> float:
+    """Twice spin(n)'s time alone over its time while a second copy runs in another
+    process: about 2 when the host gives this run two cores, about 1 when it gives one.
+
+    On a shared host this can change within the hour, and the figures of code that
+    runs on two cores (score_batch's lanes) change with it."""
+    alone = spin(n)
+    code = ("import importlib.util, sys\n"
+            "spec = importlib.util.spec_from_file_location('bench', sys.argv[1])\n"
+            "bench = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(bench)\n"
+            "print(flush=True)\n"
+            "bench.spin(4 * int(sys.argv[2]))\n")
+    # the copy outlasts the timed loop on one core too, and is killed after it
+    with subprocess.Popen([sys.executable, "-c", code, __file__, str(n)],
+                          stdout=subprocess.PIPE) as other:
+        try:
+            other.stdout.readline()
+            shared = spin(n)
+        finally:
+            other.kill()
+    return 2.0 * alone / shared
 
 
 def directions() -> dict:
@@ -107,6 +142,7 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown workloads {', '.join(unknown)}; known: {', '.join(WORKLOADS)}")
     checkouts = [ROOT] + ([args.baseline.resolve()] if args.baseline else [])
+    parallel_at_start = host_parallel()
     results = {c: {w: [] for w in workloads} for c in checkouts}
     machine = None
     for seed in range(1, args.repeats + 1):
@@ -120,6 +156,7 @@ def main(argv=None) -> int:
     baseline = results[checkouts[1]] if args.baseline else None
     report = {"seconds": args.seconds, "seeds": list(range(1, args.repeats + 1)),
               "machine": machine, "fingerprint": fingerprint(ROOT), "src_lines": src_lines(ROOT),
+              "host_parallel": {"start": parallel_at_start, "end": host_parallel()},
               "workloads": figures(results[ROOT], baseline)}
     if args.baseline:
         report["baseline"] = {"commit": commit(checkouts[1]), "src_lines": src_lines(checkouts[1]),

@@ -220,7 +220,7 @@ def cmd_model(args, file_cfg) -> int:
         rows = experiments.surface_grid(cfg, state)
         out = _out_dir(args) / f"surface_{cfg.function}.csv"
         atomic_write(out, _csv_text(["x", "y", "predicted", "actual"],
-                                   ([repr(float(v)) for v in row] for row in rows)))
+                                   (map(repr, row) for row in rows.tolist())))
         _progress(f"wrote {out}")
     if getattr(args, "save_state", None):
         atomic_write(Path(args.save_state), network.serialize(state))
@@ -324,7 +324,7 @@ def cmd_dump_state(args, file_cfg) -> int:
         tables.append((f"state_w_in_{grp.name}.csv", state.w_in(g)))
     for name, rows in tables + [("state_w_out.csv", state.w_out)]:
         path = out_dir / name
-        atomic_write(path, "\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n")
+        atomic_write(path, "\n".join(",".join(map(repr, row)) for row in rows.tolist()) + "\n")
         _progress(f"wrote {path}")
     return 0
 

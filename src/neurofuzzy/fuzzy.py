@@ -165,13 +165,14 @@ def centroid_matrix(grid):
     return np.stack([grid, np.ones_like(grid)], axis=1)
 
 
-def centroid(folded):
+def centroid(folded, out=None):
     """(predictions, fired) of (..., 2) numerators and denominators (centroid_matrix):
-    a row fires when its raw outputs sum above 0, and its prediction is NaN
-    otherwise.  The centroid is scale invariant, so raw outputs need no scaling."""
+    a row fires when its raw outputs sum above 0.  Predictions go into out if given,
+    where a row that does not fire keeps its value; a new out holds NaN there.  The
+    centroid is scale invariant, so raw outputs need no scaling."""
     fired = folded[..., 1] > 0.0
-    # dividing by NaN gives NaN without a floating-point warning
-    return folded[..., 0] / np.where(fired, folded[..., 1], np.nan), fired
+    out = np.full(fired.shape, np.nan) if out is None else out
+    return np.divide(folded[..., 0], folded[..., 1], out=out, where=fired), fired
 
 
 def argmax(out):
@@ -242,8 +243,8 @@ def triangular_matrix(u: Universe, crisps: np.ndarray, half_support: float) -> n
     grid; half_support == 0 produces singletons at the nearest grid point.
     """
     crisps = np.asarray(crisps, dtype=np.float64)
-    if half_support < 0:
-        raise NegativeSupport(f"half_support must be >= 0, got {half_support}")
+    if not 0 <= half_support < np.inf:
+        raise NegativeSupport(f"half_support must be finite and >= 0, got {half_support}")
     inside = u.contains(crisps)     # False for NaN
     if not inside.all():
         raise OutOfRange(f"crisp value {crisps[~inside][0]} outside universe [{u.lo}, {u.hi}]")

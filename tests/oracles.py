@@ -6,7 +6,7 @@ internals; forward_batch is a helper that reads the package's forward pass.
 
 import numpy as np
 
-from neurofuzzy import network
+from neurofuzzy import fuzzy, network
 from neurofuzzy.errors import DimensionMismatch, ReadDisturbRisk
 
 
@@ -85,6 +85,71 @@ def clamped_pulse_x(x, volts, params, duration):
         np.minimum(m, hi, out=m)
     x[active] = (r_off - m) / (r_off - r_on)
     return x
+
+
+def chunked_train(state, mats, targets):
+    """A frozen copy of network.train_matrix's chunk loop as it stood before it
+    scored each chunk as a contiguous block and scanned for novelty in place.
+
+    Returns the TrainingStats.  Each chunk of CHUNK_MAX samples is scored by one
+    GEMM into a strided view of its hidden block; each scan recomputes the whole
+    tail's centroid errors (NaN where nothing fires, then inf by fmin) and takes
+    the first at or above the threshold; an add folds its update into the rows
+    after it as an np.outer.  The stream is not validated.  train_matrix must
+    give this state, these errors and these add indices bit for bit.
+    """
+    cfg, faults = state.config, state.faults
+    targets = np.asarray(targets, dtype=np.float64)
+    mats = [np.asarray(X, dtype=np.float64) for X in mats]
+    fuzzy_targets = fuzzy.triangular_matrix(cfg.output_universe, targets,
+                                            cfg.output_half_support)
+    n, groups = len(targets), len(cfg.groups)
+    units = fuzzy.unit_concat(mats)
+    stats = network.TrainingStats(n_samples=n, errors=np.full(n, np.inf))
+    proj = fuzzy.centroid_matrix(cfg.output_universe.grid())
+    hebb = cfg.alpha * (fuzzy_targets @ proj)
+    for i in range(0, n, network.CHUNK_MAX):
+        stop = min(i + network.CHUNK_MAX, n)
+        n0 = state.n_minterms
+        hid = np.zeros((stop - i, n0 + stop - i))
+        fuzzy.power_activation(np.matmul(units[i:stop], state.unit_rows().T, out=hid[:, :n0]),
+                               groups, cfg.p)
+        out = hid[:, :n0] @ (proj.T @ state.w_out).T
+        start, selfs, adds = 0, None, []
+        while start < stop - i:
+            folded = out[start:]
+            pred = folded[:, 0] / np.where(folded[:, 1] > 0.0, folded[:, 1], np.nan)
+            err = np.fmin(np.abs(pred - targets[i + start:stop]), np.inf,
+                          out=stats.errors[i + start:stop])
+            novel = np.flatnonzero(err >= cfg.novelty_threshold)
+            if novel.size == 0:
+                break
+            b = start + int(novel[0])
+            j, start = i + b, b + 1
+            m = state._append_row([X[j] for X in mats], units[j])
+            stats.add_indices.append(m)
+            adds.append(b)
+            h = hid[b, :m + 1]
+            if faults is None:
+                if selfs is None:
+                    b0, selfs = b, fuzzy.power_activation(units[j:stop] @ units[j:stop].T,
+                                                          groups, cfg.p)
+                hid[b:, m] = selfs[b - b0:, b - b0]
+                out[start:] += np.outer(hid[start:, :m + 1] @ h, hebb[j])
+            else:
+                hid[b:, m] = fuzzy.power_activation(units[j:stop] @ state._unit[m],
+                                                    groups, cfg.p)
+                delta = cfg.alpha * np.outer(fuzzy_targets[j], h)
+                delta[faults.out_mask[:, :m + 1]] = 0.0
+                out[start:] += np.outer(hid[start:, m], state._w_out[:, m] @ proj)
+                out[start:] += hid[start:, :m + 1] @ (delta.T @ proj)
+        if adds:
+            m = state.n_minterms
+            delta = cfg.alpha * (fuzzy_targets[i:stop][adds].T @ hid[adds, :m])
+            state._w_out[:, :m] += (delta if faults is None
+                                    else np.where(faults.out_mask[:, :m], 0.0, delta))
+    stats.n_minterms_added = len(stats.add_indices)
+    return stats
 
 
 def vmm(cb, input_voltages, cols=slice(None)):

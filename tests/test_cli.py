@@ -107,6 +107,18 @@ class TestModelCommand:
         assert len(surface) == 1 + 101 * 101
         assert (tmp_path / "g1.state").stat().st_size > 0
 
+    def test_surface_text_is_that_of_repr_per_numpy_scalar(self, tmp_path, monkeypatch):
+        from neurofuzzy import experiments
+
+        rows = np.array([[0.0, -0.0, 5e-324, 1e300], [0.1, 1 / 3, np.nan, -2.5e-308]])
+        monkeypatch.setattr(experiments, "surface_grid", lambda cfg, state: rows)
+        assert cli.main(["model", "--fn", "g1", "--surface", "--out-dir", str(tmp_path)]
+                        + FAST) == 0
+        want = "x,y,predicted,actual\n" + "".join(
+            ",".join([repr(float(v)) for v in row]) + "\n" for row in rows)
+        assert (tmp_path / "surface_g1.csv").read_bytes() == want.encode()
+        assert "-0.0,5e-324,1e+300" in want
+
     def test_surface_and_state_train_once(self, tmp_path, monkeypatch):
         from neurofuzzy import network
 
@@ -305,6 +317,21 @@ class TestOtherCommands:
         assert rc == 0
         assert (tmp_path / "state_w_out.csv").exists()
         assert (tmp_path / "state_w_in_x.csv").exists()
+
+    def test_dump_state_text_is_that_of_repr_per_numpy_scalar(self, tmp_path):
+        from neurofuzzy import experiments, network
+
+        state = experiments.rebuild_trained_state(ExperimentConfig(function="g1", n_train=20))
+        state._w_out[:3, 0] = (-0.0, 5e-324, 1e300)
+        state._w_in[0][0, :3] = (-0.0, 5e-324, 1e300)
+        path = tmp_path / "net.state"
+        path.write_bytes(network.serialize(state))
+        assert cli.main(["dump-state", "--state", str(path), "--out-dir", str(tmp_path)]) == 0
+        for name, rows in [("state_w_in_x.csv", state.w_in(0)), ("state_w_in_y.csv", state.w_in(1)),
+                           ("state_w_out.csv", state.w_out)]:
+            want = "\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n"
+            assert (tmp_path / name).read_bytes() == want.encode()
+        assert "-0.0,5e-324,1e+300" in (tmp_path / "state_w_in_x.csv").read_text()
 
     def test_dump_state_malformed_fault_mask_exit_2(self, tmp_path):
         from neurofuzzy import experiments, network

@@ -94,6 +94,14 @@ class TestFuzzify:
         with pytest.raises(NegativeSupport):
             triangular_matrix(u, [0.5], -0.1)
 
+    @pytest.mark.parametrize("half_support", [np.nan, np.inf, -np.inf, -0.1])
+    def test_half_support_must_be_finite_non_negative(self, half_support):
+        # NaN gave an all-NaN membership matrix and inf one of all ones
+        u = universe_from_count(0, 1, 5)
+        with pytest.raises(NegativeSupport, match=r"^half_support must be finite and >= 0, "
+                                                  rf"got {half_support}$"):
+            triangular_matrix(u, [0.5], half_support)
+
     @pytest.mark.parametrize("half_support", [0.0, 0.5], ids=["singleton", "triangle"])
     def test_nan_lies_outside_the_universe(self, half_support):
         u = universe_from_count(0, 1, 5)
@@ -181,6 +189,28 @@ class TestDefuzzify:
         u = universe_from_count(0, 1, 3)
         pred, fired = centroid(np.zeros((2, 3)) @ centroid_matrix(u.grid()))
         assert not fired.any() and np.isnan(pred).all()
+
+    def test_out_keeps_its_value_where_no_row_fires(self):
+        folded = np.array([[1.0, 2.0], [3.0, 0.0], [-1.0, -4.0], [5e-324, 2e-323]])
+        out = np.full(4, 7.0)
+        pred, fired = centroid(folded, out=out)
+        assert pred is out
+        assert fired.tolist() == [True, False, False, True]
+        assert out.tolist() == [0.5, 7.0, 7.0, 0.25]
+        default, _ = centroid(folded)
+        assert np.array_equal(default, [0.5, np.nan, np.nan, 0.25], equal_nan=True)
+
+    @given(arrays(np.float64, st.tuples(st.integers(0, 8), st.just(2)),
+                  elements=st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                                     st.floats(-1e6, 1e6))))
+    @settings(max_examples=200)
+    def test_same_bits_as_a_division_by_nan_where_none_fires(self, folded):
+        fired = folded[:, 1] > 0.0
+        with np.errstate(over="ignore"):   # 1e6 / 5e-324
+            want = folded[:, 0] / np.where(fired, folded[:, 1], np.nan)
+            got, got_fired = centroid(folded)
+        assert np.array_equal(got_fired, fired)
+        assert got.tobytes() == want.tobytes()
 
     def test_subnormal_weights(self):
         # exact in units of the smallest subnormal: 0 and (2 * 1.0) / 3

@@ -102,6 +102,37 @@ class TestBench:
         assert report["src_lines"] == ours > 1000
 
 
+    def test_host_parallel_is_twice_the_loop_time_alone_over_its_shared_time(self, monkeypatch):
+        bench = load("bench")
+        times = iter([0.3, 0.6])
+        monkeypatch.setattr(bench, "spin", lambda n: next(times))
+        assert bench.host_parallel(1000) == pytest.approx(1.0)   # one core for two copies
+
+    def test_host_parallel_runs_a_second_process_and_leaves_none(self, monkeypatch):
+        bench = load("bench")
+        started = []
+        real = subprocess.Popen
+
+        def popen(*args, **kwargs):
+            started.append(real(*args, **kwargs))
+            return started[-1]
+        monkeypatch.setattr(bench.subprocess, "Popen", popen)
+        figure = bench.host_parallel(20_000)
+        assert len(started) == 1 and started[0].poll() is not None
+        assert 0.0 < figure < 10.0
+
+    def test_records_host_parallel_at_the_start_and_the_end(self, monkeypatch, tmp_path):
+        bench = load("bench")
+        result = {"metrics": {"run_s": {"value": 1.0, "unit": "s"}}, "correct": True, "failed": 0}
+        figures = iter([1.9, 1.1])
+        monkeypatch.setattr(bench, "host_parallel", lambda: next(figures))
+        monkeypatch.setattr(bench, "nfbench", lambda *args: ({"cpus": 2}, result))
+        monkeypatch.setattr(bench, "fingerprint", lambda checkout: {"exit": 0, "summary": []})
+        out = tmp_path / "bench.json"
+        assert bench.main(["--out", str(out), "--workloads", "readout"]) == 0
+        assert json.loads(out.read_text())["host_parallel"] == {"start": 1.9, "end": 1.1}
+
+
 class TestFingerprint:
     def test_pins_one_blas_thread_over_the_environment(self):
         # the pin must be set before numpy loads OpenBLAS, so it is read in a new process

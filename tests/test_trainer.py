@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from neurofuzzy import fuzzy, network
+from neurofuzzy import experiments, fuzzy, network
 from neurofuzzy.errors import (
     CapacityExceeded,
     DegenerateFuzzification,
@@ -25,7 +25,7 @@ from neurofuzzy.network import (
     train_matrix,
     train_one,
 )
-from oracles import forward_batch, states_equal
+from oracles import chunked_train, forward_batch, states_equal
 
 N_IN, N_OUT = 6, 5
 
@@ -160,9 +160,8 @@ def test_all_novel_multi_chunk_stream(faulted):
         assert added == list(range(n))
 
 
-def test_stuck_cells_in_a_column_added_mid_chunk():
-    # min-term 2 is added at sample 6, mid-chunk; samples 7 and 8 fire on it
-    cfg, mats, targets = block_stream((5, 6, 7, 8), 20)
+def mid_chunk_faults(cfg):
+    """Stuck cells in min-term 2, which block_stream((5, 6, 7, 8), 20) adds at sample 6."""
     cap = 20
     in_masks = [np.zeros((cap, N_IN), dtype=bool) for _ in cfg.groups]
     in_stuck = [np.zeros((cap, N_IN)) for _ in cfg.groups]
@@ -174,8 +173,14 @@ def test_stuck_cells_in_a_column_added_mid_chunk():
     # row 4 lies outside the support of both targets, so only its stuck weight moves it
     out_mask[[1, 4], 2] = True
     out_stuck[[1, 4], 2] = (2.0 * cfg.alpha, 3.0 * cfg.alpha)
-    faults = WeightFaults(capacity=cap, in_masks=in_masks, in_stuck=in_stuck,
-                          out_mask=out_mask, out_stuck=out_stuck)
+    return WeightFaults(capacity=cap, in_masks=in_masks, in_stuck=in_stuck,
+                        out_mask=out_mask, out_stuck=out_stuck)
+
+
+def test_stuck_cells_in_a_column_added_mid_chunk():
+    # min-term 2 is added at sample 6, mid-chunk; samples 7 and 8 fire on it
+    cfg, mats, targets = block_stream((5, 6, 7, 8), 20)
+    faults = mid_chunk_faults(cfg)
     assert assert_matches_oracle(cfg, mats, targets, faults) == [0, 5, 6, 7, 8]
 
 
@@ -192,6 +197,79 @@ def test_stuck_out_cells_keep_their_exact_bits():
     add_chunks = np.flatnonzero(~(stats.errors < cfg.novelty_threshold)) // C
     assert len(set(add_chunks[mask.any(axis=0)])) >= 3
     assert np.all(state.w_out[mask] == faults.out_stuck[:, :m][mask])
+
+
+def assert_same_bits_as_frozen_loop(cfg, mats, targets, faults=None, prefix=None):
+    """train_matrix and oracles.chunked_train, on fresh states after an optional
+    prefix stream, end in the same bits: weights, errors and add indices."""
+    fast, frozen = NetworkState(cfg, faults=faults), NetworkState(cfg, faults=faults)
+    if prefix is not None:
+        train_matrix(fast, *prefix)
+        chunked_train(frozen, *prefix)
+        assert fast.n_minterms > 0 and states_equal(fast, frozen)
+    stats = train_matrix(fast, mats, targets)
+    want = chunked_train(frozen, mats, targets)
+    assert states_equal(fast, frozen)
+    assert np.array_equal(stats.errors, want.errors)
+    assert stats.add_indices == want.add_indices
+    assert stats.n_minterms_added == want.n_minterms_added
+    return stats
+
+
+class TestSameBitsAsTheFrozenChunkLoop:
+    @pytest.mark.parametrize("faulted", [False, True], ids=["pristine", "faulted"])
+    def test_all_novel_stream(self, faulted):
+        n = 3 * C + 1
+        cfg, mats, targets = block_stream(range(1, n), n)
+        stats = assert_same_bits_as_frozen_loop(cfg, mats, targets,
+                                                faults_for(cfg, n) if faulted else None)
+        assert faulted or stats.n_minterms_added == n
+
+    @pytest.mark.parametrize("novel_at, n", [
+        ((C - 1, C, 2 * C - 1), 2 * C + 3),
+        (tuple(range(C + 5, C + 25)), 2 * C + 10),
+        ((150, 299), 300),
+    ], ids=["chunk-edges", "consecutive", "late-adds"])
+    def test_adds_at_chunk_edges(self, novel_at, n):
+        cfg, mats, targets = block_stream(novel_at, n)
+        stats = assert_same_bits_as_frozen_loop(cfg, mats, targets)
+        assert stats.add_indices == list(range(1 + len(novel_at)))
+
+    def test_stuck_out_cells_in_a_column_added_mid_chunk(self):
+        cfg, mats, targets = block_stream((5, 6, 7, 8), 20)
+        stats = assert_same_bits_as_frozen_loop(cfg, mats, targets, mid_chunk_faults(cfg))
+        assert list(np.flatnonzero(~(stats.errors < cfg.novelty_threshold))) == [0, 5, 6, 7, 8]
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["pristine", "faulted"])
+    def test_stream_on_a_trained_state(self, faulted):
+        cfg = config(threshold=0.1)
+        mats, targets = random_stream(cfg, 11, 3 * C + 7)
+        stats = assert_same_bits_as_frozen_loop(
+            cfg, mats, targets, faults_for(cfg, 4 * C + 7) if faulted else None,
+            prefix=random_stream(cfg, 12, C))
+        assert 0 < stats.n_minterms_added < len(targets)
+
+    def test_overflowed_centroid_is_novel_and_reads_inf(self):
+        # alpha * (u @ grid) overflows at +-8e307, so a row that fires on one min-term
+        # and reads 0 on another has a NaN numerator: 0 * inf
+        ux = universe_from_count(0.0, 1.0, N_IN)
+        cfg = NetworkConfig(groups=(InputGroup("x", ux, 0.3), InputGroup("y", ux, 0.3)),
+                            output_universe=fuzzy.Universe(-8e307, 8e307, 8e307, 3),
+                            alpha=4.0, novelty_threshold=0.1)
+        rng = np.random.default_rng(0)
+        mats, _ = random_stream(cfg, 0, 150)
+        with np.errstate(invalid="ignore", over="ignore"):
+            stats = assert_same_bits_as_frozen_loop(cfg, mats, rng.choice([-8e307, 8e307], 150))
+        assert stats.n_minterms_added == 150 and np.isposinf(stats.errors).all()
+
+    @pytest.mark.parametrize("cfg", [
+        experiments.paper_classification_config(3, n_train=4000),
+        experiments.paper_modeling_config("g5", n_train=1500, noise_variance=0.01),
+    ], ids=["set3-4000", "noisy-g5-1500"])
+    def test_experiment_stream(self, cfg):
+        net = experiments._network_config(cfg)
+        pts, targets = experiments._training_data(cfg, net)
+        assert_same_bits_as_frozen_loop(net, NetworkState(net).fuzzify(pts), targets)
 
 
 def test_one_stored_row_gemm_per_chunk(monkeypatch):
@@ -297,6 +375,57 @@ class TestAtomicValidation:
             train_matrix(state, mats, targets)
         mats[1][1] = 0.5
         with pytest.raises(OperandOutOfRange, match=r"sample 2\b"):
+            train_matrix(state, mats, targets)
+        assert states_equal(before, state)
+
+    def test_negative_zero_row_is_a_zero_vector(self):
+        cfg, state, before = self._trained()
+        mats, targets = random_stream(cfg, 3, 12)
+        mats[0][5] = -0.0
+        with pytest.raises(ZeroVector, match=r"^sample 5: all-zero input membership vector$"):
+            train_matrix(state, mats, targets)
+        assert states_equal(before, state)
+
+    def test_smallest_subnormal_row_trains(self):
+        cfg, state, _ = self._trained()
+        mats, targets = random_stream(cfg, 3, 12)
+        mats[1][5] = 0.0
+        mats[1][5, 3] = 5e-324
+        stats = train_matrix(state, mats, targets)
+        assert stats.n_samples == 12 and np.isfinite(state.w_out).all()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1e-300, -5e-324])
+    @pytest.mark.parametrize("group", [0, 1])
+    def test_out_of_range_names_the_first_bad_sample(self, value, group):
+        cfg, state, before = self._trained()
+        mats, targets = random_stream(cfg, 3, 12)
+        mats[group][4, 1] = value
+        mats[1 - group][9, 0] = value
+        with pytest.raises(OperandOutOfRange, match=r"^sample 4: a membership value is "
+                                                    r"negative or not finite$"):
+            train_matrix(state, mats, targets)
+        assert states_equal(before, state)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_out_of_range_before_a_zero_row_is_reported_first(self, value):
+        cfg, state, before = self._trained()
+        mats, targets = random_stream(cfg, 3, 12)
+        mats[0][3] = 0.0          # a zero row in one group, out of range in the other
+        mats[1][3, 2] = value
+        mats[1][6] = 0.0
+        with pytest.raises(OperandOutOfRange, match=r"^sample 3: "):
+            train_matrix(state, mats, targets)
+        mats[1][3, 2] = 0.5
+        with pytest.raises(ZeroVector, match=r"^sample 3: "):
+            train_matrix(state, mats, targets)
+        assert states_equal(before, state)
+
+    def test_target_message(self):
+        cfg, state, before = self._trained()
+        mats, targets = random_stream(cfg, 3, 12)
+        targets[2] = -0.5
+        with pytest.raises(TargetOutOfRange, match=r"^sample 2: target -0\.5 outside output "
+                                                   r"universe \[0\.0, 1\.0\]$"):
             train_matrix(state, mats, targets)
         assert states_equal(before, state)
 
