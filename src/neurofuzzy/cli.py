@@ -26,7 +26,7 @@ import numpy as np
 
 from . import crossbar, experiments, fuzzy, network
 from .crossbar import MemristorParams
-from .errors import ConfigError, NeuroFuzzyError, UnknownDatasetId
+from .errors import ConfigError, NeuroFuzzyError, UnknownDatasetId, UnreadField
 from .experiments import REPORT_COLUMNS, ExperimentConfig
 
 OUT_DIR_ENV = "NEUROFUZZY_OUT_DIR"
@@ -82,20 +82,16 @@ def load_config_file(path: str) -> dict:
 _DEVICE_KEYS = ("r_on", "r_off", "d", "mu_v", "v_threshold", "dt", "r_f")
 # the ion-drift constants: no mapping or read integrates a pulse, only the sweep does
 _DRIFT_KEYS = {"d", "mu_v", "dt"}
-# only a crossbar mapping or read uses these (r_on and r_off also set an ideal fault plan)
-_READ_KEYS = {"v_threshold", "r_f", "scale_in", "scale_out"}
 
 # the table parameters --paper-defaults fixes; a suite row also fixes the keys
 # that define it
 _PAPER_PINNED = {"p", "alpha", "threshold", "nx", "ny", "nz", "input_hs_scale",
                  "input_hs_shrink_exp", "output_hs_mult", "n_train", "n_test"}
 _ROW_KEYS = {key for rows in experiments.SUITE.values() for row in rows for key in row}
-# the keys a subcommand never reads (dataset and the drift constants for the modeling
-# ones): classify draws its test points from seed and has label targets;
-# crossbar-compare always maps onto crossbars and draws its own probes, and with
-# --sweep-only it reads the device constants (r_f among them) alone
-_UNUSED = {"classify": {"function", "test_seed", "noise_variance", "nz", "output_hs_mult",
-                        *_DRIFT_KEYS},
+# the keys a subcommand never reads that its ExperimentConfig takes (dataset and the
+# drift constants for the modeling ones): crossbar-compare always maps onto crossbars
+# and draws its own probes, and with --sweep-only it reads the device constants alone
+_UNUSED = {"classify": {"function", *_DRIFT_KEYS},
            "crossbar-compare": {"dataset", "backend", "n_test", "test_seed"},
            "crossbar-compare --sweep-only": {*CONFIG_SCHEMA["network"],
                                              *CONFIG_SCHEMA["experiment"], "scale_in", "scale_out"},
@@ -131,28 +127,26 @@ def resolve(args, file_cfg: dict, pins: dict | None = None) -> ExperimentConfig:
     """The configuration of one run: flags > config file > study default > defaults.
 
     Each [network] and [experiment] key, and the flag of the same name, sets
-    the ExperimentConfig field of that name; a key the subcommand never
-    reads (_UNUSED) may not be set.  noise, fault and crossbar-compare start
+    the ExperimentConfig field of that name.  A key the run never reads may
+    not be set: ExperimentConfig rejects its field (UnreadField), and _UNUSED
+    the keys the config cannot tell.  noise, fault and crossbar-compare start
     from their study_default.  A suite row passes its pins: _PAPER_PINNED and
-    _ROW_KEYS may then not be set at all.  --paper-defaults drops any
-    _PAPER_PINNED value given instead.  A run on the ideal backend may not set
-    _READ_KEYS.
+    _ROW_KEYS may then not be set at all, and a dataset row drops test_seed.
+    --paper-defaults drops any _PAPER_PINNED value given instead.
     """
     fields = {**getattr(args, "study_default", {}), **(pins or {})}
     target = "dataset" if "dataset" in fields or hasattr(args, "dataset") else "function"
     pinned = _PAPER_PINNED | _ROW_KEYS if pins is not None else set()
     if getattr(args, "paper_defaults", False):
         pinned = _PAPER_PINNED
-    given = _given(args, file_cfg, args.command)
-    for section, key, value in given:
+    for section, key, value in _given(args, file_cfg, args.command):
         if key in pinned and pins is not None:
             raise ConfigError(f"suite pins {section}.{key} in every row; "
                               "remove it from the config file")
         if key not in pinned and section != "crossbar":
             fields[key] = value
-    read = [f"{section}.{key}" for section, key, _ in given if key in _READ_KEYS]
-    if read and fields.get("backend", "ideal") == "ideal":
-        raise ConfigError(f"{read[0]} does not apply to {args.command} on the ideal backend")
+    if "dataset" in (pins or {}):       # suite applies test_seed to the rows that read it
+        fields.pop("test_seed", None)
     if target not in fields:
         raise ConfigError("no benchmark function given (use --fn or the config file)"
                           if target == "function" else
@@ -163,6 +157,10 @@ def resolve(args, file_cfg: dict, pins: dict | None = None) -> ExperimentConfig:
     try:
         cfg = make(fields.pop(target), **fields)
         experiments._network_config(cfg)      # the network's own checks, before any write
+    except UnreadField as e:                  # a [crossbar] field is unread on ideal only
+        section = next(s for s, keys in CONFIG_SCHEMA.items() if e.field in keys)
+        ideal = " on the ideal backend" if section == "crossbar" else ""
+        raise ConfigError(f"{section}.{e.field} does not apply to {args.command}{ideal}") from e
     except ValueError as e:
         raise ConfigError(str(e)) from e
     return cfg
@@ -189,21 +187,15 @@ def atomic_write(path: Path, data: str | bytes) -> None:
         raise
 
 
-def _csv_text(header, rows) -> str:
+def _write_csv(path: Path, header, rows) -> str:
+    """Write a headed CSV file atomically; returns its text."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
+    atomic_write(path, buf.getvalue())
+    _progress(f"wrote {path}")
     return buf.getvalue()
-
-
-def _emit_report(args, reports, filename: str) -> Path:
-    text = _csv_text(REPORT_COLUMNS, (r.csv_row(with_runtime=args.timing) for r in reports))
-    out = _out_dir(args) / filename
-    atomic_write(out, text)
-    sys.stdout.write(text)
-    _progress(f"wrote {out}")
-    return out
 
 
 # --- subcommands --------------------------------------------------------------
@@ -215,13 +207,12 @@ def cmd_model(args, file_cfg) -> int:
     _progress(f"{args.command} {cfg.label}: {cfg.n_train} train / {cfg.n_test} test, "
               f"seed {cfg.seed}, backend {cfg.backend}")
     report, state = experiments.train_and_score(cfg)
-    _emit_report(args, [report], f"{args.command}_{cfg.label}.csv")
+    sys.stdout.write(_write_csv(_out_dir(args) / f"{args.command}_{cfg.label}.csv",
+                                REPORT_COLUMNS, [report.csv_row(with_runtime=args.timing)]))
     if getattr(args, "surface", False):
-        rows = experiments.surface_grid(cfg, state)
-        out = _out_dir(args) / f"surface_{cfg.function}.csv"
-        atomic_write(out, _csv_text(["x", "y", "predicted", "actual"],
-                                   (map(repr, row) for row in rows.tolist())))
-        _progress(f"wrote {out}")
+        rows = experiments.surface_grid(cfg, state).tolist()
+        _write_csv(_out_dir(args) / f"surface_{cfg.function}.csv",
+                   ["x", "y", "predicted", "actual"], (map(repr, row) for row in rows))
     if getattr(args, "save_state", None):
         atomic_write(Path(args.save_state), network.serialize(state))
         _progress(f"wrote {args.save_state}")
@@ -285,11 +276,10 @@ def cmd_crossbar_compare(args, file_cfg) -> int:
                 raise ConfigError(f"{flag} does not apply to crossbar-compare --sweep-only")
         _given(args, file_cfg, "crossbar-compare --sweep-only")
     cfg = None if args.sweep_only else resolve(args, file_cfg)
-    volts, dws = crossbar.delta_weight_sweep(_crossbar_setup(file_cfg)["device"])
+    sweep = np.column_stack(crossbar.delta_weight_sweep(_crossbar_setup(file_cfg)["device"]))
     out_dir = _out_dir(args)
-    sweep_path = out_dir / "device_weight_sweep.csv"
-    atomic_write(sweep_path, crossbar.sweep_csv(volts, dws))
-    _progress(f"wrote {sweep_path}")
+    _write_csv(out_dir / "device_weight_sweep.csv", ["voltage", "delta_weight"],
+               (map(repr, row) for row in sweep.tolist()))
     if args.sweep_only:
         return 0
     _progress(f"training ideal {cfg.function} model for crossbar comparison")
@@ -302,11 +292,9 @@ def cmd_crossbar_compare(args, file_cfg) -> int:
     scale = np.abs(ideal_out).max(axis=1, keepdims=True)
     denom = np.maximum(np.abs(ideal_out), 1e-9 * np.maximum(scale, 1e-300))
     rel = np.abs(cb_out - ideal_out) / denom
-    out = out_dir / f"crossbar_compare_{cfg.function}.csv"
-    atomic_write(out, _csv_text(["probe", "max_rel_deviation", "mean_rel_deviation"],
-                               ([i, repr(float(r.max())), repr(float(r.mean()))]
-                                for i, r in enumerate(rel))))
-    _progress(f"wrote {out}")
+    _write_csv(out_dir / f"crossbar_compare_{cfg.function}.csv",
+               ["probe", "max_rel_deviation", "mean_rel_deviation"],
+               ([i, repr(float(r.max())), repr(float(r.mean()))] for i, r in enumerate(rel)))
     print(f"max relative output deviation over {n_probes} probes: {rel.max():.3e}")
     return 0
 

@@ -166,12 +166,6 @@ def delta_weight_sweep(params: MemristorParams | None = None,
     return volts, params.r_f / params.memristance(x) - params.r_f / params.r_off
 
 
-def sweep_csv(volts: np.ndarray, delta_w: np.ndarray) -> str:
-    lines = ["voltage,delta_weight"]
-    lines += [f"{float(v)!r},{float(d)!r}" for v, d in zip(volts, delta_w)]
-    return "\n".join(lines) + "\n"
-
-
 def _stuck_cells(rng: np.random.Generator, shape, fraction: float):
     """The package's one stuck-cell draw: floor(fraction * cells) distinct cells of
     an array of the given shape, and a uniform device state for each (0 elsewhere)."""

@@ -91,6 +91,14 @@ class LengthMismatch(NeuroFuzzyError):
     pass
 
 
+class UnreadField(NeuroFuzzyError, ValueError):
+    """A config field is set that its run never reads; .field names it."""
+
+    def __init__(self, field: str, run: str):
+        super().__init__(f"{run} does not read {field}")
+        self.field = field
+
+
 # --- cli ---
 
 class ConfigError(NeuroFuzzyError):

@@ -25,7 +25,7 @@ from .benchmarks import (
     gen_uniform_samples,
 )
 from .crossbar import MemristorParams
-from .errors import ConstantActual, LengthMismatch, UnknownDatasetId
+from .errors import ConstantActual, LengthMismatch, UnknownDatasetId, UnreadField
 from .fuzzy import universe_from_count
 from .network import InputGroup, NetworkConfig, NetworkState, WeightFaults
 
@@ -43,14 +43,15 @@ REPORT_COLUMNS = [
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment run; exactly one of function / dataset is set."""
+    """One experiment run; exactly one of function / dataset is set.  Setting a
+    field the run never reads raises UnreadField."""
 
     function: str | None = None          # g1..g5 for regression studies
     dataset: int | None = None           # 1..4 for classification studies
     n_train: int = 225
     n_test: int = 10_000
     seed: int = 1
-    test_seed: int = DEFAULT_TEST_SEED   # fixed by default so runs are comparable
+    test_seed: int | None = None         # a function's; DEFAULT_TEST_SEED unless set
     p: int = 7
     alpha: float = 5e-4
     threshold: float | None = None       # None: table default for the target
@@ -59,8 +60,8 @@ class ExperimentConfig:
     nz: int | None = None
     input_hs_scale: float = 10.0         # input half support, in grid resolutions at 225 samples
     input_hs_shrink_exp: float = 0.1     # support shrinks as (225/n_train)^exp
-    output_hs_mult: float = 3.0          # output half support, in output resolutions
-    noise_variance: float = 0.0
+    output_hs_mult: float | None = None  # a function's output half support, 3.0 resolutions
+    noise_variance: float | None = None  # a function's; 0.0 unless set
     fault_fraction: float = 0.0
     fault_seed: int | None = None
     backend: str = "ideal"               # "ideal" | "crossbar"
@@ -76,19 +77,34 @@ class ExperimentConfig:
             raise UnknownDatasetId(f"unknown benchmark function {self.function!r}")
         if self.function is None and self.dataset not in CLASSIFICATION:
             raise UnknownDatasetId(f"classification dataset id must be 1..4, got {self.dataset}")
+        # only a function's run reads these (None: the default, as for MemristorParams.r_f);
+        # a dataset's draws its test points from seed and has label targets
+        for key, default in (("test_seed", DEFAULT_TEST_SEED), ("nz", None),
+                             ("output_hs_mult", 3.0), ("noise_variance", 0.0)):
+            if self.dataset is None and getattr(self, key) is None:
+                object.__setattr__(self, key, default)
+            elif self.dataset is not None and getattr(self, key) is not None:
+                raise UnreadField(key, "a dataset run")
         # a dataset draws both classes, an FVU needs two test points; numpy seeds are >= 0
-        least = {"n_train": 1 if self.dataset is None else 2, "n_test": 2,
-                 "seed": 0, "test_seed": 0, "fault_seed": 0}
+        least = {"n_train": 1 if self.dataset is None else 2, "n_test": 2, "seed": 0,
+                 "test_seed": 0, "fault_seed": 0, "nx": 2, "ny": 2, "nz": 2}
         for key, low in least.items():
             value = getattr(self, key)
             if value is not None and value < low:
                 raise ValueError(f"{key} must be >= {low}, got {value}")
-        if not self.noise_variance >= 0:
-            raise ValueError(f"noise variance must be >= 0, got {self.noise_variance}")
+        if self.dataset is None and not 0 <= self.noise_variance < np.inf:
+            raise ValueError(f"noise variance must be finite and >= 0, got {self.noise_variance}")
         if not 0.0 <= self.fault_fraction <= 1.0:
             raise ValueError("fault fraction must lie in [0, 1]")
         if self.backend not in ("ideal", "crossbar"):
             raise ValueError(f"unknown backend {self.backend!r}")
+        # an ideal run maps no crossbar: of the set-up it reads r_on and r_off, its fault plan's
+        dev = self.device
+        for key, unread in (("v_threshold", dev.v_threshold != MemristorParams.v_threshold),
+                            ("r_f", dev.r_f != dev.r_off), ("scale_in", self.scale_in is not None),
+                            ("scale_out", self.scale_out is not None)):
+            if unread and self.backend == "ideal":
+                raise UnreadField(key, "a run on the ideal backend")
         if not 0 < self.input_hs_scale < np.inf:
             raise ValueError(f"input_hs_scale must be finite and > 0, got {self.input_hs_scale}")
         if not np.isfinite(self.input_hs_shrink_exp):

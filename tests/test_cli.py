@@ -300,6 +300,31 @@ class TestOtherCommands:
         assert not state.exists()
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("argv,setting,named", [
+        (["model", "--fn", "g1"], "[network]\nnx = 1", "nx"),
+        (["classify", "--dataset", "1"], "[network]\nny = 0", "ny"),
+        (["model", "--fn", "g1"], "[network]\nnz = 1", "nz"),
+        (["model", "--fn", "g1"], "[experiment]\nnoise_variance = inf", "noise variance"),
+    ], ids=["model-nx", "classify-ny", "model-nz", "model-noise-inf"])
+    def test_bad_grid_or_noise_in_file_exit_1_before_writing(self, tmp_path, capsys, argv,
+                                                             setting, named):
+        path = tmp_path / "run.ini"
+        path.write_text(setting + "\n")
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--config", str(path), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_suite_dataset_rows_drop_the_test_seed(self, tmp_path):
+        path = tmp_path / "seed.ini"
+        path.write_text("[experiment]\ntest_seed = 5\n")
+        argv = ["suite", "--only", "classification", "--seed", "1", "--jobs", "1"]
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "bare")]) == 0
+        assert cli.main(argv + ["--config", str(path), "--out-dir", str(tmp_path / "file")]) == 0
+        name = "suite_classification.csv"
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "bare" / name).read_bytes()
+
     def test_weight_overflow_config_exit_2(self, tmp_path):
         path = tmp_path / "overflow.ini"
         path.write_text("[crossbar]\nscale_in = 1e6\n")

@@ -706,12 +706,3 @@ class TestFaultedState:
         assert plan.out_mask.any() and all(m[:n].any() for m in plan.in_masks)
         assert np.array_equal(cb1.fault_mask, np.hstack([m[:n] for m in plan.in_masks]))
         assert np.array_equal(cb2.fault_mask, plan.out_mask[:, :n])
-
-
-class TestCsv:
-    def test_sweep_csv_shape(self):
-        volts, dw = delta_weight_sweep(PARAMS, voltages=np.linspace(0, 2, 5))
-        text = crossbar.sweep_csv(volts, dw)
-        lines = text.strip().split("\n")
-        assert lines[0] == "voltage,delta_weight"
-        assert len(lines) == 6

@@ -5,7 +5,7 @@ import pytest
 
 from neurofuzzy import experiments
 from neurofuzzy.crossbar import MemristorParams
-from neurofuzzy.errors import ConstantActual, LengthMismatch, UnknownDatasetId
+from neurofuzzy.errors import ConstantActual, LengthMismatch, UnknownDatasetId, UnreadField
 from neurofuzzy.experiments import (
     ExperimentConfig,
     fvu,
@@ -255,7 +255,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(function="g1", backend="quantum")
 
-    @pytest.mark.parametrize("variance", [-0.01, np.nan])
+    @pytest.mark.parametrize("variance", [-0.01, np.nan, np.inf])
     def test_bad_noise_variance(self, variance):
         with pytest.raises(ValueError, match="noise variance"):
             ExperimentConfig(function="g1", noise_variance=variance)
@@ -272,11 +272,58 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("target,key", [
         ({"dataset": 1}, "n_train"), ({"dataset": 1}, "n_test"), ({"function": "g1"}, "n_test"),
-    ], ids=["dataset-n_train", "dataset-n_test", "function-n_test"])
+        ({"dataset": 1}, "nx"), ({"function": "g1"}, "ny"), ({"function": "g1"}, "nz"),
+    ], ids=["dataset-n_train", "dataset-n_test", "function-n_test", "dataset-nx", "function-ny",
+            "function-nz"])
     def test_size_the_generators_cannot_serve(self, target, key):
-        # a dataset draws both classes, and an FVU needs two test points
+        # a dataset draws both classes, an FVU needs two test points, a universe two points
         with pytest.raises(ValueError, match=f"{key} must be >= 2, got 1"):
             ExperimentConfig(**target, **{key: 1})
+
+    def test_fields_a_run_never_reads_raise_naming_the_first(self):
+        with pytest.raises(ValueError, match="test_seed"):
+            run_classification(paper_classification_config(
+                1, n_train=60, n_test=200, noise_variance=0.5, test_seed=5, nz=7,
+                output_hs_mult=9.0))
+        with pytest.raises(ValueError, match="r_f"):
+            run_modeling(paper_modeling_config("g1", n_train=60, n_test=200, scale_in=3.0,
+                                               device=MemristorParams(r_f=5.0)))
+
+    # given at the value a function's run would read, a dataset's still never reads it
+    @pytest.mark.parametrize("key,value", [("test_seed", 977), ("nz", 7),
+                                           ("output_hs_mult", 3.0), ("noise_variance", 0.0)])
+    def test_a_dataset_config_rejects_the_function_fields(self, key, value):
+        with pytest.raises(UnreadField, match=f"a dataset run does not read {key}") as info:
+            paper_classification_config(1, **{key: value})
+        assert info.value.field == key
+
+    @pytest.mark.parametrize("key,setup", [
+        ("v_threshold", {"device": MemristorParams(v_threshold=0.8)}),
+        ("r_f", {"device": MemristorParams(r_f=5.0)}),
+        ("scale_in", {"scale_in": 3.0}), ("scale_out", {"scale_out": 3.0})])
+    @pytest.mark.parametrize("make", [lambda **kw: paper_modeling_config("g1", **kw),
+                                      lambda **kw: paper_classification_config(1, **kw)],
+                             ids=["function", "dataset"])
+    def test_an_ideal_config_rejects_the_crossbar_read_setup(self, make, key, setup):
+        with pytest.raises(UnreadField, match=f"the ideal backend does not read {key}") as info:
+            make(**setup)
+        assert info.value.field == key
+        assert make(backend="crossbar", **setup).backend == "crossbar"
+
+    def test_an_ideal_config_takes_the_resistances_of_its_fault_plan(self):
+        device = MemristorParams(r_on=200.0, r_off=8000.0)
+        assert paper_modeling_config("g1", device=device, fault_fraction=0.1).device == device
+
+    def test_a_function_config_holds_the_values_its_run_reads(self):
+        cfg = paper_modeling_config("g1")
+        assert (cfg.test_seed, cfg.noise_variance, cfg.output_hs_mult, cfg.nz) == \
+            (experiments.DEFAULT_TEST_SEED, 0.0, 3.0, None)
+        assert dataclasses.replace(cfg, noise_variance=0.01).test_seed == 977
+
+    def test_a_dataset_config_survives_replace(self):
+        cfg = dataclasses.replace(paper_classification_config(2), n_train=50, backend="crossbar")
+        assert (cfg.n_train, cfg.backend) == (50, "crossbar")
+        assert (cfg.test_seed, cfg.noise_variance, cfg.output_hs_mult, cfg.nz) == (None,) * 4
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
     @pytest.mark.parametrize("key", ["r_f", "scale_in", "scale_out"])
