@@ -11,8 +11,10 @@ With --baseline DIR another checkout (the parent commit, say) runs the same
 runs, alternating with this one run by run, and its figures and src_lines are
 recorded next to them; each metric of this checkout then also
 records how many of the seed-matched pairs it won, by the direction
-BENCHMARK.json gives it (a tie wins for neither).  Per-layer (traced) figures
-are not recorded.
+BENCHMARK.json gives it (a tie wins for neither).  Per workload and checkout,
+ops_uncalibrated_s holds each nfbench operation's (run_modeling, say) median raw
+time, read from the result file each run writes, without nfbench's calibration.
+Per-layer (traced) figures are not recorded.
 
     python scripts/bench.py --out BENCH_<n>.json [--seconds 20] [--repeats 5] \\
         [--workloads train-novel,readout] [--baseline DIR]
@@ -38,12 +40,25 @@ def run(checkout: Path, argv, **env):
 
 
 def nfbench(checkout: Path, workload: str, seed: int, seconds: float):
-    """(machine info, result) of one untraced nfbench run: its last two output lines."""
+    """(machine info, result) of one untraced nfbench run: its last two output lines,
+    the result with op_s, op_seconds of the result file the run wrote."""
     rc, lines, err = run(checkout, ["nfbench/run.py", "--workload", workload, "--seed", str(seed),
                                     "--seconds", str(seconds), "--trace", "0"])
     if rc != 0 or len(lines) < 2:
         raise SystemExit(f"{checkout}: nfbench {workload} seed {seed} exited {rc}\n{err}")
-    return json.loads(lines[-2])["machine"], json.loads(lines[-1])
+    path = checkout / "nfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    result = {**json.loads(lines[-1]), "op_s": op_seconds(json.loads(path.read_text()))}
+    return json.loads(lines[-2])["machine"], result
+
+
+def op_seconds(result_file: dict) -> dict:
+    """Each operation's median raw time in an nfbench result file's pass_ops, the
+    warm-up pass dropped.  Raw: not calibrated, unlike nfbench's own figures."""
+    times = {}
+    for ops in result_file["pass_ops"][1:]:
+        for name, seconds in ops:
+            times.setdefault(name, []).append(seconds)
+    return {name: statistics.median(ts) for name, ts in times.items()}
 
 
 def fingerprint(checkout: Path) -> dict:
@@ -102,23 +117,33 @@ def won(value: float, other: float, better: str) -> bool:
 
 def figures(results: dict, baseline: dict | None = None) -> dict:
     """Per workload: each metric's median and quartiles over its runs, the run count,
-    whether every run was correct, and the failed operations of all runs.  Given the
-    baseline's runs of the same seeds, each metric also counts the pairs it won."""
+    whether every run was correct, the failed operations of all runs, and the median
+    and quartiles over the runs of each operation's op_s.  Given the baseline's runs of
+    the same seeds, each metric also counts the pairs it won."""
     out, better = {}, directions()
     for workload, runs in results.items():
         metrics = {}
         for name, m in runs[0]["metrics"].items():
             values = [r["metrics"][name]["value"] for r in runs]
-            q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-            metrics[name] = {"median": statistics.median(values), "q1": q1, "q3": q3,
-                             "unit": m["unit"]}
+            metrics[name] = {**spread(values), "unit": m["unit"]}
             if baseline is not None:
                 others = [r["metrics"][name]["value"] for r in baseline[workload]]
                 metrics[name]["pairs_won"] = sum(won(v, o, better[name])
                                                  for v, o in zip(values, others))
+        ops = {}
+        for r in runs:
+            for name, seconds in r.get("op_s", {}).items():
+                ops.setdefault(name, []).append(seconds)
         out[workload] = {"runs": len(runs), "correct": all(r["correct"] for r in runs),
-                         "failed": sum(r["failed"] for r in runs), "metrics": metrics}
+                         "failed": sum(r["failed"] for r in runs), "metrics": metrics,
+                         "ops_uncalibrated_s": {name: spread(ts) for name, ts in ops.items()}}
     return out
+
+
+def spread(values) -> dict:
+    """Median and quartiles of a list of figures."""
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
 def commit(checkout: Path) -> str:

@@ -87,11 +87,14 @@ class ExperimentConfig:
                 raise UnreadField(key, "a dataset run")
         # a dataset draws both classes, an FVU needs two test points; numpy seeds are >= 0
         least = {"n_train": 1 if self.dataset is None else 2, "n_test": 2, "seed": 0,
-                 "test_seed": 0, "fault_seed": 0, "nx": 2, "ny": 2, "nz": 2}
+                 "test_seed": 0, "fault_seed": 0, "nx": 2, "ny": 2, "nz": 2, "p": 1}
         for key, low in least.items():
             value = getattr(self, key)
+            if value is not None and not float(value).is_integer():
+                raise ValueError(f"{key} must be a whole number, got {value}")
             if value is not None and value < low:
                 raise ValueError(f"{key} must be >= {low}, got {value}")
+            object.__setattr__(self, key, value if value is None else int(value))
         if self.dataset is None and not 0 <= self.noise_variance < np.inf:
             raise ValueError(f"noise variance must be finite and >= 0, got {self.noise_variance}")
         if not 0.0 <= self.fault_fraction <= 1.0:

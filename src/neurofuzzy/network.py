@@ -18,9 +18,9 @@ fuzzified inputs) and then Hebbian-update the full output matrix:
     w_ij += alpha * v_j * u_i
 
 with v the hidden activations and u the fuzzified target.  train_matrix is
-the one trainer (train_dataset stacks its samples into it, train_one is
-train_dataset of one sample); it folds each add's update into its chunk's
-outputs and writes the chunk's updates to W_out once, as one masked GEMM.
+the one trainer (train_dataset stacks its samples into it, train_one is train_dataset
+of one sample); it folds each add's update into its chunk's outputs, checks the row
+after an add alone, and stores the chunk's rows and W_out updates once, at its end.
 Inference is batched (output_batch and its argmax readout; infer_crisp_batch
 folds the centroid into the output weights); one sample is a 1-row batch.
 """
@@ -79,8 +79,9 @@ class NetworkConfig:
         object.__setattr__(self, "groups", tuple(self.groups))
         if not self.groups:
             raise ValueError("need at least one input group")
-        if self.p < 1 or int(self.p) != self.p:
+        if not (self.p >= 1 and float(self.p).is_integer()):
             raise ValueError(f"activation exponent must be an integer >= 1, got {self.p}")
+        object.__setattr__(self, "p", int(self.p))   # int_power counts its products in p
         if not 0 <= self.alpha < np.inf:
             raise ValueError(f"learning coefficient must be finite and >= 0, got {self.alpha}")
         if not self.novelty_threshold > 0:
@@ -187,37 +188,32 @@ class NetworkState:
         dup._w_out = self._w_out.copy()
         return dup
 
-    def _grow(self):
-        if self.faults is not None:
-            raise CapacityExceeded(
-                f"fault plan provisions {self._capacity} min-term rows; all are in use"
-            )
-
-        def doubled(a, axis=0):
-            grown = np.zeros(a.shape[:axis] + (2 * a.shape[axis],) + a.shape[axis + 1:])
-            grown[tuple(map(slice, a.shape))] = a
-            return grown
-        self._w_in = [doubled(w) for w in self._w_in]
-        self._unit = doubled(self._unit)
-        self._w_out = doubled(self._w_out, axis=1)
-        self._capacity *= 2
-
-    def _append_row(self, xs, unit=None) -> int:
-        """Store one min-term; unit is fuzzy.unit_concat of xs where the caller holds it."""
-        if self.n_minterms == self._capacity:
-            self._grow()
-        r = self.n_minterms
-        for g, x in enumerate(xs):
-            if self.faults is not None:
-                keep = ~self.faults.in_masks[g][r]
-                self._w_in[g][r][keep] = x[keep]
-            else:
-                self._w_in[g][r] = x
+    def _store_rows(self, xs, units=None):
+        """Store min-terms in one block write, xs[g] their (k, count_g) rows of group g;
+        units is fuzzy.unit_concat(xs) where the caller holds it.  The capacity
+        doubles as often as the block needs, in one reallocation."""
+        n, k = self.n_minterms, len(xs[0])
+        if self.faults is not None and n + k > self._capacity:
+            raise CapacityExceeded(f"fault plan provisions {self._capacity} min-term rows; "
+                                   "all are in use")
+        cap = self._capacity
+        while cap < n + k:
+            cap *= 2
+        if cap > self._capacity:
+            def grown(a, axis=0):
+                b = np.zeros(a.shape[:axis] + (cap,) + a.shape[axis + 1:])
+                b[tuple(map(slice, a.shape))] = a
+                return b
+            self._w_in = [grown(w) for w in self._w_in]
+            self._unit, self._w_out, self._capacity = grown(self._unit), grown(self._w_out, 1), cap
+        rows = slice(n, n + k)
+        for g, (w, x) in enumerate(zip(self._w_in, xs)):
+            w[rows] = x if self.faults is None else np.where(
+                self.faults.in_masks[g][rows], self.faults.in_stuck[g][rows], x)
         # stuck cells change what is stored, so it is normalized as stored
-        self._unit[r] = (unit if unit is not None and self.faults is None
-                         else fuzzy.unit_concat([w[r] for w in self._w_in]))
-        self.n_minterms += 1
-        return r
+        self._unit[rows] = (units if units is not None and self.faults is None
+                            else fuzzy.unit_concat([w[rows] for w in self._w_in]))
+        self.n_minterms += k
 
 
 # --- forward pass ----------------------------------------------------------
@@ -256,9 +252,9 @@ def classify_batch(state: NetworkState, mats):
 
 # --- training ---------------------------------------------------------------
 
-# Novelty is checked CHUNK_MAX samples at a time: one GEMM scores a chunk
-# against the stored rows, one writes its adds to w_out, and an add in it costs
-# its new hidden column and a GEMV that folds its update into the rows after it.
+# Novelty is checked CHUNK_MAX samples at a time: one GEMM scores a chunk against
+# the stored rows, one block write and one GEMM store its adds and their w_out updates,
+# and an add costs its new hidden column and a GEMV that folds it into the rows after it.
 CHUNK_MAX = 64
 
 
@@ -303,11 +299,12 @@ def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
     through P, the centroid matrix.  An add at chunk row b takes its hidden
     column from the chunk's self-activations (pristine) or the row as stored
     (faulted) and folds its update into the rows after b, without faults as
-    the rank-1 (hid @ v) (x) alpha * (u @ P); w_out gets the chunk's updates at
-    its end, in one masked GEMM.  The result is that of presenting the samples
-    one at a time.  The stream is validated first: an invalid sample k raises
-    with "sample k" and changes nothing; a fault plan out of rows at sample k
-    raises CapacityExceeded, samples 0..k-1 trained.
+    the rank-1 (hid @ v) (x) alpha * (u @ P); row b + 1 is then checked alone, as
+    scalars.  The chunk's added rows are stored in one block write at its end, and
+    w_out gets their updates in one masked GEMM.  The result is that of presenting
+    the samples one at a time.  The stream is validated first: an invalid sample k
+    raises with "sample k" and changes nothing; a fault plan out of rows at sample
+    k raises CapacityExceeded, samples 0..k-1 trained.
     """
     cfg, faults = state.config, state.faults
     targets = np.asarray(targets, dtype=np.float64)
@@ -328,24 +325,24 @@ def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
         hid = np.zeros((stop - i, n0 + stop - i))
         hid[:, :n0] = act
         out = act @ (proj.T @ state.w_out).T
-        start, selfs, adds = 0, None, []
+        start, b, selfs, adds = 0, None, None, []
         try:
             while start < stop - i:
-                # in place: a row that does not fire keeps its inf, as no add lowers
-                # a denominator (hidden values, targets and stuck weights are >= 0)
-                err = fuzzy.centroid(out[start:], out=stats.errors[i + start:stop])[0]
-                np.abs(np.subtract(err, targets[i + start:stop], out=err), out=err)
-                # the first novel row; an overflowed centroid (NaN) is novel and reads inf
-                k = int((err < cfg.novelty_threshold).argmin())
-                if err[k] < cfg.novelty_threshold:
-                    break
-                err[k] = min(np.inf, err[k])   # NaN < inf is false, so min keeps inf
-                b = start + k
-                j, start = i + b, b + 1
-                try:
-                    m = state._append_row([X[j] for X in mats], units[j])
-                except CapacityExceeded as e:
-                    raise CapacityExceeded(f"sample {j}: {e}") from e
+                if b is None:
+                    # in place: a row that does not fire keeps its inf, as no add lowers
+                    # a denominator (hidden values, targets and stuck weights are >= 0)
+                    err = fuzzy.centroid(out[start:], out=stats.errors[i + start:stop])[0]
+                    np.abs(np.subtract(err, targets[i + start:stop], out=err), out=err)
+                    # the first novel row; an overflowed centroid (NaN) is novel and reads inf
+                    k = int((err < cfg.novelty_threshold).argmin())
+                    if err[k] < cfg.novelty_threshold:
+                        break
+                    err[k] = min(np.inf, err[k])   # NaN < inf is false, so min keeps inf
+                    b = start + k
+                j, start, m = i + b, b + 1, n0 + len(adds)
+                if faults is not None and m == faults.capacity:
+                    raise CapacityExceeded(f"sample {j}: fault plan provisions {m} min-term "
+                                           "rows; all are in use")
                 stats.add_indices.append(m)
                 adds.append(b)
                 h = hid[b, :m + 1]
@@ -358,18 +355,32 @@ def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
                     out[start:] += (hid[start:, :m + 1] @ h)[:, None] * hebb[j]
                 else:
                     # scored against the row as stored, whose stuck cells already hold weight
-                    hid[b:, m] = fuzzy.power_activation(units[j:stop] @ state._unit[m],
+                    stored = [np.where(faults.in_masks[g][m], faults.in_stuck[g][m], X[j])
+                              for g, X in enumerate(mats)]
+                    hid[b:, m] = fuzzy.power_activation(units[j:stop] @ fuzzy.unit_concat(stored),
                                                         len(cfg.groups), cfg.p)
                     delta = cfg.alpha * np.outer(fuzzy_targets[j], h)
                     delta[faults.out_mask[:, :m + 1]] = 0.0
                     out[start:] += np.outer(hid[start:, m], state._w_out[:, m] @ proj)
                     out[start:] += hid[start:, :m + 1] @ (delta.T @ proj)
-        finally:  # the chunk's updates, written at once; stuck cells add +0.0
+                b = None
+                if start < stop - i:   # the row after an add, checked alone as scalars
+                    num, den = out[start].tolist()
+                    e = min(np.inf, abs(num / den - targets[j + 1])) if den > 0.0 else np.inf
+                    stats.errors[j + 1] = e
+                    if e < cfg.novelty_threshold:
+                        start += 1     # familiar: the tail scan goes on after it
+                    else:
+                        b = start
+        finally:  # the chunk's rows and w_out updates, written at once; stuck cells add +0.0
             if adds:
+                state._store_rows([X[i:stop][adds] for X in mats], units[i:stop][adds])
                 m = state.n_minterms
-                delta = cfg.alpha * (fuzzy_targets[i:stop][adds].T @ hid[adds, :m])
-                state._w_out[:, :m] += (delta if faults is None
-                                        else np.where(faults.out_mask[:, :m], 0.0, delta))
+                delta = fuzzy_targets[i:stop][adds].T @ hid[adds, :m]
+                delta *= cfg.alpha
+                if faults is not None:
+                    delta[faults.out_mask[:, :m]] = 0.0
+                state._w_out[:, :m] += delta
     stats.n_minterms_added = len(stats.add_indices)
     return stats
 
@@ -466,13 +477,8 @@ def deserialize(payload: bytes) -> NetworkState:
                 out_stuck=_array(data, "fault_out_stuck", (nz, cap)),
             )
         state = NetworkState(config, faults=faults)
-        while state._capacity < n:
-            state._grow()
-        for g, c in enumerate(counts):
-            state._w_in[g][:n] = _array(data, f"w_in_{g}", (n, c))
-        state._unit[:n] = fuzzy.unit_concat([w[:n] for w in state._w_in])
+        state._store_rows([_array(data, f"w_in_{g}", (n, c)) for g, c in enumerate(counts)])
         state._w_out[:, :n] = _array(data, "w_out", (nz, n))
-        state.n_minterms = n
     except (KeyError, IndexError, ValueError, TypeError, EmptyRange) as e:
         raise MalformedPayload(f"state container is missing or corrupt: {e}") from e
     return state

@@ -126,7 +126,8 @@ def chunked_train(state, mats, targets):
                 break
             b = start + int(novel[0])
             j, start = i + b, b + 1
-            m = state._append_row([X[j] for X in mats], units[j])
+            m = state.n_minterms
+            state._store_rows([X[j:j + 1] for X in mats], units[j:j + 1])
             stats.add_indices.append(m)
             adds.append(b)
             h = hid[b, :m + 1]

@@ -280,6 +280,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{key} must be >= 2, got 1"):
             ExperimentConfig(**target, **{key: 1})
 
+    @pytest.mark.parametrize("key,value", [
+        ("nx", 2.5), ("ny", 10.5), ("nz", 7.5), ("n_train", 30.5), ("n_test", 50.5),
+        ("seed", 1.5), ("test_seed", 977.5), ("fault_seed", 3.5), ("p", 7.5)])
+    def test_a_fractional_size_seed_or_exponent_raises_naming_the_field(self, key, value):
+        # each failed only once the run started: EmptyRange, TypeError or ValueError
+        with pytest.raises(ValueError, match=f"^{key} must be a whole number, got {value}$"):
+            ExperimentConfig(function="g1", **{key: value})
+
+    def test_whole_floats_are_stored_as_ints_and_run_as_them(self):
+        whole = {"nx": 10, "ny": 12, "nz": 9, "n_train": 40, "n_test": 60, "seed": 2,
+                 "test_seed": 5, "fault_seed": 3, "p": 7}
+        cfg = ExperimentConfig(function="g1", **{k: float(v) for k, v in whole.items()})
+        assert cfg == ExperimentConfig(function="g1", **whole)
+        assert all(type(getattr(cfg, k)) is int for k in whole)
+        got, want = run_modeling(cfg), run_modeling(ExperimentConfig(function="g1", **whole))
+        assert (got.n_minterms, got.fvu_or_rate) == (want.n_minterms, want.fvu_or_rate)
+
     def test_fields_a_run_never_reads_raise_naming_the_first(self):
         with pytest.raises(ValueError, match="test_seed"):
             run_classification(paper_classification_config(

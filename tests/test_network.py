@@ -452,7 +452,7 @@ class TestClassify:
         cfg = small_config(nz=2)
         state = NetworkState(cfg)
         inputs = fuzz_sample(cfg, 0.5, 0.5)
-        state._append_row([mv.values for mv in inputs])
+        state._store_rows([mv.values[None] for mv in inputs])
         state._w_out[:, 0] = [0.9, 0.1]
         assert classify_batch(state, one_row(inputs)).tolist() == [0]
         state._w_out[:, 0] = [0.5, 0.5]
@@ -731,3 +731,19 @@ class TestConfigValidation:
         for p in (0, 2.5):
             with pytest.raises(ValueError, match="activation exponent"):
                 small_config(p=p)
+
+    @pytest.mark.parametrize("p", [np.nan, np.inf])
+    def test_exponent_must_be_finite(self, p):
+        with pytest.raises(ValueError, match="activation exponent"):
+            small_config(p=p)
+
+    def test_whole_float_exponent_trains_to_the_int_state(self):
+        # int_power counts its products in range(p - 1), which a float p cannot feed
+        cfg = small_config(p=7.0)
+        assert type(cfg.p) is int and cfg == small_config(p=7)
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(0.0, 1.0, size=(40, 2))
+        states = [NetworkState(c) for c in (cfg, small_config(p=7))]
+        for state in states:
+            network.train_matrix(state, state.fuzzify(pts), pts.mean(axis=1))
+        assert states[0].n_minterms > 0 and states_equal(*states)

@@ -102,6 +102,29 @@ class TestBench:
         assert report["src_lines"] == ours > 1000
 
 
+    def test_records_each_operations_median_raw_time_first_pass_dropped(self, monkeypatch,
+                                                                       tmp_path):
+        bench = load("bench")
+        # three passes; the first, the warm-up, is the slowest and is dropped
+        pass_ops = [[["run_modeling", 9.0], ["probe", 9.0]],
+                    [["run_modeling", 1.0], ["probe", 2.0], ["probe", 6.0]],
+                    [["run_modeling", 3.0], ["probe", 3.0]]]
+        result = {"metrics": {"run_s": {"value": 1.0, "unit": "s"}}, "correct": True, "failed": 0}
+
+        def fake_run(checkout, argv, **env):
+            seed = int(argv[argv.index("--seed") + 1])
+            path = checkout / "nfbench" / "results" / f"train-novel-seed{seed}-trace0.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            ops = [[[name, seed * t] for name, t in p] for p in pass_ops]
+            path.write_text(json.dumps({"pass_ops": ops, "pass_cals": []}))
+            return 0, [json.dumps({"machine": {"cpus": 1}}), json.dumps(result)], ""
+        monkeypatch.setattr(bench, "run", fake_run)
+        runs = [bench.nfbench(tmp_path, "train-novel", seed, 1.0)[1] for seed in range(1, 6)]
+        assert runs[1]["op_s"] == {"run_modeling": 4.0, "probe": 6.0}
+        ops = bench.figures({"train-novel": runs})["train-novel"]["ops_uncalibrated_s"]
+        assert ops == {"run_modeling": {"median": 6.0, "q1": 4.0, "q3": 8.0},
+                       "probe": {"median": 9.0, "q1": 6.0, "q3": 12.0}}
+
     def test_host_parallel_is_twice_the_loop_time_alone_over_its_shared_time(self, monkeypatch):
         bench = load("bench")
         times = iter([0.3, 0.6])

@@ -58,7 +58,7 @@ def oracle_train(state, mats, targets):
         errors.append(err)
         if err < cfg.novelty_threshold:
             continue
-        state._append_row([x[0] for x in xs])
+        state._store_rows(xs)
         hidden = forward_batch(state, xs)[0][0]
         delta = cfg.alpha * (u[:, None] * hidden[None, :])
         if state.faults is not None:
@@ -270,6 +270,62 @@ class TestSameBitsAsTheFrozenChunkLoop:
         net = experiments._network_config(cfg)
         pts, targets = experiments._training_data(cfg, net)
         assert_same_bits_as_frozen_loop(net, NetworkState(net).fuzzify(pts), targets)
+
+
+    # the row right after an add is checked alone, in scalar arithmetic
+    def test_row_after_an_add_that_fires_on_nothing_is_novel(self):
+        # one-hot inputs: a sample fires only on the min-terms stored from its own hot cell
+        hots = np.zeros(2 * C, dtype=int)
+        hots[[C + 3, C + 4]] = (2, 4)
+        xs = np.eye(N_IN)[hots]
+        targets = np.where(hots == 0, 0.25, 0.75)
+        stats = assert_same_bits_as_frozen_loop(config(threshold=0.05), [xs, xs.copy()], targets)
+        assert list(np.flatnonzero(np.isposinf(stats.errors))) == [0, C + 3, C + 4]
+        assert stats.add_indices == [0, 1, 2]
+
+    def test_row_after_an_add_whose_error_equals_the_threshold_is_novel(self):
+        # singleton targets on the grid [0, 0.5, 1]: sample 1 reads the centroid 0 of the
+        # min-term sample 0 added, an error of exactly the threshold
+        ux = universe_from_count(0.0, 1.0, N_IN)
+        cfg = NetworkConfig(groups=(InputGroup("x", ux, 0.3), InputGroup("y", ux, 0.3)),
+                            output_universe=universe_from_count(0.0, 1.0, 3),
+                            novelty_threshold=0.5, output_half_support=0.0)
+        xs = np.tile(np.eye(N_IN)[1], (6, 1))
+        targets = np.array([0.0, 0.5, 0.5, 0.5, 0.5, 0.5])
+        stats = assert_same_bits_as_frozen_loop(cfg, [xs, xs.copy()], targets)
+        assert stats.errors[1] == 0.5 and stats.add_indices[:2] == [0, 1]
+
+    def test_familiar_row_after_an_add_hands_over_to_the_tail_scan(self):
+        # 6 and 10 follow adds and are familiar; the scan from 7 finds 9
+        cfg, mats, targets = block_stream((5, 9), 20)
+        stats = assert_same_bits_as_frozen_loop(cfg, mats, targets)
+        novel = ~(stats.errors < cfg.novelty_threshold)
+        assert list(np.flatnonzero(novel)) == [0, 5, 9]
+        assert stats.errors[[6, 10]].max() < cfg.novelty_threshold
+
+    def test_faulted_add_out_of_capacity_mid_chunk(self):
+        # every sample is novel; the plan's rows run out at sample C + 5, right after an add
+        n, cap = 2 * C, C + 5
+        cfg, mats, targets = block_stream(range(1, n), n)
+        faults = faults_for(cfg, cap)
+        fast, frozen = NetworkState(cfg, faults=faults), NetworkState(cfg, faults=faults)
+        with pytest.raises(CapacityExceeded, match=rf"^sample {cap}: .*all are in use$"):
+            train_matrix(fast, mats, targets)
+        chunked_train(frozen, [X[:cap] for X in mats], targets[:cap])
+        assert fast.n_minterms == cap and states_equal(fast, frozen)
+
+
+def test_one_row_store_per_chunk_with_adds(monkeypatch):
+    calls = []
+    real = NetworkState._store_rows
+    monkeypatch.setattr(NetworkState, "_store_rows",
+                        lambda self, xs, units=None: calls.append(len(xs[0])) or
+                        real(self, xs, units))
+    # adds in chunks 0 and 2, none in chunk 1
+    cfg, mats, targets = block_stream((5, 6, 7, 2 * C + 3), 3 * C)
+    stats = train_matrix(NetworkState(cfg), mats, targets)
+    assert stats.add_indices == list(range(5))
+    assert calls == [4, 1]
 
 
 def test_one_stored_row_gemm_per_chunk(monkeypatch):
