@@ -156,7 +156,6 @@ def resolve(args, file_cfg: dict, pins: dict | None = None) -> ExperimentConfig:
             else experiments.paper_modeling_config)
     try:
         cfg = make(fields.pop(target), **fields)
-        experiments._network_config(cfg)      # the network's own checks, before any write
     except UnreadField as e:                  # a [crossbar] field is unread on ideal only
         section = next(s for s, keys in CONFIG_SCHEMA.items() if e.field in keys)
         ideal = " on the ideal backend" if section == "crossbar" else ""
@@ -174,7 +173,8 @@ def _out_dir(args) -> Path:
 
 
 def atomic_write(path: Path, data: str | bytes) -> None:
-    """Write via temp file + rename so interrupted runs never truncate output."""
+    """Write via temp file + rename so interrupted runs never truncate output,
+    then log the write; every file but the streaming suite CSVs is written here."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with (os.fdopen(fd, "wb") if isinstance(data, bytes)
@@ -185,16 +185,18 @@ def atomic_write(path: Path, data: str | bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    _progress(f"wrote {path}")
 
 
 def _write_csv(path: Path, header, rows) -> str:
-    """Write a headed CSV file atomically; returns its text."""
+    """Write a CSV file atomically, headed unless header is None; returns its text.
+    The csv module writes a Python float as its repr, so every float round-trips."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    if header is not None:
+        writer.writerow(header)
     writer.writerows(rows)
     atomic_write(path, buf.getvalue())
-    _progress(f"wrote {path}")
     return buf.getvalue()
 
 
@@ -204,18 +206,19 @@ def _write_csv(path: Path, header, rows) -> str:
 def cmd_model(args, file_cfg) -> int:
     """model, classify, noise and fault: one run, reported as <command>_<label>.csv."""
     cfg = resolve(args, file_cfg)
+    state_path = Path(args.save_state) if getattr(args, "save_state", None) else None
+    if state_path is not None and (state_path.is_dir() or not state_path.parent.is_dir()):
+        raise ConfigError(f"--save-state {state_path} is no file in an existing directory")
     _progress(f"{args.command} {cfg.label}: {cfg.n_train} train / {cfg.n_test} test, "
               f"seed {cfg.seed}, backend {cfg.backend}")
     report, state = experiments.train_and_score(cfg)
     sys.stdout.write(_write_csv(_out_dir(args) / f"{args.command}_{cfg.label}.csv",
                                 REPORT_COLUMNS, [report.csv_row(with_runtime=args.timing)]))
     if getattr(args, "surface", False):
-        rows = experiments.surface_grid(cfg, state).tolist()
         _write_csv(_out_dir(args) / f"surface_{cfg.function}.csv",
-                   ["x", "y", "predicted", "actual"], (map(repr, row) for row in rows))
-    if getattr(args, "save_state", None):
-        atomic_write(Path(args.save_state), network.serialize(state))
-        _progress(f"wrote {args.save_state}")
+                   ["x", "y", "predicted", "actual"], experiments.surface_grid(cfg, state).tolist())
+    if state_path is not None:
+        atomic_write(state_path, network.serialize(state))
     return 0
 
 
@@ -278,8 +281,7 @@ def cmd_crossbar_compare(args, file_cfg) -> int:
     cfg = None if args.sweep_only else resolve(args, file_cfg)
     sweep = np.column_stack(crossbar.delta_weight_sweep(_crossbar_setup(file_cfg)["device"]))
     out_dir = _out_dir(args)
-    _write_csv(out_dir / "device_weight_sweep.csv", ["voltage", "delta_weight"],
-               (map(repr, row) for row in sweep.tolist()))
+    _write_csv(out_dir / "device_weight_sweep.csv", ["voltage", "delta_weight"], sweep.tolist())
     if args.sweep_only:
         return 0
     _progress(f"training ideal {cfg.function} model for crossbar comparison")
@@ -288,13 +290,14 @@ def cmd_crossbar_compare(args, file_cfg) -> int:
     rng = np.random.default_rng(cfg.seed + 777)
     mats = state.fuzzify(rng.uniform(0.0, 1.0, size=(n_probes, 2)))
     ideal_out = network.output_batch(state, mats)
-    cb_out = experiments._backend_forward(cfg, state)(mats)
+    cb_out = crossbar.crossbar_forward_batch(*crossbar.map_network(
+        state, cfg.device, scale_in=cfg.scale_in, scale_out=cfg.scale_out), mats)
     scale = np.abs(ideal_out).max(axis=1, keepdims=True)
     denom = np.maximum(np.abs(ideal_out), 1e-9 * np.maximum(scale, 1e-300))
     rel = np.abs(cb_out - ideal_out) / denom
     _write_csv(out_dir / f"crossbar_compare_{cfg.function}.csv",
                ["probe", "max_rel_deviation", "mean_rel_deviation"],
-               ([i, repr(float(r.max())), repr(float(r.mean()))] for i, r in enumerate(rel)))
+               ([i, float(r.max()), float(r.mean())] for i, r in enumerate(rel)))
     print(f"max relative output deviation over {n_probes} probes: {rel.max():.3e}")
     return 0
 
@@ -311,9 +314,7 @@ def cmd_dump_state(args, file_cfg) -> int:
               f"x {grp.universe.count}, half_support {grp.half_support}")
         tables.append((f"state_w_in_{grp.name}.csv", state.w_in(g)))
     for name, rows in tables + [("state_w_out.csv", state.w_out)]:
-        path = out_dir / name
-        atomic_write(path, "\n".join(",".join(map(repr, row)) for row in rows.tolist()) + "\n")
-        _progress(f"wrote {path}")
+        _write_csv(out_dir / name, None, rows.tolist())
     return 0
 
 
@@ -406,7 +407,8 @@ def main(argv=None) -> int:
     try:
         file_cfg = load_config_file(args.config) if getattr(args, "config", None) else {}
         return args.func(args, file_cfg)
-    except (ConfigError, UnknownDatasetId, FileNotFoundError) as e:
+    except (ConfigError, UnknownDatasetId, FileNotFoundError, FileExistsError,
+            IsADirectoryError, NotADirectoryError, PermissionError) as e:  # a bad path given
         print(f"error: {e}", file=sys.stderr)
         return 1
     except NeuroFuzzyError as e:

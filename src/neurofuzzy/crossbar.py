@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, DimensionMismatch, ReadDisturbRisk, WeightOutOfRange
 from .fuzzy import centroid, centroid_matrix, inverse_norms, score_batch
+from .network import NetworkState, WeightFaults
 
 HEBBIAN_PULSE_SECONDS = 0.05
 # Most Euler steps one pulse may take, round(duration / dt): dt >= 5e-8 s for the
@@ -193,6 +194,23 @@ def distort(cb: Crossbar, fraction: float, seed: int) -> Crossbar:
     return cb
 
 
+def draw_faults(seed: int, group_counts, nz: int, capacity: int, fraction: float,
+                out_scale: float, device: MemristorParams = MemristorParams()) -> WeightFaults:
+    """Seeded network.WeightFaults over provisioned capacity (rows or columns): the
+    cells of _stuck_cells, each weight scale * R_on / M(x) of its device state x, so
+    most sit near the conductance floor with a heavy tail up to the full scale (1 for
+    the input rows, out_scale for the output columns)."""
+    rng = np.random.default_rng(seed)
+    specs = [((capacity, n), 1.0) for n in group_counts] + [((nz, capacity), out_scale)]
+    drawn = []
+    for shape, scale in specs:
+        mask, x = _stuck_cells(rng, shape, fraction)
+        drawn.append((mask, np.where(mask, scale * device.r_on / device.memristance(x), 0.0)))
+    *groups, (out_mask, out_stuck) = drawn
+    return WeightFaults(capacity=capacity, in_masks=[m for m, _ in groups],
+                        in_stuck=[s for _, s in groups], out_mask=out_mask, out_stuck=out_stuck)
+
+
 # --- network mapping ---------------------------------------------------------
 
 
@@ -235,8 +253,6 @@ def map_network(state, params: MemristorParams | None = None,
     its stuck weights, so the crossbars made here are programmed with them and
     then take the fault plan's masks.  Returns (cb1, cb2, mapping).
     """
-    from .network import NetworkState  # local import to avoid a cycle
-
     if not isinstance(state, NetworkState):
         raise TypeError("map_network expects a trained NetworkState")
     params = params if params is not None else MemristorParams()

@@ -27,7 +27,7 @@ from .benchmarks import (
 from .crossbar import MemristorParams
 from .errors import ConstantActual, LengthMismatch, UnknownDatasetId, UnreadField
 from .fuzzy import universe_from_count
-from .network import InputGroup, NetworkConfig, NetworkState, WeightFaults
+from .network import InputGroup, NetworkConfig, NetworkState
 
 NOISE_SEED_OFFSET = 500_000
 FAULT_SEED_OFFSET = 900_000
@@ -69,6 +69,8 @@ class ExperimentConfig:
     device: MemristorParams = field(default_factory=MemristorParams)
     scale_in: float | None = None
     scale_out: float | None = None
+    # the run's NetworkConfig, built by __post_init__, so its checks raise at construction
+    net: NetworkConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.function is None) == (self.dataset is None):
@@ -116,6 +118,7 @@ class ExperimentConfig:
             value = getattr(self, key)
             if value is not None and not 0 < value < np.inf:
                 raise ValueError(f"{key} must be finite and > 0, got {value}")
+        object.__setattr__(self, "net", _network_config(self))
 
     @property
     def label(self) -> str:
@@ -212,20 +215,6 @@ def _training_data(cfg: ExperimentConfig, net_cfg: NetworkConfig):
         targets = targets + nrng.normal(0.0, sd, targets.shape)
     uz = net_cfg.output_universe
     return pts, np.clip(targets, uz.lo, uz.hi)
-
-
-def _train(cfg: ExperimentConfig, net_cfg: NetworkConfig, pts, targets) -> NetworkState:
-    faults = None
-    if cfg.fault_fraction > 0.0:
-        seed = cfg.fault_seed if cfg.fault_seed is not None else cfg.seed + FAULT_SEED_OFFSET
-        faults = WeightFaults.draw(
-            seed, [g.universe.count for g in net_cfg.groups],
-            net_cfg.output_universe.count, capacity=cfg.n_train,
-            fraction=cfg.fault_fraction, out_scale=net_cfg.alpha, device=cfg.device,
-        )
-    state = NetworkState(net_cfg, faults=faults)
-    network.train_matrix(state, state.fuzzify(pts), targets)
-    return state
 
 
 def _backend_forward(cfg: ExperimentConfig, state: NetworkState, crisp: bool = False):
@@ -341,6 +330,15 @@ def surface_grid(cfg: ExperimentConfig, state: NetworkState, n_side: int = 101):
 
 def rebuild_trained_state(cfg: ExperimentConfig) -> NetworkState:
     """Train and return the network of a config (no evaluation)."""
-    net_cfg = _network_config(cfg)
+    net_cfg, faults = cfg.net, None
     pts, targets = _training_data(cfg, net_cfg)
-    return _train(cfg, net_cfg, pts, targets)
+    if cfg.fault_fraction > 0.0:
+        seed = cfg.fault_seed if cfg.fault_seed is not None else cfg.seed + FAULT_SEED_OFFSET
+        faults = crossbar.draw_faults(
+            seed, [g.universe.count for g in net_cfg.groups],
+            net_cfg.output_universe.count, capacity=cfg.n_train,
+            fraction=cfg.fault_fraction, out_scale=net_cfg.alpha, device=cfg.device,
+        )
+    state = NetworkState(net_cfg, faults=faults)
+    network.train_matrix(state, state.fuzzify(pts), targets)
+    return state

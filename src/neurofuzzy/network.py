@@ -33,7 +33,6 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import fuzzy
-from .crossbar import MemristorParams, _stuck_cells
 from .errors import (
     CapacityExceeded,
     DegenerateFuzzification,
@@ -97,34 +96,14 @@ class NetworkConfig:
 
 @dataclass
 class WeightFaults:
-    """Stuck-cell plan mirroring distorted crossbar cross-points.
-
-    Masked cells hold a fixed random value and ignore every write.  The cells
-    and their uniformly random device states x are crossbar's stuck-cell draw;
-    each x is fed through the device's memristance, scale * R_on / M(x), so
-    most distorted cells sit near the conductance floor with a heavy tail up
-    to the full scale.
-    """
+    """Stuck-cell plan mirroring distorted crossbar cross-points, drawn by
+    crossbar.draw_faults: masked cells hold a fixed value and ignore every write."""
 
     capacity: int
     in_masks: list
     in_stuck: list
     out_mask: np.ndarray
     out_stuck: np.ndarray
-
-    @staticmethod
-    def draw(seed: int, group_counts, nz: int, capacity: int, fraction: float,
-             out_scale: float, device: MemristorParams = MemristorParams()) -> "WeightFaults":
-        """Seeded fault plan over provisioned capacity (rows or columns)."""
-        rng = np.random.default_rng(seed)
-        specs = [((capacity, n), 1.0) for n in group_counts] + [((nz, capacity), out_scale)]
-        drawn = []
-        for shape, scale in specs:
-            mask, x = _stuck_cells(rng, shape, fraction)
-            drawn.append((mask, np.where(mask, scale * device.r_on / device.memristance(x), 0.0)))
-        *groups, (out_mask, out_stuck) = drawn
-        return WeightFaults(capacity=capacity, in_masks=[m for m, _ in groups],
-                            in_stuck=[s for _, s in groups], out_mask=out_mask, out_stuck=out_stuck)
 
 
 @dataclass
@@ -450,6 +429,8 @@ def deserialize(payload: bytes) -> NetworkState:
         meta = json.loads(bytes(data["meta"]).decode())
     except Exception as e:
         raise MalformedPayload(f"cannot parse state container: {e}") from e
+    if not isinstance(meta, dict):
+        raise MalformedPayload("state meta is not a JSON object")
     if meta.get("format") != _FORMAT:
         raise VersionMismatch(f"unsupported state format {meta.get('format')!r}")
     try:

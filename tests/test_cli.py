@@ -152,6 +152,50 @@ class TestModelCommand:
         assert (tmp_path / "out" / "model_g1.csv").exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g1.state", "out"]
 
+    @pytest.mark.parametrize("where", ["missing/g1.state", "."],
+                             ids=["missing-directory", "a-directory"])
+    def test_unusable_state_path_exit_1_before_training(self, tmp_path, capsys, monkeypatch,
+                                                        where):
+        from neurofuzzy import experiments
+
+        monkeypatch.setattr(experiments, "train_and_score", lambda cfg: pytest.fail("trained"))
+        path = tmp_path / where
+        out = tmp_path / "out"
+        assert cli.main(["model", "--fn", "g1", "--save-state", str(path),
+                         "--out-dir", str(out)] + FAST) == 1
+        assert capsys.readouterr().err == \
+            f"error: --save-state {path} is no file in an existing directory\n"
+        assert not out.exists() and not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("command", [["model", "--fn", "g1"] + FAST, ["dump-state"]])
+    def test_out_dir_that_is_a_file_exit_1(self, tmp_path, capsys, command):
+        from neurofuzzy import experiments, network
+
+        state = tmp_path / "net.state"
+        state.write_bytes(network.serialize(experiments.rebuild_trained_state(
+            ExperimentConfig(function="g1", n_train=20))))
+        out = tmp_path / "out"
+        out.write_text("a file")
+        argv = command + (["--state", str(state)] if command == ["dump-state"] else [])
+        assert cli.main(argv + ["--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.endswith(f"error: [Errno 17] File exists: '{out}'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.state", "out"]
+
+    def test_learning_coefficient_message_word_for_word(self, tmp_path, capsys):
+        assert run_cli(["model", "--fn", "g1", "--alpha", "-1"], tmp_path) == 1
+        assert capsys.readouterr().err == \
+            "error: learning coefficient must be finite and >= 0, got -1.0\n"
+
+    def test_the_network_config_is_built_once_per_run(self, tmp_path, monkeypatch):
+        from neurofuzzy import experiments
+
+        calls = []
+        real = experiments._network_config
+        monkeypatch.setattr(experiments, "_network_config",
+                            lambda cfg: calls.append(cfg) or real(cfg))
+        assert run_cli(["model", "--fn", "g1"] + FAST, tmp_path) == 0
+        assert len(calls) == 1
+
     def test_unknown_function_exit_1(self, tmp_path):
         assert run_cli(["model", "--fn", "g7"], tmp_path) == 1
 
@@ -357,6 +401,37 @@ class TestOtherCommands:
             want = "\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n"
             assert (tmp_path / name).read_bytes() == want.encode()
         assert "-0.0,5e-324,1e+300" in (tmp_path / "state_w_in_x.csv").read_text()
+
+    def test_dump_state_of_no_minterms(self, tmp_path):
+        from neurofuzzy import network
+
+        # a (0, count) table is an empty file, a (nz, 0) table nz empty lines
+        cfg = ExperimentConfig(function="g1", n_train=20)
+        path = tmp_path / "net.state"
+        path.write_bytes(network.serialize(network.NetworkState(cfg.net)))
+        assert cli.main(["dump-state", "--state", str(path), "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "state_w_in_x.csv").read_bytes() == b""
+        assert (tmp_path / "state_w_in_y.csv").read_bytes() == b""
+        assert (tmp_path / "state_w_out.csv").read_bytes() == b"\n" * cfg.net.output_universe.count
+
+    def test_dump_state_of_a_directory_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["dump-state", "--state", str(tmp_path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert not out.exists()
+
+    def test_dump_state_meta_that_is_no_object_exit_2(self, tmp_path, capsys):
+        from neurofuzzy import experiments, network
+        from test_network import with_meta_json
+
+        cfg = experiments.paper_modeling_config("g1", n_train=20, n_test=50)
+        path = tmp_path / "net.state"
+        path.write_bytes(with_meta_json(
+            network.serialize(experiments.rebuild_trained_state(cfg)), [1, 2]))
+        out = tmp_path / "out"
+        assert cli.main(["dump-state", "--state", str(path), "--out-dir", str(out)]) == 2
+        assert "MalformedPayload" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dump_state_malformed_fault_mask_exit_2(self, tmp_path):
         from neurofuzzy import experiments, network

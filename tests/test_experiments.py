@@ -288,6 +288,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{key} must be a whole number, got {value}$"):
             ExperimentConfig(function="g1", **{key: value})
 
+    @pytest.mark.parametrize("key,net_key,value", [
+        ("alpha", "alpha", -1e-3), ("alpha", "alpha", np.nan), ("alpha", "alpha", np.inf),
+        ("threshold", "novelty_threshold", 0.0), ("threshold", "novelty_threshold", -0.5),
+        ("threshold", "novelty_threshold", np.nan),
+        ("output_hs_mult", "output_half_support", -1.0),
+        ("output_hs_mult", "output_half_support", np.inf)])
+    def test_the_network_checks_raise_at_construction(self, key, net_key, value):
+        # NetworkConfig's own message, from the constructor alone
+        with pytest.raises(ValueError) as got:
+            ExperimentConfig(function="g1", **{key: value})
+        net = ExperimentConfig(function="g1").net
+        with pytest.raises(ValueError) as want:
+            dataclasses.replace(net, **{net_key: value * net.output_universe.resolution
+                                        if key == "output_hs_mult" else value})
+        assert str(got.value) == str(want.value)
+
     def test_whole_floats_are_stored_as_ints_and_run_as_them(self):
         whole = {"nx": 10, "ny": 12, "nz": 9, "n_train": 40, "n_test": 60, "seed": 2,
                  "test_seed": 5, "fault_seed": 3, "p": 7}

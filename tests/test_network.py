@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurofuzzy import fuzzy, network
+from neurofuzzy.crossbar import draw_faults
 from neurofuzzy.errors import (
     CapacityExceeded,
     MalformedPayload,
@@ -21,7 +22,6 @@ from neurofuzzy.network import (
     InputGroup,
     NetworkConfig,
     NetworkState,
-    WeightFaults,
     classify_batch,
     deserialize,
     infer_crisp_batch,
@@ -252,7 +252,7 @@ class TestUnitRows:
         np.testing.assert_allclose(state.unit_rows(), want, rtol=1e-15, atol=0)
 
     def test_faulted_rows_normalized_as_stored(self):
-        faults = WeightFaults.draw(3, [4, 4], 5, capacity=6, fraction=0.5, out_scale=1e-3)
+        faults = draw_faults(3, [4, 4], 5, capacity=6, fraction=0.5, out_scale=1e-3)
         cfg = small_config(threshold=1e-12)
         state = NetworkState(cfg, faults=faults)
         rng = np.random.default_rng(1)
@@ -506,7 +506,7 @@ class TestProperties:
 
 class TestFaults:
     def test_capacity_enforced(self):
-        faults = WeightFaults.draw(0, [4, 4], 5, capacity=2, fraction=0.2, out_scale=1e-3)
+        faults = draw_faults(0, [4, 4], 5, capacity=2, fraction=0.2, out_scale=1e-3)
         cfg = small_config(threshold=1e-12)
         state = NetworkState(cfg, faults=faults)
         rng = np.random.default_rng(0)
@@ -519,7 +519,7 @@ class TestFaults:
                               mv(cfg.groups[1].universe, np.ones(4))], target_crisp=0.9)
 
     def test_masked_cells_never_written(self):
-        faults = WeightFaults.draw(3, [4, 4], 5, capacity=4, fraction=0.5, out_scale=1e-3)
+        faults = draw_faults(3, [4, 4], 5, capacity=4, fraction=0.5, out_scale=1e-3)
         cfg = small_config(threshold=1e-12)
         state = NetworkState(cfg, faults=faults)
         rng = np.random.default_rng(1)
@@ -536,8 +536,8 @@ class TestFaults:
                               faults.out_stuck[:, : state.n_minterms][mask])
 
     def test_draw_deterministic(self):
-        a = WeightFaults.draw(5, [10, 10], 8, capacity=20, fraction=0.2, out_scale=1e-3)
-        b = WeightFaults.draw(5, [10, 10], 8, capacity=20, fraction=0.2, out_scale=1e-3)
+        a = draw_faults(5, [10, 10], 8, capacity=20, fraction=0.2, out_scale=1e-3)
+        b = draw_faults(5, [10, 10], 8, capacity=20, fraction=0.2, out_scale=1e-3)
         assert np.array_equal(a.out_mask, b.out_mask)
         assert np.array_equal(a.out_stuck, b.out_stuck)
         assert all(np.array_equal(x, y) for x, y in zip(a.in_masks, b.in_masks))
@@ -578,7 +578,7 @@ class TestSerialization:
             deserialize(payload)
 
     def test_faulted_state_round_trips(self):
-        faults = WeightFaults.draw(9, [4, 4], 5, capacity=4, fraction=0.3, out_scale=1e-3)
+        faults = draw_faults(9, [4, 4], 5, capacity=4, fraction=0.3, out_scale=1e-3)
         cfg = small_config(threshold=1e-12)
         state = NetworkState(cfg, faults=faults)
         rng = np.random.default_rng(2)
@@ -604,7 +604,7 @@ class TestSerialization:
 
 
 def _faulted_payload(capacity=4):
-    faults = WeightFaults.draw(9, [4, 4], 5, capacity=capacity, fraction=0.3, out_scale=1e-3)
+    faults = draw_faults(9, [4, 4], 5, capacity=capacity, fraction=0.3, out_scale=1e-3)
     cfg = small_config(threshold=1e-12)
     state = NetworkState(cfg, faults=faults)
     rng = np.random.default_rng(2)
@@ -678,6 +678,21 @@ class TestDeserializeValidation:
     def test_non_finite_learning_constants(self, key, value):
         with pytest.raises(MalformedPayload):
             deserialize(_rewrite(_faulted_payload(), meta={key: value}))
+
+
+def with_meta_json(payload, meta):
+    """The payload with its meta header replaced by the JSON text of meta."""
+    data = dict(np.load(io.BytesIO(payload), allow_pickle=False))
+    data["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    buf = io.BytesIO()
+    np.savez(buf, **data)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("meta", [[1, 2], 3, None], ids=["list", "number", "null"])
+def test_deserialize_rejects_a_meta_header_that_is_no_object(meta):
+    with pytest.raises(MalformedPayload, match="state meta is not a JSON object"):
+        deserialize(with_meta_json(_faulted_payload(), meta))
 
 
 # the edits of a meta header that each leave a network no valid config describes

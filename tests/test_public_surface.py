@@ -1,5 +1,6 @@
 """Every public top-level function or class of the package serves a pipeline,
-and so does every public method and property of a public class.
+and so does every public method and property of a public class.  The package's
+modules form one acyclic stack, and none reads a sibling's underscore names.
 
 A name counts as used when a module of src/neurofuzzy/, scripts/ or nfbench/
 names it outside its own definition: as a plain name, an attribute or an
@@ -13,6 +14,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "neurofuzzy"
+# each module imports only modules before it: the device model depends on the
+# network it can implement, not the other way round
+STACK = ["errors", "fuzzy", "benchmarks", "network", "crossbar", "experiments", "cli"]
 
 
 def names(node) -> set:
@@ -71,3 +75,48 @@ def test_every_public_method_and_property_is_used_outside_tests():
               if not any(m.name in used for stmt, used in statements if stmt is not cls)
               and not any(m.name in attributes(other) for other in cls.body if other is not m)]
     assert not unused, f"public methods and properties that only tests reach: {unused}"
+
+
+def sibling_imports(tree):
+    """(module, names) of every import of a package module anywhere in tree, function
+    bodies included; names are those imported from it, empty for the module itself.
+    An absolute import of the package reads as module "neurofuzzy", in no stack."""
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and n.level == 1:
+            found += ([(a.name, set()) for a in n.names] if n.module is None    # from . import x
+                      else [(n.module, {a.name for a in n.names})])           # from .x import y
+        elif isinstance(n, (ast.Import, ast.ImportFrom)) and any(
+                m.split(".")[0] == "neurofuzzy"
+                for m in [getattr(n, "module", None) or ""] + [a.name for a in n.names]):
+            found.append(("neurofuzzy", set()))
+    return found
+
+
+def modules():
+    """The package's modules but __init__.py, by name, parsed."""
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "__init__.py"}
+
+
+def test_the_modules_form_one_acyclic_stack():
+    trees = modules()
+    assert sorted(trees) == sorted(STACK)
+    upward = [f"{name} imports {dep}" for name, tree in trees.items()
+              for dep, _ in sibling_imports(tree)
+              if dep not in STACK or STACK.index(dep) >= STACK.index(name)]
+    assert not upward, f"imports against the stack {STACK}: {upward}"
+
+
+def test_no_module_reads_a_siblings_underscore_names():
+    private = []
+    for name, tree in modules().items():
+        imported = sibling_imports(tree)
+        private += [f"{name} imports {dep}.{n}" for dep, names in imported for n in names
+                    if n.startswith("_")]
+        siblings = {dep for dep, names in imported if not names}
+        private += [f"{name} reads {n.value.id}.{n.attr}" for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                    and n.value.id in siblings and n.attr.startswith("_")
+                    and not n.attr.startswith("__")]
+    assert not private, f"reads of a sibling's underscore names: {private}"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from neurofuzzy import experiments, fuzzy, network
+from neurofuzzy.crossbar import draw_faults
 from neurofuzzy.errors import (
     CapacityExceeded,
     DegenerateFuzzification,
@@ -77,8 +78,8 @@ def random_stream(cfg, seed, n):
 
 
 def faults_for(cfg, n, seed=3):
-    return WeightFaults.draw(seed, [N_IN, N_IN], N_OUT, capacity=n, fraction=0.2,
-                             out_scale=cfg.alpha)
+    return draw_faults(seed, [N_IN, N_IN], N_OUT, capacity=n, fraction=0.2,
+                       out_scale=cfg.alpha)
 
 
 def assert_matches_oracle(cfg, mats, targets, faults=None, prefix=None):
@@ -351,7 +352,7 @@ def test_capacity_exceeded_leaves_the_samples_before_it_trained(capacity, thresh
     mats, targets = random_stream(cfg, seed, n)
 
     def fresh():
-        return NetworkState(cfg, faults=WeightFaults.draw(
+        return NetworkState(cfg, faults=draw_faults(
             3, [N_IN, N_IN], N_OUT, capacity=capacity, fraction=0.0, out_scale=cfg.alpha))
 
     state = fresh()
