@@ -3,15 +3,18 @@
 
 Runs `nfbench/run.py --trace 0` --repeats times (at least 5) per workload, seeds
 1 to --repeats, and writes a JSON file with each end-to-end metric's median and
-quartiles over the runs, whether every run was correct and how many operations
-failed, the machine info nfbench reports, the summary of
+quartiles over the runs and each run's figure (values, in seed order), whether
+every run was correct and how many operations failed, the machine info nfbench
+reports, the summary of
 scripts/fingerprint.py, src_lines, the line count of src/neurofuzzy/*.py, and
 host_parallel at the start and the end of the run (see host_parallel below).
 With --baseline DIR another checkout (the parent commit, say) runs the same
 runs, alternating with this one run by run, and its figures and src_lines are
 recorded next to them; each metric of this checkout then also
 records how many of the seed-matched pairs it won, by the direction
-BENCHMARK.json gives it (a tie wins for neither).  Per workload and checkout,
+BENCHMARK.json gives it (a tie wins for neither), each pair's ratio (this
+checkout's figure over the baseline's), a bootstrap 95% interval of the median
+ratio, and whether the claim rule holds (see claim below).  Per workload and checkout,
 ops_uncalibrated_s holds each nfbench operation's (run_modeling, say) median raw
 time, read from the result file each run writes, without nfbench's calibration.
 Per-layer (traced) figures are not recorded.
@@ -28,6 +31,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("train-familiar", "train-novel", "readout", "cli-session")
@@ -115,27 +120,44 @@ def won(value: float, other: float, better: str) -> bool:
     return value > other if better == "higher" else value < other
 
 
+def claim(values, others, better: str, draws: int = 10_000) -> dict:
+    """Seed-matched figures of a change (values) against a baseline's (others): the
+    pairs the change won, each pair's ratio value / other, a bootstrap 95% interval
+    of the median ratio (draws resamples of the pairs, numpy at seed 0), and whether
+    the claim rule holds: at least 9 in 10 pairs won, and a median better than the
+    baseline's by more than the baseline's q3 - q1."""
+    ratios = np.asarray(values, dtype=float) / np.asarray(others, dtype=float)
+    medians = np.median(np.random.default_rng(0).choice(ratios, (draws, len(ratios))), axis=1)
+    pairs_won = sum(won(v, o, better) for v, o in zip(values, others))
+    base = spread(others)
+    gain = statistics.median(values) - base["median"]
+    return {"pairs_won": pairs_won, "ratios": ratios.tolist(),
+            "median_ratio_ci95": np.percentile(medians, [2.5, 97.5]).tolist(),
+            "claim_holds": bool(10 * pairs_won >= 9 * len(ratios)
+                                and (gain if better == "higher" else -gain) > base["q3"] - base["q1"])}
+
+
 def figures(results: dict, baseline: dict | None = None) -> dict:
-    """Per workload: each metric's median and quartiles over its runs, the run count,
-    whether every run was correct, the failed operations of all runs, and the median
-    and quartiles over the runs of each operation's op_s.  Given the baseline's runs of
-    the same seeds, each metric also counts the pairs it won."""
+    """Per workload: each metric's median and quartiles over its runs and each run's
+    figure, the run count, whether every run was correct, the failed operations of all
+    runs, and the median and quartiles over the runs of each operation's op_s.  Given
+    the baseline's runs of the same seeds, each metric also holds its claim figures."""
     out, better = {}, directions()
     for workload, runs in results.items():
-        metrics = {}
+        metrics, values = {}, {}
         for name, m in runs[0]["metrics"].items():
-            values = [r["metrics"][name]["value"] for r in runs]
-            metrics[name] = {**spread(values), "unit": m["unit"]}
+            values[name] = [r["metrics"][name]["value"] for r in runs]
+            metrics[name] = {**spread(values[name]), "unit": m["unit"]}
             if baseline is not None:
                 others = [r["metrics"][name]["value"] for r in baseline[workload]]
-                metrics[name]["pairs_won"] = sum(won(v, o, better[name])
-                                                 for v, o in zip(values, others))
+                metrics[name].update(claim(values[name], others, better[name]))
         ops = {}
         for r in runs:
             for name, seconds in r.get("op_s", {}).items():
                 ops.setdefault(name, []).append(seconds)
         out[workload] = {"runs": len(runs), "correct": all(r["correct"] for r in runs),
                          "failed": sum(r["failed"] for r in runs), "metrics": metrics,
+                         "values": values,
                          "ops_uncalibrated_s": {name: spread(ts) for name, ts in ops.items()}}
     return out
 

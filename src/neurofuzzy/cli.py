@@ -209,13 +209,14 @@ def cmd_model(args, file_cfg) -> int:
     state_path = Path(args.save_state) if getattr(args, "save_state", None) else None
     if state_path is not None and (state_path.is_dir() or not state_path.parent.is_dir()):
         raise ConfigError(f"--save-state {state_path} is no file in an existing directory")
+    out_dir = _out_dir(args)
     _progress(f"{args.command} {cfg.label}: {cfg.n_train} train / {cfg.n_test} test, "
               f"seed {cfg.seed}, backend {cfg.backend}")
     report, state = experiments.train_and_score(cfg)
-    sys.stdout.write(_write_csv(_out_dir(args) / f"{args.command}_{cfg.label}.csv",
+    sys.stdout.write(_write_csv(out_dir / f"{args.command}_{cfg.label}.csv",
                                 REPORT_COLUMNS, [report.csv_row(with_runtime=args.timing)]))
     if getattr(args, "surface", False):
-        _write_csv(_out_dir(args) / f"surface_{cfg.function}.csv",
+        _write_csv(out_dir / f"surface_{cfg.function}.csv",
                    ["x", "y", "predicted", "actual"], experiments.surface_grid(cfg, state).tolist())
     if state_path is not None:
         atomic_write(state_path, network.serialize(state))

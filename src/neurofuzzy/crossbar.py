@@ -100,9 +100,10 @@ def _pulse_array(x: np.ndarray, volts: np.ndarray, params: MemristorParams,
         span = int(np.min(room / (np.abs(a) / low + r_off * 2.0 ** -50)) / 2) - 1
         if span >= block:
             span = min(span, steps)
+            div, add = np.divide, np.add   # positional ufunc calls: the cheapest per step
             for _ in range(span):
-                np.divide(a, m, out=t)
-                np.add(m, t, out=m)
+                div(a, m, t)
+                add(m, t, m)
         else:
             span = min(block, steps)
             lo, hi = np.full_like(m, r_on), np.full_like(m, r_off)  # faster than scalar bounds
@@ -314,6 +315,11 @@ def crossbar_forward_batch(cb1: Crossbar, cb2: Crossbar, mapping: CrossbarMappin
     unit rows, cb2's less the floor, over scale_out, the output weights.  The
     input voltages are checked against the device threshold before any read,
     each chunk's hidden-layer voltages before its read of cb2."""
+    return _score(cb1, cb2, mapping, group_mats, fold)
+
+
+def _score(cb1, cb2, mapping, group_mats, fold=None, readout=None):
+    """crossbar_forward_batch, with score_batch's readout (the public name returns outputs)."""
     n_v, v = mapping.inv_norms[0].size, abs(mapping.v_read)
     widths = [np.shape(X)[-1] for X in group_mats]
     if widths != [sl.stop - sl.start for sl in mapping.group_slices]:
@@ -331,10 +337,11 @@ def crossbar_forward_batch(cb1: Crossbar, cb2: Crossbar, mapping: CrossbarMappin
                         for sl, inv_w in zip(mapping.group_slices, mapping.inv_norms)])
     w_out = (cb2.weights()[:, :n_v] - mapping.floor) / mapping.scale_out
     w_out = w_out if fold is None else fold @ w_out
-    return score_batch(group_mats, unit_w, w_out, mapping.p, check=check_hidden)
+    return score_batch(group_mats, unit_w, w_out, mapping.p, check=check_hidden, readout=readout)
 
 
 def crossbar_infer_crisp_batch(cb1, cb2, mapping, group_mats):
-    """Folded centroid readout of the analog forward pass; NaN where nothing fires."""
+    """Folded centroid readout of the analog forward pass, chunk by chunk in its lane;
+    NaN where nothing fires."""
     fold = centroid_matrix(mapping.output_grid).T
-    return centroid(crossbar_forward_batch(cb1, cb2, mapping, group_mats, fold))
+    return _score(cb1, cb2, mapping, group_mats, fold, readout=centroid)

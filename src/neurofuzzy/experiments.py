@@ -200,7 +200,7 @@ def _network_config(cfg: ExperimentConfig):
     )
 
 
-def _training_data(cfg: ExperimentConfig, net_cfg: NetworkConfig):
+def _training_data(cfg: ExperimentConfig):
     """Seeded training points and targets: a dataset's class labels, or a function's
     values clipped to the output universe, with optional Gaussian noise."""
     if cfg.dataset is not None:
@@ -213,7 +213,7 @@ def _training_data(cfg: ExperimentConfig, net_cfg: NetworkConfig):
         sd = math.sqrt(cfg.noise_variance)
         pts = np.clip(pts + nrng.normal(0.0, sd, pts.shape), 0.0, 1.0)
         targets = targets + nrng.normal(0.0, sd, targets.shape)
-    uz = net_cfg.output_universe
+    uz = cfg.net.output_universe
     return pts, np.clip(targets, uz.lo, uz.hi)
 
 
@@ -331,7 +331,7 @@ def surface_grid(cfg: ExperimentConfig, state: NetworkState, n_side: int = 101):
 def rebuild_trained_state(cfg: ExperimentConfig) -> NetworkState:
     """Train and return the network of a config (no evaluation)."""
     net_cfg, faults = cfg.net, None
-    pts, targets = _training_data(cfg, net_cfg)
+    pts, targets = _training_data(cfg)
     if cfg.fault_fraction > 0.0:
         seed = cfg.fault_seed if cfg.fault_seed is not None else cfg.seed + FAULT_SEED_OFFSET
         faults = crossbar.draw_faults(

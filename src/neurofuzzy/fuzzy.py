@@ -56,7 +56,7 @@ def unit_rows(rows, out=None):
     rows = np.asarray(rows, dtype=np.float64)
     sq = np.einsum("...j,...j->...", rows, rows)
     fast = (sq >= 2.0 ** -900) & (sq <= 2.0 ** 900)
-    out = np.multiply(rows, 1.0 / np.sqrt(np.where(fast, sq, 1.0))[..., None], out=out)
+    out = np.einsum("...j,...->...j", rows, 1.0 / np.sqrt(np.where(fast, sq, 1.0)), out=out)
     if not fast.all():
         scaled, inv, _ = pow2_scale(rows[~fast])
         out[~fast] = scaled * inv[..., None]
@@ -64,12 +64,15 @@ def unit_rows(rows, out=None):
 
 
 def unit_concat(mats, out=None):
-    """Each group's rows (mats[g], last axis) as unit_rows, side by side, into out if
-    given.  One GEMM of two such matrices sums the group cosines."""
-    counts = [np.shape(X)[-1] for X in mats]
-    out = np.empty(np.shape(mats[0])[:-1] + (sum(counts),)) if out is None else out
-    for X, start, c in zip(mats, np.cumsum([0] + counts), counts):
-        unit_rows(X, out[..., start:start + c])
+    """Each group's (B, count_g) rows mats[g] as unit_rows, side by side, into out if
+    given, in lanes (_in_lanes).  One GEMM of two such matrices sums the group cosines."""
+    counts = [np.shape(X)[1] for X in mats]
+    out = np.empty((len(mats[0]), sum(counts))) if out is None else out
+
+    def block(i, c):
+        for X, start, k in zip(mats, np.cumsum([0] + counts), counts):
+            unit_rows(X[i:i + c], out[i:i + c, start:start + k])
+    _in_lanes(len(out), block)
     return out
 
 
@@ -95,7 +98,7 @@ def int_power(x, p: int, work=None):
 # Batches are scored this many rows at a time, so a chunk's (rows, N) block
 # of cosines stays in cache from the first GEMM through the output GEMM.
 SCORE_ROWS = 1024
-_POOLS = {}   # score_batch's lane count L -> the pool that runs its lanes 1 to L - 1
+_POOLS = {}   # _in_lanes' lane count L -> the pool that runs its lanes 1 to L - 1
 
 
 def power_activation(sums, n_groups: int, p: int, work=None):
@@ -103,8 +106,10 @@ def power_activation(sums, n_groups: int, p: int, work=None):
 
     The mean is snapped at COSINE_SNAP and clamped at 0 before the power, so
     a stored row fires at exactly 1 on a copy of itself."""
-    sums /= n_groups
-    np.copyto(sums, 1.0, where=sums >= 1.0 - COSINE_SNAP)
+    pow2 = not n_groups & (n_groups - 1)   # then a product by 1 / G is exact, and cheaper
+    (np.multiply if pow2 else np.divide)(sums, 1.0 / n_groups if pow2 else n_groups, out=sums)
+    if np.fmax.reduce(sums, axis=None, initial=0.0) >= 1.0 - COSINE_SNAP:   # skips NaN
+        np.copyto(sums, 1.0, where=sums >= 1.0 - COSINE_SNAP)
     return int_power(np.maximum(sums, 0.0, out=sums), p, work)
 
 
@@ -115,48 +120,61 @@ def usable_cores() -> int:
 
 @cache
 def score_lanes() -> int:
-    """score_batch's lanes: usable_cores() // the most BLAS threads set, or 1 if none is."""
+    """_in_lanes' lanes: usable_cores() // the most BLAS threads set, or 1 if none is."""
     blas = [int(v) for v in map(os.environ.get, ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                                  "MKL_NUM_THREADS")) if v and v.strip().isdecimal()]
     return max(1, usable_cores() // max(blas)) if any(blas) else 1
 
 
-def score_batch(mats, unit_w, w_out, p: int, hidden=None, check=None):
+def _in_lanes(n: int, block, buffers=tuple):
+    """block(i, c, *bufs) on each SCORE_ROWS block [i, i + c) of rows [0, n).  Of L =
+    score_lanes() lanes (at most one a block), lane j takes blocks j, j + L, ...: lane 0
+    in the caller, the others in a pool, or in the caller after lane 0 if still queued,
+    so a call from a pool thread cannot deadlock.  Each lane has its own buffers(), a
+    lane the caller runs lane 0's (one set L times larger read 4% more peak RSS in the
+    cli-session workload: 2-core host, L = 2).  No lane outlives the call."""
+    step, lanes = SCORE_ROWS, max(1, min(score_lanes(), -(-n // SCORE_ROWS)))
+    sets = [buffers() for _ in range(lanes)]
+
+    def lane(j, bufs):
+        for i in range(j * step, n, lanes * step):
+            block(i, min(step, n - i), *bufs)
+    futures = [(_POOLS.get(lanes) or _POOLS.setdefault(lanes, ThreadPoolExecutor(lanes - 1)))
+               .submit(lane, j, sets[j]) for j in range(1, lanes)]
+    try:
+        lane(0, sets[0])
+        for j, f in enumerate(futures, 1):
+            lane(j, sets[0]) if f.cancel() else f.result()
+    finally:   # after a raise, drop the queued lanes and wait for the running ones
+        wait([f for f in futures if not f.cancel()])
+
+
+def score_batch(mats, unit_w, w_out, p: int, hidden=None, check=None, readout=None):
     """Outputs (B, k) of (B, count_g) input rows mats[g] against N stored rows unit_w
     (as unit_concat gives them) and (k, N) output weights w_out, raw or folded
     (centroid_matrix); the one scoring loop of both backends, SCORE_ROWS rows at a
-    time.  hidden, if given, receives the (B, N) activations; check, if given, is
-    called on each chunk's activations before its output GEMM.  Of L = score_lanes()
-    lanes, lane j scores chunks j, j + L, ...: lane 0 in the caller, the others in a
-    pool, or in the caller, after lane 0, if still queued.  None outlives the call,
-    and no bit of the result depends on L."""
-    n, step = len(mats[0]), SCORE_ROWS
-    out = np.empty((n, w_out.shape[0]))
-    lanes, rows = max(1, min(score_lanes(), -(-n // step))), min(n, step)
-    # a buffer set per lane, each the one-lane loop's size (one block L times larger
-    # read 4% more peak RSS in the cli-session workload: 2-core host, L = 2); a lane
-    # the caller runs reuses lane 0's set and leaves its own untouched
-    sets = [(np.empty((rows, unit_w.shape[1])), np.empty((2, rows, unit_w.shape[0])))
-            for _ in range(lanes)]
+    time, in lanes (_in_lanes).  hidden, if given, receives the (B, N) activations;
+    check, if given, is called on each chunk's activations before its output GEMM.
+    readout, if given, maps each chunk's outputs, in a lane's buffer, to a tuple of
+    arrays of an entry a row, returned (B, ...) in place of the outputs.  No bit of the
+    result depends on L."""
+    n, k, rows = len(mats[0]), w_out.shape[0], min(len(mats[0]), SCORE_ROWS)
+    outs = [np.empty((n, k))] if readout is None else [
+        np.empty((n,) + r.shape[1:], r.dtype) for r in readout(np.empty((0, k)))]
 
-    def lane(j, units, buf):
-        for i in range(j * step, n, lanes * step):
-            c = min(step, n - i)
-            h = buf[0, :c] if hidden is None else hidden[i:i + c]
-            np.matmul(unit_concat([X[i:i + c] for X in mats], units[:c]), unit_w.T, out=h)
-            power_activation(h, len(mats), p, buf[1, :c])
-            if check is not None:
-                check(h)
-            np.matmul(h, w_out.T, out=out[i:i + c])
-    futures = [(_POOLS.get(lanes) or _POOLS.setdefault(lanes, ThreadPoolExecutor(lanes - 1)))
-               .submit(lane, j, *sets[j]) for j in range(1, lanes)]
-    try:
-        lane(0, *sets[0])
-        for j, f in enumerate(futures, 1):
-            lane(j, *sets[0]) if f.cancel() else f.result()
-    finally:   # after a raise, drop the queued lanes and wait for the running ones
-        wait([f for f in futures if not f.cancel()])
-    return out
+    def block(i, c, units, work, buf):
+        h = work[0, :c] if hidden is None else hidden[i:i + c]
+        np.matmul(unit_concat([X[i:i + c] for X in mats], units[:c]), unit_w.T, out=h)
+        power_activation(h, len(mats), p, work[1, :c])
+        if check is not None:
+            check(h)
+        o = np.matmul(h, w_out.T, out=outs[0][i:i + c] if readout is None else buf[:c])
+        for r, v in zip(outs, () if readout is None else readout(o)):
+            r[i:i + c] = v
+    _in_lanes(n, block, lambda: (np.empty((rows, unit_w.shape[1])),
+                                 np.empty((2, rows, unit_w.shape[0])),
+                                 None if readout is None else np.empty((rows, k))))
+    return outs[0] if readout is None else tuple(outs)
 
 
 def centroid_matrix(grid):
@@ -240,7 +258,7 @@ def triangular_matrix(u: Universe, crisps: np.ndarray, half_support: float) -> n
     """Fuzzify a batch of crisp values; returns a (len(crisps), u.count) matrix.
 
     Rows are symmetric triangles of the given half support sampled on the
-    grid; half_support == 0 produces singletons at the nearest grid point.
+    grid, in lanes; half_support == 0 produces singletons at the nearest grid point.
     """
     crisps = np.asarray(crisps, dtype=np.float64)
     if not 0 <= half_support < np.inf:
@@ -254,13 +272,15 @@ def triangular_matrix(u: Universe, crisps: np.ndarray, half_support: float) -> n
         idx = np.clip(np.ceil(q - 0.5).astype(int), 0, u.count - 1)
         out[np.arange(crisps.size), idx] = 1.0
         return out
-    # max(0, 1 - |grid - c| / half_support) in one allocation
-    out = u.grid()[None, :] - crisps[:, None]
-    np.divide(np.abs(out, out=out), half_support, out=out)
-    np.maximum(np.subtract(1.0, out, out=out), 0.0, out=out)
-    if np.any(out.sum(axis=1) == 0.0):
-        raise DegenerateFuzzification(
-            f"half_support {half_support} < half the grid spacing leaves some "
-            "crisp values without any support on the grid"
-        )
+    out = np.empty((crisps.size, u.count))
+
+    def block(i, c):   # max(0, 1 - |grid - c| / half_support), in place
+        o = np.subtract(u.grid(), crisps[i:i + c, None], out=out[i:i + c])
+        np.divide(np.abs(o, out=o), half_support, out=o)
+        np.maximum(np.subtract(1.0, o, out=o), 0.0, out=o)
+        if np.any(o.sum(axis=1) == 0.0):
+            raise DegenerateFuzzification(
+                f"half_support {half_support} < half the grid spacing leaves some crisp values "
+                "without any support on the grid")
+    _in_lanes(crisps.size, block)
     return out

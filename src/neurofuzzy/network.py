@@ -204,14 +204,15 @@ def _hidden(state: NetworkState, units) -> np.ndarray:
                                   len(state.config.groups), state.config.p)
 
 
-def output_batch(state: NetworkState, mats, hidden=None, fold=None) -> np.ndarray:
+def output_batch(state: NetworkState, mats, hidden=None, fold=None, readout=None):
     """Raw fuzzy outputs (B, nz) of a batch, scored by fuzzy.score_batch against the
     cached unit rows, or (B, k) with w_out multiplied on the left by a (k, nz) fold;
-    hidden, if given, receives the (B, N) activations."""
+    hidden, if given, receives the (B, N) activations; readout is score_batch's."""
     if state.n_minterms == 0:
         raise UntrainedNetwork("network has no min-terms yet")
     w_out = state.w_out if fold is None else fold @ state.w_out
-    return fuzzy.score_batch(mats, state.unit_rows(), w_out, state.config.p, hidden)
+    return fuzzy.score_batch(mats, state.unit_rows(), w_out, state.config.p, hidden,
+                             readout=readout)
 
 
 def infer_crisp_batch(state: NetworkState, mats):
@@ -219,14 +220,14 @@ def infer_crisp_batch(state: NetworkState, mats):
 
     mats[g] is a (B, count_g) matrix of membership rows for group g.  Returns
     (predictions, activated): predictions hold NaN where no output neuron is
-    activated, activated is the corresponding boolean mask."""
+    activated, activated is the corresponding boolean mask; each chunk is read out in its lane."""
     fold = fuzzy.centroid_matrix(state.config.output_universe.grid()).T
-    return fuzzy.centroid(output_batch(state, mats, fold=fold))
+    return output_batch(state, mats, fold=fold, readout=fuzzy.centroid)
 
 
 def classify_batch(state: NetworkState, mats):
-    """Vectorized argmax classification; -1 where no output is activated."""
-    return fuzzy.argmax(output_batch(state, mats))
+    """Vectorized argmax classification, each chunk in its lane; -1 where none is activated."""
+    return output_batch(state, mats, readout=lambda out: (fuzzy.argmax(out),))[0]
 
 
 # --- training ---------------------------------------------------------------
@@ -334,9 +335,9 @@ def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
                     out[start:] += (hid[start:, :m + 1] @ h)[:, None] * hebb[j]
                 else:
                     # scored against the row as stored, whose stuck cells already hold weight
-                    stored = [np.where(faults.in_masks[g][m], faults.in_stuck[g][m], X[j])
-                              for g, X in enumerate(mats)]
-                    hid[b:, m] = fuzzy.power_activation(units[j:stop] @ fuzzy.unit_concat(stored),
+                    rows = [np.where(faults.in_masks[g][m], faults.in_stuck[g][m], X[j:j + 1])
+                            for g, X in enumerate(mats)]
+                    hid[b:, m] = fuzzy.power_activation(units[j:stop] @ fuzzy.unit_concat(rows)[0],
                                                         len(cfg.groups), cfg.p)
                     delta = cfg.alpha * np.outer(fuzzy_targets[j], h)
                     delta[faults.out_mask[:, :m + 1]] = 0.0

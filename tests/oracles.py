@@ -17,6 +17,16 @@ def forward_batch(state, mats):
     return hidden, network.output_batch(state, mats, hidden)
 
 
+def triangular_matrix(u, crisps, half_support):
+    """Triangular memberships max(0, 1 - |grid - c| / half_support), one row per
+    crisp value c, as one broadcast over the whole batch: the package's formula as
+    it stood before it fuzzified in blocks.  No input is checked.  The package's
+    fuzzifier must give these rows bit for bit."""
+    out = u.grid()[None, :] - np.asarray(crisps, dtype=np.float64)[:, None]
+    np.divide(np.abs(out, out=out), half_support, out=out)
+    return np.maximum(np.subtract(1.0, out, out=out), 0.0, out=out)
+
+
 def states_equal(a, b) -> bool:
     """Bitwise equality of two network states: configuration and all weights."""
     if a.config != b.config or a.n_minterms != b.n_minterms:

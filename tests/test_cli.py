@@ -181,6 +181,23 @@ class TestModelCommand:
         assert capsys.readouterr().err.endswith(f"error: [Errno 17] File exists: '{out}'\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["net.state", "out"]
 
+    @pytest.mark.parametrize("command", [["model", "--fn", "g1"], ["classify", "--dataset", "3"],
+                                         ["noise", "--fn", "g1"], ["fault", "--fn", "g1"]])
+    def test_out_dir_that_is_a_file_exit_1_before_training(self, tmp_path, capsys, monkeypatch,
+                                                           command):
+        from neurofuzzy import experiments
+
+        calls, real = [], experiments.train_and_score
+        monkeypatch.setattr(experiments, "train_and_score",
+                            lambda cfg: calls.append(cfg) or real(cfg))
+        out = tmp_path / "out"
+        out.write_text("a file")
+        assert cli.main(command + ["--n-train", "30", "--n-test", "50",
+                                   "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.endswith(f"error: [Errno 17] File exists: '{out}'\n")
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["out"] and out.read_text() == "a file"
+
     def test_learning_coefficient_message_word_for_word(self, tmp_path, capsys):
         assert run_cli(["model", "--fn", "g1", "--alpha", "-1"], tmp_path) == 1
         assert capsys.readouterr().err == \

@@ -6,15 +6,18 @@ tests force the lane count by replacing fuzzy.score_lanes.  The pools they make
 """
 
 import os
+import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from neurofuzzy import crossbar, experiments, fuzzy, network
-from neurofuzzy.errors import ReadDisturbRisk
-from neurofuzzy.fuzzy import SCORE_ROWS, triangular_matrix
+from neurofuzzy.errors import DegenerateFuzzification, ReadDisturbRisk
+from neurofuzzy.fuzzy import SCORE_ROWS, triangular_matrix, universe_from_count
+from oracles import triangular_matrix as broadcast_triangles
 from suite_csv import run_suite
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -77,6 +80,90 @@ def test_a_queued_lane_runs_in_the_caller(monkeypatch, g1):
         release.set()
     assert held.result()
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("n", [k * SCORE_ROWS + d for k in (1, 2, 3) for d in (-1, 0, 1)])
+def test_fuzzified_blocks_give_the_broadcast_bits(monkeypatch, count, n):
+    u = universe_from_count(0.0, 1.0, 41)
+    crisps = np.random.default_rng(n).uniform(0.0, 1.0, n)
+    lanes(monkeypatch, count)
+    got = triangular_matrix(u, crisps, 0.07)
+    assert got.dtype == np.float64 and np.array_equal(got, broadcast_triangles(u, crisps, 0.07))
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_a_degenerate_row_in_the_last_block_raises(monkeypatch, count):
+    # half support 0.04 < half the spacing 0.1: a value midway between grid points
+    # touches none, and the last of 3 * SCORE_ROWS + 1 rows is one
+    u = universe_from_count(0.0, 1.0, 11)
+    crisps = np.append(np.tile(u.grid(), 3 * SCORE_ROWS // 11 + 1)[:3 * SCORE_ROWS], 0.05)
+    lanes(monkeypatch, count)
+    assert triangular_matrix(u, crisps[:-1], 0.04).any(axis=1).all()
+    with pytest.raises(DegenerateFuzzification, match="half_support 0.04 < half the grid"):
+        triangular_matrix(u, crisps, 0.04)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_chunk_readouts_are_those_of_the_outputs(monkeypatch, g1, count):
+    state, (cb1, cb2, mapping) = g1
+    mats = fuzzified(state, 3 * SCORE_ROWS + 1)
+    fold = fuzzy.centroid_matrix(state.config.output_universe.grid()).T
+    lanes(monkeypatch, count)
+    pairs = [(network.infer_crisp_batch(state, mats),
+              fuzzy.centroid(network.output_batch(state, mats, fold=fold))),
+             ((network.classify_batch(state, mats),),
+              (fuzzy.argmax(network.output_batch(state, mats)),)),
+             (crossbar.crossbar_infer_crisp_batch(cb1, cb2, mapping, mats),
+              fuzzy.centroid(crossbar.crossbar_forward_batch(cb1, cb2, mapping, mats, fold)))]
+    for got, want in pairs:
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape == (3 * SCORE_ROWS + 1,)
+            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+
+
+def test_classify_batch_makes_no_batch_of_outputs(g1):
+    state, _ = g1
+    mats = fuzzified(state, 20 * SCORE_ROWS)
+    network.classify_batch(state, mats)     # warm: nothing first-call is counted
+    tracemalloc.start()
+    try:
+        labels = network.classify_batch(state, mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels.shape == (20 * SCORE_ROWS,)
+    assert peak < 20 * SCORE_ROWS * state.config.output_universe.count * 8
+
+
+def test_fuzzifying_from_threads_at_once(monkeypatch):
+    # three callers, more than the two lanes, each waiting on the one pool thread
+    u = universe_from_count(0.0, 1.0, 101)
+    batches = [np.random.default_rng(s).uniform(0.0, 1.0, 4 * SCORE_ROWS + 3) for s in (1, 2, 3)]
+    want = [broadcast_triangles(u, c, 0.02) for c in batches]
+    lanes(monkeypatch, 2)
+    triangular_matrix(u, batches[0], 0.02)  # makes the pool, if no test has
+    pools = dict(fuzzy._POOLS)
+    start, got = threading.Barrier(3), [[] for _ in batches]
+
+    def fuzzify(k):
+        start.wait(10.0)
+        for _ in range(5):
+            got[k].append(triangular_matrix(u, batches[k], 0.02))
+    threads = [threading.Thread(target=fuzzify, args=(k,)) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(g) == 5 and all(np.array_equal(a, w) for a in g) for g, w in zip(got, want))
+    assert fuzzy._POOLS == pools
 
 
 def chunk_of(h, hidden):

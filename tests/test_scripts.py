@@ -80,6 +80,41 @@ class TestBench:
         assert fig["run_s"]["pairs_won"] == 3
         assert "pairs_won" not in bench.figures(parent)["readout"]["metrics"]["run_s"]
 
+    def test_figures_record_each_runs_figure_and_each_pairs_ratio(self):
+        bench = load("bench")
+        change = {"readout": self.runs(device_steps_per_s=[12, 6, 9, 10, 8])}
+        parent = {"readout": self.runs(device_steps_per_s=[6, 6, 3, 5, 4])}
+        fig = bench.figures(change, parent)["readout"]
+        assert fig["values"] == {"device_steps_per_s": [12, 6, 9, 10, 8]}
+        assert bench.figures(parent)["readout"]["values"] == {"device_steps_per_s": [6, 6, 3, 5, 4]}
+        assert fig["metrics"]["device_steps_per_s"]["ratios"] == [2.0, 1.0, 3.0, 2.0, 2.0]
+
+    def test_the_median_ratio_interval_is_seeded_and_holds_the_median(self):
+        bench = load("bench")
+        values = [1.30, 1.10, 1.25, 0.95, 1.40, 1.20, 1.05, 1.15, 1.35, 1.22]
+        got = bench.claim(values, [1.0] * 10, "higher")
+        lo, hi = got["median_ratio_ci95"]
+        assert lo <= 1.21 <= hi and 0.95 <= lo < hi <= 1.40
+        assert got == bench.claim(values, [1.0] * 10, "higher")
+        assert bench.claim([2.0] * 10, [1.0] * 10, "higher")["median_ratio_ci95"] == [2.0, 2.0]
+
+    @pytest.mark.parametrize("values, others, better, holds", [
+        # 10 of 10 won, median 16 against 10 + q3 - q1 = 10 + 3.5
+        ([16, 15, 17, 18, 16, 14, 19, 16, 15, 17], [10, 8, 12, 11, 9, 7, 13, 10, 6, 14],
+         "higher", True),
+        # 8 of 10 won: the median gain alone is no claim
+        ([16, 15, 17, 18, 16, 14, 19, 16, 5, 5], [10, 8, 12, 11, 9, 7, 13, 10, 6, 14],
+         "higher", False),
+        # 10 of 10 won by a median gain of 3 <= the baseline's q3 - q1 of 3.5
+        ([13, 11, 15, 14, 12, 10, 16, 13, 9, 17], [10, 8, 12, 11, 9, 7, 13, 10, 6, 14],
+         "higher", False),
+        # lower is better: 10 of 10 won, median 4 below 10, by more than 3.5
+        ([4, 3, 5, 6, 4, 2, 7, 4, 3, 5], [10, 8, 12, 11, 9, 7, 13, 10, 6, 14], "lower", True),
+        ([16, 15, 17, 18, 16, 14, 19, 16, 15, 17], [10, 8, 12, 11, 9, 7, 13, 10, 6, 14],
+         "lower", False),
+    ])
+    def test_the_claim_rule(self, values, others, better, holds):
+        assert load("bench").claim(values, others, better)["claim_holds"] is holds
 
     def test_records_the_package_line_count_of_each_checkout(self, monkeypatch, tmp_path):
         bench = load("bench")

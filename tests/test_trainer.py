@@ -269,7 +269,7 @@ class TestSameBitsAsTheFrozenChunkLoop:
     ], ids=["set3-4000", "noisy-g5-1500"])
     def test_experiment_stream(self, cfg):
         net = experiments._network_config(cfg)
-        pts, targets = experiments._training_data(cfg, net)
+        pts, targets = experiments._training_data(cfg)
         assert_same_bits_as_frozen_loop(net, NetworkState(net).fuzzify(pts), targets)
 
 
