@@ -159,7 +159,7 @@ def score_batch(mats, unit_w, w_out, p: int, hidden=None, check=None, readout=No
     arrays of an entry a row, returned (B, ...) in place of the outputs.  No bit of the
     result depends on L."""
     n, k, rows = len(mats[0]), w_out.shape[0], min(len(mats[0]), SCORE_ROWS)
-    outs = [np.empty((n, k))] if readout is None else [
+    outs = [np.empty((n, k))] if readout is None else [   # typed by a 0-row readout
         np.empty((n,) + r.shape[1:], r.dtype) for r in readout(np.empty((0, k)))]
 
     def block(i, c, units, work, buf):
