@@ -31,7 +31,7 @@ def main(argv=None) -> int:
                       f"min-terms={r.n_minterms}", file=sys.stderr)
     print("function,seed,n_train,fvu,n_minterms")
     for r in rows:
-        print(f"{r.label},{r.seed},{r.n_train},{r.fvu_or_rate!r},{r.n_minterms}")
+        print(f"{r.cfg.label},{r.cfg.seed},{r.cfg.n_train},{r.fvu_or_rate!r},{r.n_minterms}")
     return 0
 
 

@@ -58,10 +58,10 @@ def load_config_file(path: str) -> dict:
     """Parse and type-check an INI config; unknown sections/keys fail fast."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)     # values are literal
     try:
-        parser.read(path)
-    except configparser.Error as e:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot parse {path}: {e}") from e
     out: dict = {}
     for section in parser.sections():

@@ -306,20 +306,20 @@ def map_network(state, params: MemristorParams | None = None,
 
 
 def crossbar_forward_batch(cb1: Crossbar, cb2: Crossbar, mapping: CrossbarMapping,
-                           group_mats, fold=None) -> np.ndarray:
-    """Analog forward pass of a batch of fuzzified inputs, scored by score_batch: raw
-    outputs (B, nz), or (B, k) with the output weights times a (k, nz) fold on the left.
+                           group_mats) -> np.ndarray:
+    """Raw analog outputs (B, nz) of a batch of fuzzified inputs, scored by score_batch.
 
     Each crossbar is read once per call, as its devices stand: cb1's weights
     less the floor, over scale_in and the calibration norms, are the stored
     unit rows, cb2's less the floor, over scale_out, the output weights.  The
     input voltages are checked against the device threshold before any read,
     each chunk's hidden-layer voltages before its read of cb2."""
-    return _score(cb1, cb2, mapping, group_mats, fold)
+    return _score(cb1, cb2, mapping, group_mats)
 
 
 def _score(cb1, cb2, mapping, group_mats, fold=None, readout=None):
-    """crossbar_forward_batch, with score_batch's readout (the public name returns outputs)."""
+    """crossbar_forward_batch, with the output weights times a (k, nz) fold on the left
+    and score_batch's readout (the public name returns raw outputs)."""
     n_v, v = mapping.inv_norms[0].size, abs(mapping.v_read)
     widths = [np.shape(X)[-1] for X in group_mats]
     if widths != [sl.stop - sl.start for sl in mapping.group_slices]:

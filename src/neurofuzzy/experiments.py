@@ -33,6 +33,7 @@ NOISE_SEED_OFFSET = 500_000
 FAULT_SEED_OFFSET = 900_000
 CLASS_TEST_SEED_OFFSET = 10_000
 DEFAULT_TEST_SEED = 977
+SURFACE_SIDE = 101
 
 REPORT_COLUMNS = [
     "function_or_dataset", "n_train", "n_test", "seed", "p", "alpha", "threshold",
@@ -128,32 +129,25 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentReport:
-    kind: str                            # modeling | classification | noise | fault
-    label: str
-    n_train: int
-    n_test: int
-    seed: int
-    p: int
-    alpha: float
-    threshold: float
-    nx: int
-    ny: int
-    nz: int
+    """A run's config and what the run measured."""
+
+    cfg: ExperimentConfig
     n_minterms: int
     fvu_or_rate: float
     paper_reference: float | None = None
     runtime_ms: float | None = None
-    backend: str = "ideal"
     n_unactivated: int = 0               # test points predicted as the midpoint
     per_class_counts: tuple | None = None
     n_unclassified: int = 0
-    all_faulted: bool = False
 
     def csv_row(self, with_runtime: bool = False) -> list:
+        """The REPORT_COLUMNS row: the config values that name the run, then its results."""
+        cfg, net = self.cfg, self.cfg.net
         rt = "" if (self.runtime_ms is None or not with_runtime) else repr(self.runtime_ms)
         ref = "" if self.paper_reference is None else repr(self.paper_reference)
-        return [self.label, self.n_train, self.n_test, self.seed, self.p,
-                repr(self.alpha), repr(self.threshold), self.nx, self.ny, self.nz,
+        return [cfg.label, cfg.n_train, cfg.n_test, cfg.seed, cfg.p, repr(cfg.alpha),
+                repr(net.novelty_threshold), net.groups[0].universe.count,
+                net.groups[1].universe.count, net.output_universe.count,
                 self.n_minterms, repr(self.fvu_or_rate), ref, rt]
 
 
@@ -242,42 +236,31 @@ def train_and_score(cfg: ExperimentConfig):
     A function's run is scored by FVU, a dataset's by the percentage of test
     points classified right (one output neuron per class, singleton targets).
     noise_variance > 0 trains a function on noisy data (clean test set);
-    fault_fraction > 0 sticks weight cells before training (at 1.0 the report
-    flags it).
+    fault_fraction > 0 sticks weight cells before training.
     """
     t0 = time.perf_counter()
     state = rebuild_trained_state(cfg)
-    net_cfg = state.config
     if cfg.dataset is not None:
         test, labels = gen_classification_dataset(cfg.dataset, cfg.n_test,
                                                   cfg.seed + CLASS_TEST_SEED_OFFSET)
         predicted = fuzzy.argmax(_backend_forward(cfg, state)(state.fuzzify(test)))
         score = 100.0 * float((predicted == labels).mean())
-        kind, ref = "classification", CLASSIFICATION[cfg.dataset]["rate"]
+        ref = CLASSIFICATION[cfg.dataset]["rate"]
         counts = {"per_class_counts": tuple(int((labels == c).sum()) for c in (0, 1)),
                   "n_unclassified": int((predicted == -1).sum())}
     else:
         test = gen_uniform_samples(cfg.n_test, cfg.test_seed)
         pred, n_dead = _regression_readout(cfg, state, test)
         score = fvu(pred, benchmarks.eval_benchmark(cfg.function, test[:, 0], test[:, 1]))
-        kind = "modeling"
         ref = TABLE1[cfg.function]["fvu"] if cfg.n_train == 225 else \
             TABLE3.get(cfg.function, {}).get(cfg.n_train, (None,))[0]
         if cfg.noise_variance > 0.0:
-            kind, ref = "noise", NOISE_FVU.get(cfg.function)
+            ref = NOISE_FVU.get(cfg.function)
         if cfg.fault_fraction > 0.0:
-            kind, ref = "fault", FAULT.get(cfg.function, {}).get("fvu")
+            ref = FAULT.get(cfg.function, {}).get("fvu")
         counts = {"n_unactivated": n_dead}
-    return ExperimentReport(
-        kind=kind, label=cfg.label, n_train=cfg.n_train, n_test=cfg.n_test,
-        seed=cfg.seed, p=cfg.p, alpha=cfg.alpha,
-        threshold=net_cfg.novelty_threshold,
-        nx=net_cfg.groups[0].universe.count, ny=net_cfg.groups[1].universe.count,
-        nz=net_cfg.output_universe.count, n_minterms=state.n_minterms,
-        fvu_or_rate=score, paper_reference=ref,
-        runtime_ms=(time.perf_counter() - t0) * 1e3, backend=cfg.backend,
-        all_faulted=(cfg.fault_fraction >= 1.0), **counts,
-    ), state
+    return ExperimentReport(cfg, state.n_minterms, score, paper_reference=ref,
+                            runtime_ms=(time.perf_counter() - t0) * 1e3, **counts), state
 
 
 def run_modeling(cfg: ExperimentConfig) -> ExperimentReport:
@@ -318,9 +301,9 @@ SUITE = {
 }
 
 
-def surface_grid(cfg: ExperimentConfig, state: NetworkState, n_side: int = 101):
-    """(x, y, predicted, actual) rows over a regular grid, for plot emission."""
-    axis = np.linspace(0.0, 1.0, n_side)
+def surface_grid(cfg: ExperimentConfig, state: NetworkState):
+    """(x, y, predicted, actual) rows over a regular SURFACE_SIDE^2 grid, for plot emission."""
+    axis = np.linspace(0.0, 1.0, SURFACE_SIDE)
     xx, yy = np.meshgrid(axis, axis)
     flat = np.stack([xx.ravel(), yy.ravel()], axis=1)
     actual = benchmarks.eval_benchmark(cfg.function, flat[:, 0], flat[:, 1])

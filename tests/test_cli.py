@@ -1,13 +1,18 @@
+import contextlib
+import functools
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from neurofuzzy import cli
 from neurofuzzy.errors import ConfigError
@@ -44,6 +49,21 @@ class TestConfigFile:
         path.write_text("[network]\np = 5\nalpha = 0.001\n[experiment]\nseed = 3\n")
         cfg = cli.load_config_file(str(path))
         assert cfg == {"network": {"p": 5, "alpha": 0.001}, "experiment": {"seed": 3}}
+
+    # values are literal (no % interpolation) and the file is UTF-8: each once raised
+    # InterpolationSyntaxError, InterpolationMissingOptionError or UnicodeDecodeError
+    @pytest.mark.parametrize("content", [b"[experiment]\nfunction = g%1\n",
+                                         b"[network]\np = %(x)s\n",
+                                         b"[experiment]\nfunction = g1\xff\n"],
+                             ids=["percent", "interpolation", "not-utf-8"])
+    def test_unreadable_value_exit_1_with_no_traceback(self, tmp_path, capsys, content):
+        path = tmp_path / "odd.ini"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        assert cli.main(["model", "--config", str(path), "--out-dir", str(out)] + FAST) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["odd.ini"]
 
     def test_suite_reads_seed_from_file(self, tmp_path):
         def suite_csv(out, *extra):
@@ -828,6 +848,105 @@ class TestResolvedConfig:
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["dump-state", "--state", str(tmp_path / "net.state")] + flag)
         assert exit_info.value.code == 2
+
+
+# One value of each kind per key type: a usable one, one out of range, one of the
+# wrong type and the literal values that once raised from configparser.  Every size
+# stays small: the command lines below set n_train, n_test and --n-probes.
+_VALUES = {int: ["2", "3", "-1", "2.5", "abc", "%(x)s"],
+           float: ["0.5", "-1", "nan", "abc", "%(x)s"],
+           str: ["g1", "g9", "g%1", "crossbar", "analog"]}
+_SMALL = ["--n-train", "40", "--n-test", "100"]
+_COMMANDS = {
+    "model": ["model", "--fn", "g1"] + _SMALL,
+    "classify": ["classify", "--dataset", "1"] + _SMALL,
+    "noise": ["noise", "--fn", "g1"] + _SMALL,
+    "fault": ["fault", "--fn", "g1"] + _SMALL,
+    "suite": ["suite", "--only", "tiny", "--jobs", "1"],
+    "crossbar-compare": ["crossbar-compare", "--fn", "g1", "--n-train", "40", "--n-probes", "10"],
+    "dump-state": ["dump-state"],
+}
+# the suite's own tables score 2,000 to 10,000 points a row: the test runs a table
+# of two small rows, pinned as every table's rows are
+_TINY_SUITE = {"tiny": [{"function": "g1", "n_train": 40, "n_test": 100},
+                        {"dataset": 1, "n_train": 40, "n_test": 100}]}
+
+
+@st.composite
+def _config_files(draw):
+    """An INI file's bytes with one key: a schema key with a drawn value, an unknown key
+    or section, or a line that is not UTF-8."""
+    keys = [(section, key, typ) for section, schema in cli.CONFIG_SCHEMA.items()
+            for key, typ in schema.items()]
+    odd = [b"[network]\nwarp_factor = 9\n", b"[universe]\nanswer = 42\n",
+           b"[experiment]\nseed = 2\xff\n"]
+    line = draw(st.sampled_from(keys + odd))
+    if isinstance(line, bytes):
+        return line
+    section, key, typ = line
+    return f"[{section}]\n{key} = {draw(st.sampled_from(_VALUES[typ]))}\n".encode()
+
+
+@functools.cache
+def _state_bytes() -> bytes:
+    from neurofuzzy import experiments, network
+
+    return network.serialize(experiments.rebuild_trained_state(
+        ExperimentConfig(function="g1", n_train=20)))
+
+
+class TestCliContract:
+    """Whatever the input, main exits 0, 1 or 2 with no traceback, and an exit 1
+    comes before any training and leaves no file behind."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(command=st.sampled_from(sorted(_COMMANDS)), config=_config_files(),
+           out_kind=st.sampled_from(["missing parent", "existing file", "directory"]),
+           state_kind=st.sampled_from(["state", "garbage", "missing", "directory"]))
+    @example(command="model", config=b"[experiment]\nfunction = g%1\n",
+             out_kind="directory", state_kind="state")
+    @example(command="model", config=b"[network]\np = %(x)s\n",
+             out_kind="directory", state_kind="state")
+    @example(command="model", config=b"[experiment]\nfunction = g1\xff\n",
+             out_kind="directory", state_kind="state")
+    def test_exit_codes_and_no_traceback(self, command, config, out_kind, state_kind):
+        from neurofuzzy import experiments, network
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            root = Path(tmp)
+            out = {"missing parent": root / "missing" / "out", "existing file": root / "out",
+                   "directory": root}[out_kind]
+            if out_kind == "existing file":
+                out.write_text("a file")
+            argv = _COMMANDS[command] + ["--out-dir", str(out)]
+            if command == "dump-state":     # dump-state takes no config, only its state file
+                state = root / "net.state"
+                if state_kind == "state":
+                    state.write_bytes(_state_bytes())
+                elif state_kind == "garbage":
+                    state.write_bytes(b"not a state")
+                elif state_kind == "directory":
+                    state.mkdir()
+                argv += ["--state", str(state)]
+            else:
+                (root / "run.ini").write_bytes(config)
+                argv += ["--config", str(root / "run.ini")]
+            trainings, real = [], network.train_matrix
+            mp.setattr(network, "train_matrix",
+                       lambda *a, **k: trainings.append(1) or real(*a, **k))
+            mp.setattr(experiments, "SUITE", _TINY_SUITE)
+            before = sorted(root.rglob("*"))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    rc = cli.main(argv)
+                except SystemExit as e:     # argparse's usage error
+                    rc = e.code
+            assert rc in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if rc == 1:
+                assert trainings == []
+                assert sorted(root.rglob("*")) == before
 
 
 class TestEntryPoint:

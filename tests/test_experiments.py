@@ -46,10 +46,11 @@ def quick(fn="g1", **kw):
 class TestRunModeling:
     def test_report_fields(self):
         r = run_modeling(quick())
-        assert r.kind == "modeling"
-        assert r.label == "g1"
-        assert r.nx == 100 and r.ny == 100 and r.nz == 116
-        assert r.threshold == 0.2
+        assert r.cfg == quick()
+        assert (r.cfg.noise_variance, r.cfg.fault_fraction) == (0.0, 0.0)   # a modeling run
+        assert r.csv_row()[0] == "g1"
+        assert r.csv_row()[7:10] == [100, 100, 116]
+        assert r.csv_row()[6] == repr(0.2) and r.cfg.net.novelty_threshold == 0.2
         assert r.paper_reference == 0.067
         assert r.n_minterms > 0
         assert r.fvu_or_rate >= 0.0
@@ -94,7 +95,7 @@ class TestRunNoise:
     def test_noise_degrades_but_bounded(self):
         clean = run_modeling(quick(seed=2, n_test=4000))
         noisy = run_modeling(quick(seed=2, n_test=4000, noise_variance=0.01))
-        assert noisy.kind == "noise"
+        assert noisy.cfg.noise_variance == 0.01 and noisy.cfg.fault_fraction == 0.0
         assert noisy.paper_reference == 0.281
         assert noisy.fvu_or_rate > clean.fvu_or_rate
         assert noisy.fvu_or_rate < 1.0
@@ -110,14 +111,14 @@ class TestRunFault:
     def test_twenty_percent(self):
         ff = run_modeling(quick(seed=4, n_test=2000))
         r = run_modeling(quick(seed=4, n_test=2000, fault_fraction=0.2))
-        assert r.kind == "fault"
+        assert r.cfg.fault_fraction == 0.2 and r.cfg.noise_variance == 0.0
         assert r.paper_reference == 0.212
         assert r.n_minterms >= ff.n_minterms
         assert r.fvu_or_rate < 0.5
 
     def test_all_faulted_completes_and_flags(self):
         r = run_modeling(quick(n_train=40, n_test=200, fault_fraction=1.0))
-        assert r.all_faulted
+        assert r.cfg.fault_fraction >= 1.0
         assert np.isfinite(r.fvu_or_rate)
 
     def test_fault_seed_controls_draw(self):
@@ -132,8 +133,8 @@ class TestRunClassification:
     def test_small_blob_run(self):
         cfg = paper_classification_config(1, n_train=60, n_test=300)
         r = run_classification(cfg)
-        assert r.kind == "classification"
-        assert r.nz == 2
+        assert r.cfg == cfg and r.cfg.dataset == 1
+        assert r.cfg.net.output_universe.count == 2 and r.csv_row()[9] == 2
         assert r.fvu_or_rate >= 90.0
         assert r.per_class_counts == (150, 150)
 
@@ -199,6 +200,19 @@ class TestSuiteJobs:
         assert len(row) == len(experiments.REPORT_COLUMNS)
         assert row[-1] == ""                       # runtime blank by default
         assert r.csv_row(with_runtime=True)[-1] != ""
+
+    def test_a_report_stores_no_value_its_config_holds(self):
+        report = {f.name for f in dataclasses.fields(experiments.ExperimentReport)}
+        config = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert "cfg" in report and not report & config
+
+    def test_csv_row_names_the_run_from_its_config(self):
+        cfg = quick(seed=3, n_train=60, p=5, alpha=1e-3, threshold=0.15, nx=20, ny=30, nz=40)
+        r = run_modeling(cfg)
+        assert r.csv_row()[:10] == ["g1", 60, 400, 3, 5, "0.001", "0.15", 20, 30, 40]
+        assert r.csv_row()[10:13] == [r.n_minterms, repr(r.fvu_or_rate), ""]
+        row = run_classification(paper_classification_config(2, n_train=60, n_test=200)).csv_row()
+        assert row[:3] + row[6:10] + row[12:] == ["set2", 60, 200, "0.35", 90, 90, 2, "99.36", ""]
 
 
 class TestTrainingInvariants:

@@ -115,7 +115,7 @@ def test_chunk_readouts_are_those_of_the_outputs(monkeypatch, g1, count):
              ((network.classify_batch(state, mats),),
               (fuzzy.argmax(network.output_batch(state, mats)),)),
              (crossbar.crossbar_infer_crisp_batch(cb1, cb2, mapping, mats),
-              fuzzy.centroid(crossbar.crossbar_forward_batch(cb1, cb2, mapping, mats, fold)))]
+              fuzzy.centroid(crossbar._score(cb1, cb2, mapping, mats, fold)))]
     for got, want in pairs:
         assert len(got) == len(want)
         for a, b in zip(got, want):
