@@ -7,7 +7,7 @@ quartiles over the runs and each run's figure (values, in seed order), whether
 every run was correct and how many operations failed, the machine info nfbench
 reports, the summary of
 scripts/fingerprint.py, src_lines, the line count of src/neurofuzzy/*.py, and
-host_parallel at the start and the end of the run (see host_parallel below).
+host_parallel and cpu_seconds at the start and the end of the run (see below).
 With --baseline DIR another checkout (the parent commit, say) runs the same
 runs, alternating with this one run by run, and its figures and src_lines are
 recorded next to them; each metric of this checkout then also
@@ -86,6 +86,13 @@ def spin(n: int) -> float:
     return time.perf_counter() - start
 
 
+# a child process's preamble: it loads this file as the module bench; argv[2] is n
+CHILD = ("import importlib.util, os, sys\n"
+         "spec = importlib.util.spec_from_file_location('bench', sys.argv[1])\n"
+         "bench = importlib.util.module_from_spec(spec)\n"
+         "spec.loader.exec_module(bench)\n")
+
+
 def host_parallel(n: int = 4_000_000) -> float:
     """Twice spin(n)'s time alone over its time while a second copy runs in another
     process: about 2 when the host gives this run two cores, about 1 when it gives one.
@@ -93,12 +100,7 @@ def host_parallel(n: int = 4_000_000) -> float:
     On a shared host this can change within the hour, and the figures of code that
     runs on two cores (score_batch's lanes) change with it."""
     alone = spin(n)
-    code = ("import importlib.util, sys\n"
-            "spec = importlib.util.spec_from_file_location('bench', sys.argv[1])\n"
-            "bench = importlib.util.module_from_spec(spec)\n"
-            "spec.loader.exec_module(bench)\n"
-            "print(flush=True)\n"
-            "bench.spin(4 * int(sys.argv[2]))\n")
+    code = CHILD + "print(flush=True)\nbench.spin(4 * int(sys.argv[2]))\n"
     # the copy outlasts the timed loop on one core too, and is killed after it
     with subprocess.Popen([sys.executable, "-c", code, __file__, str(n)],
                           stdout=subprocess.PIPE) as other:
@@ -108,6 +110,23 @@ def host_parallel(n: int = 4_000_000) -> float:
         finally:
             other.kill()
     return 2.0 * alone / shared
+
+
+def cpu_seconds(n: int = 4_000_000) -> dict | None:
+    """spin(n)'s seconds in a child process pinned (os.sched_setaffinity, in the child
+    only) to each CPU this process may use, one after another, by CPU number, and the
+    slowest over the fastest; None where the platform cannot pin.  Lanes on two CPUs
+    finish at the slower one's pace, so a two-lane figure moves with max_over_min."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    code = CHILD + ("os.sched_setaffinity(0, {int(sys.argv[3])})\n"
+                    "print(bench.spin(int(sys.argv[2])))\n")
+    seconds = {}
+    for cpu in sorted(os.sched_getaffinity(0)):
+        proc = subprocess.run([sys.executable, "-c", code, __file__, str(n), str(cpu)],
+                              capture_output=True, text=True, check=True)
+        seconds[str(cpu)] = float(proc.stdout)
+    return {"seconds": seconds, "max_over_min": max(seconds.values()) / min(seconds.values())}
 
 
 def directions() -> dict:
@@ -189,7 +208,7 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown workloads {', '.join(unknown)}; known: {', '.join(WORKLOADS)}")
     checkouts = [ROOT] + ([args.baseline.resolve()] if args.baseline else [])
-    parallel_at_start = host_parallel()
+    parallel_at_start, cpus_at_start = host_parallel(), cpu_seconds()
     results = {c: {w: [] for w in workloads} for c in checkouts}
     machine = None
     for seed in range(1, args.repeats + 1):
@@ -204,6 +223,7 @@ def main(argv=None) -> int:
     report = {"seconds": args.seconds, "seeds": list(range(1, args.repeats + 1)),
               "machine": machine, "fingerprint": fingerprint(ROOT), "src_lines": src_lines(ROOT),
               "host_parallel": {"start": parallel_at_start, "end": host_parallel()},
+              "cpu_seconds": {"start": cpus_at_start, "end": cpu_seconds()},
               "workloads": figures(results[ROOT], baseline)}
     if args.baseline:
         report["baseline"] = {"commit": commit(checkouts[1]), "src_lines": src_lines(checkouts[1]),

@@ -306,30 +306,33 @@ def map_network(state, params: MemristorParams | None = None,
 
 
 def crossbar_forward_batch(cb1: Crossbar, cb2: Crossbar, mapping: CrossbarMapping,
-                           group_mats) -> np.ndarray:
-    """Raw analog outputs (B, nz) of a batch of fuzzified inputs, scored by score_batch.
+                           group_mats, readout=None) -> np.ndarray:
+    """Raw analog outputs (B, nz) of a fuzzified batch, scored by score_batch, or its readout.
 
     Each crossbar is read once per call, as its devices stand: cb1's weights
     less the floor, over scale_in and the calibration norms, are the stored
-    unit rows, cb2's less the floor, over scale_out, the output weights.  The
-    input voltages are checked against the device threshold before any read,
-    each chunk's hidden-layer voltages before its read of cb2."""
-    return _score(cb1, cb2, mapping, group_mats)
+    unit rows, cb2's less the floor, over scale_out, the output weights.  In
+    its lane, each chunk's input voltages are checked against the device
+    threshold before its read of cb1, its hidden-layer voltages before its read
+    of cb2; a NaN voltage is skipped, so it hides no other."""
+    return _score(cb1, cb2, mapping, group_mats, readout=readout)
 
 
 def _score(cb1, cb2, mapping, group_mats, fold=None, readout=None):
-    """crossbar_forward_batch, with the output weights times a (k, nz) fold on the left
-    and score_batch's readout (the public name returns raw outputs)."""
+    """crossbar_forward_batch, with the output weights times a (k, nz) fold on the left.
+    Each chunk's voltages are checked in its lane, by reductions that copy nothing."""
     n_v, v = mapping.inv_norms[0].size, abs(mapping.v_read)
     widths = [np.shape(X)[-1] for X in group_mats]
     if widths != [sl.stop - sl.start for sl in mapping.group_slices]:
         raise DimensionMismatch(f"input groups of {widths} columns do not fit the crossbar")
-    if any(max(X.max(initial=0.0), -X.min(initial=0.0)) * v >= cb1.params.v_threshold
-           for X in group_mats):
-        raise ReadDisturbRisk("input read voltage at or above the device threshold")
+
+    def check_inputs(xs):   # each group's largest |X| in the chunk, NaN skipped
+        if any(max(np.fmax.reduce(X, None, initial=0.0), -np.fmin.reduce(X, None, initial=0.0))
+               * v >= cb1.params.v_threshold for X in xs):
+            raise ReadDisturbRisk("input read voltage at or above the device threshold")
 
     def check_hidden(hidden):
-        if hidden.max(initial=0.0) * v >= cb2.params.v_threshold:
+        if np.fmax.reduce(hidden, None, initial=0.0) * v >= cb2.params.v_threshold:
             raise ReadDisturbRisk("hidden-layer read voltage at or above the device threshold")
 
     w1 = cb1.weights()[:n_v] - mapping.floor
@@ -337,7 +340,8 @@ def _score(cb1, cb2, mapping, group_mats, fold=None, readout=None):
                         for sl, inv_w in zip(mapping.group_slices, mapping.inv_norms)])
     w_out = (cb2.weights()[:, :n_v] - mapping.floor) / mapping.scale_out
     w_out = w_out if fold is None else fold @ w_out
-    return score_batch(group_mats, unit_w, w_out, mapping.p, check=check_hidden, readout=readout)
+    return score_batch(group_mats, unit_w, w_out, mapping.p, check=check_hidden, readout=readout,
+                       check_inputs=check_inputs)
 
 
 def crossbar_infer_crisp_batch(cb1, cb2, mapping, group_mats):

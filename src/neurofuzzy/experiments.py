@@ -211,22 +211,22 @@ def _training_data(cfg: ExperimentConfig):
     return pts, np.clip(targets, uz.lo, uz.hi)
 
 
-def _backend_forward(cfg: ExperimentConfig, state: NetworkState, crisp: bool = False):
-    """Raw outputs (B, nz) of the configured backend, or with crisp its centroid readout."""
-    if cfg.backend == "crossbar":
-        cb1, cb2, mapping = crossbar.map_network(state, cfg.device, scale_in=cfg.scale_in,
-                                                 scale_out=cfg.scale_out)
-        read = crossbar.crossbar_infer_crisp_batch if crisp else crossbar.crossbar_forward_batch
-        return lambda mats: read(cb1, cb2, mapping, mats)
-    read = network.infer_crisp_batch if crisp else network.output_batch
-    return lambda mats: read(state, mats)
+def _backend_readout(cfg: ExperimentConfig, state: NetworkState, mats, crisp: bool = False):
+    """The configured backend's argmax labels of mats, or with crisp its centroid
+    readout (predictions, activated); each chunk is read out in its lane."""
+    if cfg.backend == "ideal":
+        return (network.infer_crisp_batch if crisp else network.classify_batch)(state, mats)
+    cbs = crossbar.map_network(state, cfg.device, scale_in=cfg.scale_in, scale_out=cfg.scale_out)
+    if crisp:
+        return crossbar.crossbar_infer_crisp_batch(*cbs, mats)
+    return crossbar.crossbar_forward_batch(*cbs, mats, readout=lambda o: (fuzzy.argmax(o),))[0]
 
 
 def _regression_readout(cfg: ExperimentConfig, state: NetworkState, pts):
     """Centroid predictions at pts through the configured backend, and the count
     of unactivated points, which score as the output midpoint."""
     uz = state.config.output_universe
-    pred, activated = _backend_forward(cfg, state, crisp=True)(state.fuzzify(pts))
+    pred, activated = _backend_readout(cfg, state, state.fuzzify(pts), crisp=True)
     return np.where(activated, pred, (uz.lo + uz.hi) / 2.0), int((~activated).sum())
 
 
@@ -243,7 +243,7 @@ def train_and_score(cfg: ExperimentConfig):
     if cfg.dataset is not None:
         test, labels = gen_classification_dataset(cfg.dataset, cfg.n_test,
                                                   cfg.seed + CLASS_TEST_SEED_OFFSET)
-        predicted = fuzzy.argmax(_backend_forward(cfg, state)(state.fuzzify(test)))
+        predicted = _backend_readout(cfg, state, state.fuzzify(test))
         score = 100.0 * float((predicted == labels).mean())
         ref = CLASSIFICATION[cfg.dataset]["rate"]
         counts = {"per_class_counts": tuple(int((labels == c).sum()) for c in (0, 1)),

@@ -65,14 +65,14 @@ def unit_rows(rows, out=None):
 
 def unit_concat(mats, out=None):
     """Each group's (B, count_g) rows mats[g] as unit_rows, side by side, into out if
-    given, in lanes (_in_lanes).  One GEMM of two such matrices sums the group cosines."""
+    given, in lanes (in_lanes).  One GEMM of two such matrices sums the group cosines."""
     counts = [np.shape(X)[1] for X in mats]
     out = np.empty((len(mats[0]), sum(counts))) if out is None else out
 
     def block(i, c):
         for X, start, k in zip(mats, np.cumsum([0] + counts), counts):
             unit_rows(X[i:i + c], out[i:i + c, start:start + k])
-    _in_lanes(len(out), block)
+    in_lanes(len(out), block)
     return out
 
 
@@ -98,7 +98,7 @@ def int_power(x, p: int, work=None):
 # Batches are scored this many rows at a time, so a chunk's (rows, N) block
 # of cosines stays in cache from the first GEMM through the output GEMM.
 SCORE_ROWS = 1024
-_POOLS = {}   # _in_lanes' lane count L -> the pool that runs its lanes 1 to L - 1
+_POOLS = {}   # in_lanes' lane count L -> the pool that runs its lanes 1 to L - 1
 
 
 def power_activation(sums, n_groups: int, p: int, work=None):
@@ -120,13 +120,13 @@ def usable_cores() -> int:
 
 @cache
 def score_lanes() -> int:
-    """_in_lanes' lanes: usable_cores() // the most BLAS threads set, or 1 if none is."""
+    """in_lanes' lanes: usable_cores() // the most BLAS threads set, or 1 if none is."""
     blas = [int(v) for v in map(os.environ.get, ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                                  "MKL_NUM_THREADS")) if v and v.strip().isdecimal()]
     return max(1, usable_cores() // max(blas)) if any(blas) else 1
 
 
-def _in_lanes(n: int, block, buffers=tuple):
+def in_lanes(n: int, block, buffers=tuple):
     """block(i, c, *bufs) on each SCORE_ROWS block [i, i + c) of rows [0, n).  Of L =
     score_lanes() lanes (at most one a block), lane j takes blocks j, j + L, ...: lane 0
     in the caller, the others in a pool, or in the caller after lane 0 if still queued,
@@ -149,31 +149,35 @@ def _in_lanes(n: int, block, buffers=tuple):
         wait([f for f in futures if not f.cancel()])
 
 
-def score_batch(mats, unit_w, w_out, p: int, hidden=None, check=None, readout=None):
+def score_batch(mats, unit_w, w_out, p: int, hidden=None, check=None, readout=None,
+                check_inputs=None):
     """Outputs (B, k) of (B, count_g) input rows mats[g] against N stored rows unit_w
     (as unit_concat gives them) and (k, N) output weights w_out, raw or folded
     (centroid_matrix); the one scoring loop of both backends, SCORE_ROWS rows at a
-    time, in lanes (_in_lanes).  hidden, if given, receives the (B, N) activations;
-    check, if given, is called on each chunk's activations before its output GEMM.
-    readout, if given, maps each chunk's outputs, in a lane's buffer, to a tuple of
-    arrays of an entry a row, returned (B, ...) in place of the outputs.  No bit of the
-    result depends on L."""
+    time, in lanes (in_lanes).  hidden, if given, receives the (B, N) activations.  Each
+    chunk's input rows (a view a group) go to check_inputs before its first GEMM, its
+    activations to check before its output GEMM, if given.  readout, if given, maps each
+    chunk's outputs, in a lane's buffer, to a tuple of arrays of an entry a row, returned
+    (B, ...) in place of the outputs.  No bit of the result depends on L."""
     n, k, rows = len(mats[0]), w_out.shape[0], min(len(mats[0]), SCORE_ROWS)
     outs = [np.empty((n, k))] if readout is None else [   # typed by a 0-row readout
         np.empty((n,) + r.shape[1:], r.dtype) for r in readout(np.empty((0, k)))]
 
     def block(i, c, units, work, buf):
+        xs = [X[i:i + c] for X in mats]
+        if check_inputs is not None:
+            check_inputs(xs)
         h = work[0, :c] if hidden is None else hidden[i:i + c]
-        np.matmul(unit_concat([X[i:i + c] for X in mats], units[:c]), unit_w.T, out=h)
+        np.matmul(unit_concat(xs, units[:c]), unit_w.T, out=h)
         power_activation(h, len(mats), p, work[1, :c])
         if check is not None:
             check(h)
         o = np.matmul(h, w_out.T, out=outs[0][i:i + c] if readout is None else buf[:c])
         for r, v in zip(outs, () if readout is None else readout(o)):
             r[i:i + c] = v
-    _in_lanes(n, block, lambda: (np.empty((rows, unit_w.shape[1])),
-                                 np.empty((2, rows, unit_w.shape[0])),
-                                 None if readout is None else np.empty((rows, k))))
+    in_lanes(n, block, lambda: (np.empty((rows, unit_w.shape[1])),
+                                np.empty((2, rows, unit_w.shape[0])),
+                                None if readout is None else np.empty((rows, k))))
     return outs[0] if readout is None else tuple(outs)
 
 
@@ -282,5 +286,5 @@ def triangular_matrix(u: Universe, crisps: np.ndarray, half_support: float) -> n
             raise DegenerateFuzzification(
                 f"half_support {half_support} < half the grid spacing leaves some crisp values "
                 "without any support on the grid")
-    _in_lanes(crisps.size, block)
+    in_lanes(crisps.size, block)
     return out

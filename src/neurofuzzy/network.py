@@ -239,8 +239,8 @@ CHUNK_MAX = 64
 
 
 def _check_stream(state: NetworkState, mats, targets) -> np.ndarray:
-    """Validate a whole stream of (B,) crisp targets before training writes
-    anything; returns the targets fuzzified, (B, nz)."""
+    """Validate a whole stream of (B,) crisp targets before training writes anything,
+    the inputs' row extremes block by block in lanes; returns the targets fuzzified, (B, nz)."""
     out_u, n = state.config.output_universe, len(targets) if targets.ndim else 0
     want = [(n, g.universe.count) for g in state.config.groups]
     if [X.shape for X in mats] != want or targets.ndim != 1:
@@ -248,7 +248,13 @@ def _check_stream(state: NetworkState, mats, targets) -> np.ndarray:
                                f"{targets.shape} do not fit {want} and ({n},) crisp targets")
     # a stored weight must be finite and non-negative, or the state cannot be reloaded;
     # NaN propagates through both (G, B) row extremes, and fails both comparisons
-    lo, hi = np.array([X.min(axis=1) for X in mats]), np.array([X.max(axis=1) for X in mats])
+    lo, hi = np.empty((2, len(mats), n))
+
+    def block(i, c):
+        for X, low, high in zip(mats, lo, hi):
+            np.min(X[i:i + c], axis=1, out=low[i:i + c])
+            np.max(X[i:i + c], axis=1, out=high[i:i + c])
+    fuzzy.in_lanes(n, block)
     out_of_range = ~((lo >= 0.0) & (hi < np.inf)).all(axis=0)
     zero = (hi == 0.0).any(axis=0)
     bad = out_of_range | zero | ~out_u.contains(targets)

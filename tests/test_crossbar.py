@@ -549,6 +549,31 @@ class TestCrossbarForward:
         with pytest.raises(ReadDisturbRisk):
             crossbar_forward_batch(cb1, cb2, mapping, rows)
 
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("nan_row", [7, fuzzy.SCORE_ROWS + 7])
+    def test_a_nan_hides_no_hot_input_voltage(self, monkeypatch, g1_state, lanes, nan_row):
+        # 3.0 reads at 1.5 V, above the 1 V threshold; NaN > x is false for every x,
+        # so a max that propagates NaN read the batch (or the chunk) as cool
+        cb1, cb2, mapping = map_network(g1_state)
+        mats = [np.full((2 * fuzzy.SCORE_ROWS, g.universe.count), 0.1)
+                for g in g1_state.config.groups]
+        mats[0][2, 5], mats[0][nan_row, 5] = 3.0, np.nan
+        monkeypatch.setattr(fuzzy, "score_lanes", lambda: lanes)
+        with pytest.raises(ReadDisturbRisk, match="input read voltage"):
+            crossbar_forward_batch(cb1, cb2, mapping, mats)
+        mats[0][2, 5] = 0.1
+        out = crossbar_forward_batch(cb1, cb2, mapping, mats)   # the NaN alone reads NaN
+        assert np.isnan(out[nan_row]).all() and np.isfinite(np.delete(out, nan_row, 0)).all()
+
+    def test_a_nan_hides_no_hot_hidden_voltage(self, g1_state):
+        # as test_read_disturb_on_the_output_read, with a NaN input row in the copy's chunk
+        cb1, cb2, mapping = map_network(g1_state)
+        mapping.v_read = 1.5 * PARAMS.v_threshold
+        rows = [np.vstack([0.6 * g1_state.w_in(g)[:1], np.full((1, grp.universe.count), np.nan)])
+                for g, grp in enumerate(g1_state.config.groups)]
+        with pytest.raises(ReadDisturbRisk, match="hidden-layer read voltage"):
+            crossbar_forward_batch(cb1, cb2, mapping, rows)
+
     def test_chunk_plus_one_rows_match_single_row_calls(self, g1_state):
         cb1, cb2, mapping = map_network(g1_state)
         n = fuzzy.SCORE_ROWS + 1

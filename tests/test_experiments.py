@@ -179,6 +179,23 @@ class TestRunClassification:
         assert stuck.fvu_or_rate < ideal - 25.0
         assert run_classification(cfg).fvu_or_rate == ideal
 
+    @pytest.mark.parametrize("backend", ["ideal", "crossbar"])
+    def test_labels_are_read_out_chunk_by_chunk(self, monkeypatch, backend):
+        # every scoring call of the run takes a readout, so no (B, nz) outputs are built
+        from neurofuzzy import crossbar, fuzzy
+
+        readouts, real = [], fuzzy.score_batch
+
+        def score_batch(*args, readout=None, **kwargs):
+            readouts.append(readout)
+            return real(*args, readout=readout, **kwargs)
+
+        monkeypatch.setattr(fuzzy, "score_batch", score_batch)
+        monkeypatch.setattr(crossbar, "score_batch", score_batch)
+        cfg = paper_classification_config(3, n_train=200, n_test=400, backend=backend)
+        assert run_classification(cfg).fvu_or_rate > 50.0
+        assert len(readouts) == 1 and readouts[0] is not None
+
     def test_unknown_dataset(self):
         with pytest.raises(UnknownDatasetId):
             run_classification(dataclasses.replace(

@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 
 from neurofuzzy import crossbar, experiments, fuzzy, network
-from neurofuzzy.errors import DegenerateFuzzification, ReadDisturbRisk
+from neurofuzzy.errors import (
+    DegenerateFuzzification,
+    OperandOutOfRange,
+    ReadDisturbRisk,
+    ZeroVector,
+)
 from neurofuzzy.fuzzy import SCORE_ROWS, triangular_matrix, universe_from_count
 from oracles import triangular_matrix as broadcast_triangles
 from suite_csv import run_suite
@@ -115,7 +120,10 @@ def test_chunk_readouts_are_those_of_the_outputs(monkeypatch, g1, count):
              ((network.classify_batch(state, mats),),
               (fuzzy.argmax(network.output_batch(state, mats)),)),
              (crossbar.crossbar_infer_crisp_batch(cb1, cb2, mapping, mats),
-              fuzzy.centroid(crossbar._score(cb1, cb2, mapping, mats, fold)))]
+              fuzzy.centroid(crossbar._score(cb1, cb2, mapping, mats, fold))),
+             (crossbar.crossbar_forward_batch(cb1, cb2, mapping, mats,
+                                              readout=lambda out: (fuzzy.argmax(out),)),
+              (fuzzy.argmax(crossbar.crossbar_forward_batch(cb1, cb2, mapping, mats)),))]
     for got, want in pairs:
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -242,6 +250,64 @@ def test_a_hot_middle_chunk_raises_as_in_one_lane(monkeypatch, g1):
         errors.append(str(e.value))
     assert errors == errors[:1] * 3
     assert "hidden-layer" in errors[0]
+
+
+def test_a_hot_input_in_the_last_chunk_raises_before_its_read(monkeypatch, g1):
+    # 2.5 reads at 1.25 V, above the threshold, in the 1-row last chunk only; its lane
+    # checks it before the chunk's first GEMM, which unit_concat feeds, so every other
+    # chunk is read at any lane count, and the hot one is not
+    state, cbs = g1
+    mats = fuzzified(state, 3 * SCORE_ROWS + 1)
+    mats[1][-1, 3] = 2.5
+    lock, running, reads, real = threading.Lock(), [0], [], fuzzy.unit_concat
+
+    def unit_concat(xs, out=None):
+        with lock:
+            running[0] += 1
+            reads.append(len(xs[0]))
+        try:
+            time.sleep(0.01)
+            return real(xs, out)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(fuzzy, "unit_concat", unit_concat)
+    errors = []
+    for count in (1, 2, 3):
+        lanes(monkeypatch, count)
+        reads.clear()
+        with pytest.raises(ReadDisturbRisk) as e:
+            crossbar.crossbar_forward_batch(*cbs, mats)
+        errors.append(str(e.value))
+        assert running[0] == 0
+        done = len(reads)
+        time.sleep(0.05)
+        assert len(reads) == done and reads == [SCORE_ROWS] * 3
+    assert errors == errors[:1] * 3 and "input read voltage" in errors[0]
+
+
+@pytest.mark.parametrize("cols, value, error", [
+    (4, np.nan, OperandOutOfRange),          # one NaN in an otherwise usable row
+    (slice(None), 0.0, ZeroVector),
+])
+def test_a_bad_sample_in_the_last_block_raises_as_in_one_lane(monkeypatch, g1, cols, value,
+                                                              error):
+    state, _ = g1
+    n = 3 * SCORE_ROWS + 1
+    mats = fuzzified(state, n)
+    mats[1][-1, cols] = value
+    uz = state.config.output_universe
+    targets = np.full(n, (uz.lo + uz.hi) / 2.0)
+    before, errors = network.serialize(state), []
+    for count in (1, 2):
+        lanes(monkeypatch, count)
+        trained = state.copy()
+        with pytest.raises(error, match=f"^sample {n - 1}: ") as e:
+            network.train_matrix(trained, mats, targets)
+        errors.append(str(e.value))
+        assert network.serialize(trained) == before
+    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("n", [0, 1, SCORE_ROWS])

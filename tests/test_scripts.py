@@ -122,6 +122,7 @@ class TestBench:
         monkeypatch.setattr(bench, "nfbench", lambda *args: ({"cpus": 1}, result))
         monkeypatch.setattr(bench, "fingerprint", lambda checkout: {"exit": 0, "summary": []})
         monkeypatch.setattr(bench, "commit", lambda checkout: "parent")
+        monkeypatch.setattr(bench, "cpu_seconds", lambda: None)
         package = tmp_path / "parent" / "src" / "neurofuzzy"
         package.mkdir(parents=True)
         (package / "a.py").write_text("x = 1\ny = 2\n")
@@ -184,11 +185,57 @@ class TestBench:
         result = {"metrics": {"run_s": {"value": 1.0, "unit": "s"}}, "correct": True, "failed": 0}
         figures = iter([1.9, 1.1])
         monkeypatch.setattr(bench, "host_parallel", lambda: next(figures))
+        monkeypatch.setattr(bench, "cpu_seconds", lambda: None)
         monkeypatch.setattr(bench, "nfbench", lambda *args: ({"cpus": 2}, result))
         monkeypatch.setattr(bench, "fingerprint", lambda checkout: {"exit": 0, "summary": []})
         out = tmp_path / "bench.json"
         assert bench.main(["--out", str(out), "--workloads", "readout"]) == 0
         assert json.loads(out.read_text())["host_parallel"] == {"start": 1.9, "end": 1.1}
+
+    def test_cpu_seconds_records_each_cpu_and_the_ratio(self, monkeypatch):
+        bench = load("bench")
+        runs = []
+
+        def run(argv, **kwargs):
+            runs.append(argv)
+            seconds = {"0": "0.30", "3": "0.45"}[argv[-1]]
+            return subprocess.CompletedProcess(argv, 0, stdout=seconds + "\n", stderr="")
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {3, 0})
+        monkeypatch.setattr(bench.subprocess, "run", run)
+        assert bench.cpu_seconds(1000) == {"seconds": {"0": 0.30, "3": 0.45},
+                                           "max_over_min": pytest.approx(1.5)}
+        assert [argv[-2:] for argv in runs] == [["1000", "0"], ["1000", "3"]]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+    def test_cpu_seconds_pins_only_its_children_and_leaves_none(self, monkeypatch):
+        bench = load("bench")
+        mask, started, real = os.sched_getaffinity(0), [], subprocess.Popen
+        cpus = set(sorted(mask)[:2])
+
+        def popen(*args, **kwargs):
+            started.append(real(*args, **kwargs))
+            return started[-1]
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(bench.subprocess, "Popen", popen)
+        record = bench.cpu_seconds(20_000)
+        assert sorted(record["seconds"]) == sorted(map(str, cpus))
+        assert all(0.0 < t < 10.0 for t in record["seconds"].values())
+        assert record["max_over_min"] >= 1.0
+        assert len(started) == len(cpus) and all(p.poll() is not None for p in started)
+        assert os.sched_getaffinity(0) == mask
+
+    def test_records_cpu_seconds_at_the_start_and_the_end(self, monkeypatch, tmp_path):
+        bench = load("bench")
+        result = {"metrics": {"run_s": {"value": 1.0, "unit": "s"}}, "correct": True, "failed": 0}
+        records = iter([{"seconds": {"0": 1.0}, "max_over_min": 1.0}, None])
+        monkeypatch.setattr(bench, "host_parallel", lambda: 2.0)
+        monkeypatch.setattr(bench, "cpu_seconds", lambda: next(records))
+        monkeypatch.setattr(bench, "nfbench", lambda *args: ({"cpus": 2}, result))
+        monkeypatch.setattr(bench, "fingerprint", lambda checkout: {"exit": 0, "summary": []})
+        out = tmp_path / "bench.json"
+        assert bench.main(["--out", str(out), "--workloads", "readout"]) == 0
+        assert json.loads(out.read_text())["cpu_seconds"] == {
+            "start": {"seconds": {"0": 1.0}, "max_over_min": 1.0}, "end": None}
 
 
 class TestFingerprint:
