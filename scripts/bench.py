@@ -17,6 +17,9 @@ checkout's figure over the baseline's), a bootstrap 95% interval of the median
 ratio, and whether the claim rule holds (see claim below).  Per workload and checkout,
 ops_uncalibrated_s holds each nfbench operation's (run_modeling, say) median raw
 time, read from the result file each run writes, without nfbench's calibration.
+With --baseline, ops_uncalibrated_pairs holds, per operation, each seed-matched
+pair's raw-time ratio (this checkout's over the baseline's) and the pairs this
+checkout won (the lower time wins), so a claim shows which operation moved.
 Per-layer (traced) figures are not recorded.
 
     python scripts/bench.py --out BENCH_<n>.json [--seconds 20] [--repeats 5] \\
@@ -170,15 +173,28 @@ def figures(results: dict, baseline: dict | None = None) -> dict:
             if baseline is not None:
                 others = [r["metrics"][name]["value"] for r in baseline[workload]]
                 metrics[name].update(claim(values[name], others, better[name]))
-        ops = {}
-        for r in runs:
-            for name, seconds in r.get("op_s", {}).items():
-                ops.setdefault(name, []).append(seconds)
+        ops = op_times(runs)
         out[workload] = {"runs": len(runs), "correct": all(r["correct"] for r in runs),
                          "failed": sum(r["failed"] for r in runs), "metrics": metrics,
                          "values": values,
                          "ops_uncalibrated_s": {name: spread(ts) for name, ts in ops.items()}}
+        if baseline is not None:
+            # which operation moved: lower raw times win, each seed against its own
+            others = op_times(baseline[workload])
+            out[workload]["ops_uncalibrated_pairs"] = {
+                name: {k: v for k, v in claim(ts, others[name], "lower").items()
+                       if k in ("pairs_won", "ratios")}
+                for name, ts in ops.items() if len(others.get(name, ())) == len(ts)}
     return out
+
+
+def op_times(runs) -> dict:
+    """Each operation's op_s over the runs, in run (seed) order."""
+    ops = {}
+    for r in runs:
+        for name, seconds in r.get("op_s", {}).items():
+            ops.setdefault(name, []).append(seconds)
+    return ops
 
 
 def spread(values) -> dict:

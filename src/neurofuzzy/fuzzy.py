@@ -99,6 +99,7 @@ def int_power(x, p: int, work=None):
 # of cosines stays in cache from the first GEMM through the output GEMM.
 SCORE_ROWS = 1024
 _POOLS = {}   # in_lanes' lane count L -> the pool that runs its lanes 1 to L - 1
+LANE_WORK_MIN = 2 ** 20   # in_lane runs a task of fewer products in the caller, handoff-free
 
 
 def power_activation(sums, n_groups: int, p: int, work=None):
@@ -126,6 +127,20 @@ def score_lanes() -> int:
     return max(1, usable_cores() // max(blas)) if any(blas) else 1
 
 
+def _pool(lanes: int) -> ThreadPoolExecutor:
+    return _POOLS.get(lanes) or _POOLS.setdefault(lanes, ThreadPoolExecutor(lanes - 1))
+
+
+def in_lane(work: int, fn, *args):
+    """fn(*args) in a lane of in_lanes' pool if score_lanes() > 1 and work >= LANE_WORK_MIN,
+    else here; returns its join (a no-op here), which runs fn here if still queued, else waits."""
+    if score_lanes() < 2 or work < LANE_WORK_MIN:
+        fn(*args)
+        return lambda: None
+    future = _pool(score_lanes()).submit(fn, *args)
+    return lambda: fn(*args) if future.cancel() else future.result()
+
+
 def in_lanes(n: int, block, buffers=tuple):
     """block(i, c, *bufs) on each SCORE_ROWS block [i, i + c) of rows [0, n).  Of L =
     score_lanes() lanes (at most one a block), lane j takes blocks j, j + L, ...: lane 0
@@ -139,8 +154,7 @@ def in_lanes(n: int, block, buffers=tuple):
     def lane(j, bufs):
         for i in range(j * step, n, lanes * step):
             block(i, min(step, n - i), *bufs)
-    futures = [(_POOLS.get(lanes) or _POOLS.setdefault(lanes, ThreadPoolExecutor(lanes - 1)))
-               .submit(lane, j, sets[j]) for j in range(1, lanes)]
+    futures = [_pool(lanes).submit(lane, j, sets[j]) for j in range(1, lanes)]
     try:
         lane(0, sets[0])
         for j, f in enumerate(futures, 1):

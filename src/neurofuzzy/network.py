@@ -18,9 +18,9 @@ fuzzified inputs) and then Hebbian-update the full output matrix:
     w_ij += alpha * v_j * u_i
 
 with v the hidden activations and u the fuzzified target.  train_matrix is
-the one trainer (train_dataset stacks its samples into it, train_one is train_dataset
-of one sample); it folds each add's update into its chunk's outputs, checks the row
-after an add alone, and stores the chunk's rows and W_out updates once, at its end.
+the one trainer (train_dataset stacks its samples into it, train_one is train_dataset of one
+sample); it folds each add's update into its chunk's outputs, checks the row after an add
+alone, and stores a chunk's rows, then its W_out updates (when large, in a lane), at its end.
 Inference is batched (output_batch and its argmax readout; infer_crisp_batch
 folds the centroid into the output weights); one sample is a 1-row batch.
 """
@@ -240,23 +240,23 @@ CHUNK_MAX = 64
 
 def _check_stream(state: NetworkState, mats, targets) -> np.ndarray:
     """Validate a whole stream of (B,) crisp targets before training writes anything,
-    the inputs' row extremes block by block in lanes; returns the targets fuzzified, (B, nz)."""
+    the inputs' extremes and row sums block by block in lanes; returns the targets fuzzified."""
     out_u, n = state.config.output_universe, len(targets) if targets.ndim else 0
     want = [(n, g.universe.count) for g in state.config.groups]
     if [X.shape for X in mats] != want or targets.ndim != 1:
         raise UniverseMismatch(f"input shapes {[X.shape for X in mats]} and target shape "
                                f"{targets.shape} do not fit {want} and ({n},) crisp targets")
-    # a stored weight must be finite and non-negative, or the state cannot be reloaded;
-    # NaN propagates through both (G, B) row extremes, and fails both comparisons
-    lo, hi = np.empty((2, len(mats), n))
+    # weights must be finite and >= 0, or the state cannot be reloaded: only a block whose
+    # extremes fail (NaN fails both) is checked row by row; a row in range is 0 iff it sums to 0
+    ok, sums = np.ones((len(mats), n), dtype=bool), np.empty((len(mats), n))
 
     def block(i, c):
-        for X, low, high in zip(mats, lo, hi):
-            np.min(X[i:i + c], axis=1, out=low[i:i + c])
-            np.max(X[i:i + c], axis=1, out=high[i:i + c])
+        for x, good, total in zip([X[i:i + c] for X in mats], ok[:, i:i + c], sums[:, i:i + c]):
+            if not (x.min() >= 0.0 and x.max() < np.inf):
+                good[:] = (x.min(axis=1) >= 0.0) & (x.max(axis=1) < np.inf)
+            np.matmul(x, np.ones(x.shape[1]), out=total)
     fuzzy.in_lanes(n, block)
-    out_of_range = ~((lo >= 0.0) & (hi < np.inf)).all(axis=0)
-    zero = (hi == 0.0).any(axis=0)
+    out_of_range, zero = ~ok.all(axis=0), (sums == 0.0).any(axis=0)
     bad = out_of_range | zero | ~out_u.contains(targets)
     if bad.any():
         k = int(np.argmax(bad))
@@ -275,22 +275,32 @@ def _check_stream(state: NetworkState, mats, targets) -> np.ndarray:
         raise DegenerateFuzzification(f"sample {k}: target {targets[k]}: {e}") from e
 
 
+def _hebbian(state: NetworkState, u, hid, rows):
+    """A chunk's Hebbian updates, w_out += alpha * u[rows].T @ hid[rows, :m]; stuck cells +0.0."""
+    m = state.n_minterms
+    delta = u[rows].T @ hid[rows, :m]
+    delta *= state.config.alpha
+    if state.faults is not None:
+        delta[state.faults.out_mask[:, :m]] = 0.0
+    state._w_out[:, :m] += delta
+
+
 def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
     """Present fuzzified samples in order: skip the familiar, grow on the novel.
 
-    mats[g] is the (B, count_g) matrix of group g's rows; targets is (B,) crisp,
-    fuzzified at the output half support.  The novelty error is the absolute
-    centroid error, inf where nothing fires.  Each chunk of CHUNK_MAX samples
-    is scored by one GEMM against the stored rows, its outputs projected
-    through P, the centroid matrix.  An add at chunk row b takes its hidden
-    column from the chunk's self-activations (pristine) or the row as stored
-    (faulted) and folds its update into the rows after b, without faults as
-    the rank-1 (hid @ v) (x) alpha * (u @ P); row b + 1 is then checked alone, as
-    scalars.  The chunk's added rows are stored in one block write at its end, and
-    w_out gets their updates in one masked GEMM.  The result is that of presenting
-    the samples one at a time.  The stream is validated first: an invalid sample k
-    raises with "sample k" and changes nothing; a fault plan out of rows at sample
-    k raises CapacityExceeded, samples 0..k-1 trained.
+    mats[g] is the (B, count_g) matrix of group g's rows; targets is (B,) crisp, fuzzified
+    at the output half support.  The novelty error is the absolute centroid error, inf
+    where nothing fires.  Each chunk of CHUNK_MAX samples is scored by one GEMM against
+    the stored rows, its outputs projected through P, the centroid matrix.  An add at
+    chunk row b takes its hidden column from the chunk's self-activations (pristine) or
+    the row as stored (faulted) and folds its update into the rows after b, without
+    faults as the rank-1 (hid @ v) (x) alpha * (u @ P); row b + 1 is then checked alone,
+    as scalars.  The chunk's added rows are stored in one block write at its end, then
+    w_out gets their updates in one masked GEMM, in a lane if it is large (fuzzy.in_lane),
+    joined before the next chunk reads w_out, at the end and on any raise.  The result is
+    that of presenting the samples one at a time.  The stream is validated first: an
+    invalid sample k raises with "sample k" and changes nothing; a fault plan out of rows
+    at sample k raises CapacityExceeded, samples 0..k-1 trained.
     """
     cfg, faults = state.config, state.faults
     targets = np.asarray(targets, dtype=np.float64)
@@ -301,72 +311,73 @@ def train_matrix(state: NetworkState, mats, targets) -> TrainingStats:
     stats = TrainingStats(n_samples=n, errors=np.full(n, np.inf))
     proj = fuzzy.centroid_matrix(cfg.output_universe.grid())
     hebb = cfg.alpha * (fuzzy_targets @ proj)
-    for i in range(0, n, CHUNK_MAX):
-        stop = min(i + CHUNK_MAX, n)
-        n0 = state.n_minterms
-        # hidden activations of the chunk, scored as one contiguous block (numpy works
-        # through a strided view of hid 2.4x slower); a min-term added at chunk row b
-        # fills its column from row b on, and reads 0 in the rows above
-        act = _hidden(state, units[i:stop])
-        hid = np.zeros((stop - i, n0 + stop - i))
-        hid[:, :n0] = act
-        out = act @ (proj.T @ state.w_out).T
-        start, b, selfs, adds = 0, None, None, []
-        try:
-            while start < stop - i:
-                if b is None:
-                    # in place: a row that does not fire keeps its inf, as no add lowers
-                    # a denominator (hidden values, targets and stuck weights are >= 0)
-                    err = fuzzy.centroid(out[start:], out=stats.errors[i + start:stop])[0]
-                    np.abs(np.subtract(err, targets[i + start:stop], out=err), out=err)
-                    # the first novel row; an overflowed centroid (NaN) is novel and reads inf
-                    k = int((err < cfg.novelty_threshold).argmin())
-                    if err[k] < cfg.novelty_threshold:
-                        break
-                    err[k] = min(np.inf, err[k])   # NaN < inf is false, so min keeps inf
-                    b = start + k
-                j, start, m = i + b, b + 1, n0 + len(adds)
-                if faults is not None and m == faults.capacity:
-                    raise CapacityExceeded(f"sample {j}: fault plan provisions {m} min-term "
-                                           "rows; all are in use")
-                stats.add_indices.append(m)
-                adds.append(b)
-                h = hid[b, :m + 1]
-                if faults is None:
-                    # the stored row copies the input: its column is a self-activation
-                    if selfs is None:
-                        b0, selfs = b, fuzzy.power_activation(units[j:stop] @ units[j:stop].T,
-                                                              len(cfg.groups), cfg.p)
-                    hid[b:, m] = selfs[b - b0:, b - b0]
-                    out[start:] += (hid[start:, :m + 1] @ h)[:, None] * hebb[j]
-                else:
-                    # scored against the row as stored, whose stuck cells already hold weight
-                    rows = [np.where(faults.in_masks[g][m], faults.in_stuck[g][m], X[j:j + 1])
-                            for g, X in enumerate(mats)]
-                    hid[b:, m] = fuzzy.power_activation(units[j:stop] @ fuzzy.unit_concat(rows)[0],
-                                                        len(cfg.groups), cfg.p)
-                    delta = cfg.alpha * np.outer(fuzzy_targets[j], h)
-                    delta[faults.out_mask[:, :m + 1]] = 0.0
-                    out[start:] += np.outer(hid[start:, m], state._w_out[:, m] @ proj)
-                    out[start:] += hid[start:, :m + 1] @ (delta.T @ proj)
-                b = None
-                if start < stop - i:   # the row after an add, checked alone as scalars
-                    num, den = out[start].tolist()
-                    e = min(np.inf, abs(num / den - targets[j + 1])) if den > 0.0 else np.inf
-                    stats.errors[j + 1] = e
-                    if e < cfg.novelty_threshold:
-                        start += 1     # familiar: the tail scan goes on after it
+    joins = []   # of the last chunk's w_out update (fuzzy.in_lane), popped as it is joined
+    try:
+        for i in range(0, n, CHUNK_MAX):
+            stop, n0 = min(i + CHUNK_MAX, n), state.n_minterms
+            # the chunk's activations, one contiguous block (numpy runs 2.4x slower on a strided
+            # view of hid); a min-term added at chunk row b fills its column from row b, 0 above
+            act = _hidden(state, units[i:stop])
+            hid = np.empty((stop - i, n0 + stop - i))
+            hid[:, :n0], hid[:, n0:] = act, 0.0
+            while joins:   # the last chunk's w_out update, which this chunk reads from here on
+                joins.pop()()
+            out = act @ (proj.T @ state.w_out).T
+            start, b, selfs, adds = 0, None, None, []
+            try:
+                while start < stop - i:
+                    if b is None:
+                        # in place: a row that does not fire keeps its inf, as no add lowers
+                        # a denominator (hidden values, targets and stuck weights are >= 0)
+                        err = fuzzy.centroid(out[start:], out=stats.errors[i + start:stop])[0]
+                        np.abs(np.subtract(err, targets[i + start:stop], out=err), out=err)
+                        # the first novel row; an overflowed centroid (NaN) is novel, reads inf
+                        k = int((err < cfg.novelty_threshold).argmin())
+                        if err[k] < cfg.novelty_threshold:
+                            break
+                        err[k] = min(np.inf, err[k])   # NaN < inf is false, so min keeps inf
+                        b = start + k
+                    j, start, m = i + b, b + 1, n0 + len(adds)
+                    if faults is not None and m == faults.capacity:
+                        raise CapacityExceeded(f"sample {j}: fault plan provisions {m} "
+                                               "min-term rows; all are in use")
+                    stats.add_indices.append(m)
+                    adds.append(b)
+                    h = hid[b, :m + 1]
+                    if faults is None:
+                        # the stored row copies the input: its column is a self-activation
+                        if selfs is None:
+                            b0, selfs = b, fuzzy.power_activation(
+                                units[j:stop] @ units[j:stop].T, len(cfg.groups), cfg.p)
+                        hid[b:, m] = selfs[b - b0:, b - b0]
+                        out[start:] += (hid[start:, :m + 1] @ h)[:, None] * hebb[j]
                     else:
-                        b = start
-        finally:  # the chunk's rows and w_out updates, written at once; stuck cells add +0.0
-            if adds:
-                state._store_rows([X[i:stop][adds] for X in mats], units[i:stop][adds])
-                m = state.n_minterms
-                delta = fuzzy_targets[i:stop][adds].T @ hid[adds, :m]
-                delta *= cfg.alpha
-                if faults is not None:
-                    delta[faults.out_mask[:, :m]] = 0.0
-                state._w_out[:, :m] += delta
+                        # scored against the row as stored, whose stuck cells hold weight
+                        rows = [np.where(faults.in_masks[g][m], faults.in_stuck[g][m],
+                                         X[j:j + 1]) for g, X in enumerate(mats)]
+                        hid[b:, m] = fuzzy.power_activation(
+                            units[j:stop] @ fuzzy.unit_concat(rows)[0], len(cfg.groups), cfg.p)
+                        delta = cfg.alpha * np.outer(fuzzy_targets[j], h)
+                        delta[faults.out_mask[:, :m + 1]] = 0.0
+                        out[start:] += np.outer(hid[start:, m], state._w_out[:, m] @ proj)
+                        out[start:] += hid[start:, :m + 1] @ (delta.T @ proj)
+                    b = None
+                    if start < stop - i:   # the row after an add, checked alone as scalars
+                        num, den = out[start].tolist()
+                        e = min(np.inf, abs(num / den - targets[j + 1])) if den > 0 else np.inf
+                        stats.errors[j + 1] = e
+                        if e < cfg.novelty_threshold:
+                            start += 1     # familiar: the tail scan goes on after it
+                        else:
+                            b = start
+            finally:  # the chunk's rows, then its w_out updates, each written at once
+                if adds:
+                    state._store_rows([X[i:stop][adds] for X in mats], units[i:stop][adds])
+                    joins.append(fuzzy.in_lane(len(proj) * len(adds) * state.n_minterms,
+                                               _hebbian, state, fuzzy_targets[i:stop], hid, adds))
+    finally:
+        while joins:
+            joins.pop()()
     stats.n_minterms_added = len(stats.add_indices)
     return stats
 

@@ -310,6 +310,33 @@ def test_a_bad_sample_in_the_last_block_raises_as_in_one_lane(monkeypatch, g1, c
     assert errors[0] == errors[1]
 
 
+@pytest.mark.parametrize("first, second, error", [
+    ((0, slice(None), 0.0), (1, 2, np.nan), ZeroVector),
+    ((1, 2, np.nan), (0, slice(None), 0.0), OperandOutOfRange),
+    ((1, 0, -1.0), (0, 3, np.inf), OperandOutOfRange),
+    ((0, slice(None), -0.0), (1, slice(None), 0.0), ZeroVector),
+], ids=["zero-then-nan", "nan-then-zero", "negative-then-inf", "minus-zero-then-zero"])
+def test_the_first_of_two_bad_rows_in_lane_1s_block_is_named(monkeypatch, g1, first, second,
+                                                             error):
+    # block 1 of three is lane 1's at L = 2; a (group, columns, value) spoils each row
+    state, _ = g1
+    n, k = 3 * SCORE_ROWS, SCORE_ROWS + 5
+    mats = fuzzified(state, n)
+    for row, (g, cols, value) in ((k, first), (k + 9, second)):
+        mats[g][row, cols] = value
+    uz = state.config.output_universe
+    targets = np.full(n, (uz.lo + uz.hi) / 2.0)
+    before, errors = network.serialize(state), []
+    for count in (1, 2):
+        lanes(monkeypatch, count)
+        trained = state.copy()
+        with pytest.raises(error, match=f"^sample {k}: ") as e:
+            network.train_matrix(trained, mats, targets)
+        errors.append(str(e.value))
+        assert network.serialize(trained) == before
+    assert errors[0] == errors[1]
+
+
 @pytest.mark.parametrize("n", [0, 1, SCORE_ROWS])
 def test_one_chunk_runs_in_the_caller(monkeypatch, g1, n):
     state, _ = g1
@@ -329,10 +356,18 @@ def test_no_blas_variable_starts_no_thread(monkeypatch, g1):
     for var in BLAS_VARS:
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setattr(fuzzy, "score_lanes", fuzzy.score_lanes.__wrapped__)
+    # a novel stream, with every w_out update at or over in_lane's cut
+    monkeypatch.setattr(fuzzy, "LANE_WORK_MIN", 0)
+    monkeypatch.setattr(fuzzy, "_POOLS", {})
+    cfg = experiments.paper_modeling_config("g5", n_train=300, noise_variance=0.01)
+    pts, targets = experiments._training_data(cfg)
     before = threading.active_count()
     network.output_batch(state, fuzzified(state, 4 * SCORE_ROWS))
+    stats = network.train_matrix(network.NetworkState(cfg.net),
+                                 network.NetworkState(cfg.net).fuzzify(pts), targets)
+    assert stats.n_minterms_added > network.CHUNK_MAX
     assert fuzzy.score_lanes() == 1
-    assert threading.active_count() == before
+    assert threading.active_count() == before and fuzzy._POOLS == {}
 
 
 @pytest.mark.parametrize("env, want", [
@@ -366,10 +401,14 @@ def test_usable_cores_follows_the_affinity_mask():
     assert 1 <= fuzzy.usable_cores() <= (os.cpu_count() or 1)
 
 
-def test_suite_csvs_do_not_depend_on_the_lanes(monkeypatch, tmp_path):
+@pytest.mark.parametrize("table", ["table1", "noise", "table3"])
+def test_suite_csvs_do_not_depend_on_the_lanes(monkeypatch, tmp_path, table):
+    # two lanes at in_lane's cut, then with every training update in a lane
     lanes(monkeypatch, 1)
-    run_suite(tmp_path / "one", "--only", "table1", "--jobs", "1")
+    run_suite(tmp_path / "one", "--only", table, "--jobs", "1")
     lanes(monkeypatch, 2)
-    run_suite(tmp_path / "two", "--only", "table1", "--jobs", "1")
-    one, two = (tmp_path / d / "suite_table1.csv" for d in ("one", "two"))
-    assert one.read_bytes() == two.read_bytes()
+    run_suite(tmp_path / "two", "--only", table, "--jobs", "1")
+    monkeypatch.setattr(fuzzy, "LANE_WORK_MIN", 0)
+    run_suite(tmp_path / "all", "--only", table, "--jobs", "1")
+    one, two, every = (tmp_path / d / f"suite_{table}.csv" for d in ("one", "two", "all"))
+    assert one.read_bytes() == two.read_bytes() == every.read_bytes()

@@ -161,6 +161,25 @@ class TestBench:
         assert ops == {"run_modeling": {"median": 6.0, "q1": 4.0, "q3": 8.0},
                        "probe": {"median": 9.0, "q1": 6.0, "q3": 12.0}}
 
+    def test_records_each_operations_raw_time_pairs_against_the_baseline(self):
+        bench = load("bench")
+
+        def runs(ops):
+            return [{"metrics": {"run_s": {"value": 1.0, "unit": "s"}}, "correct": True,
+                     "failed": 0, "op_s": dict(zip(ops, ts))} for ts in zip(*ops.values())]
+        change = runs({"run_modeling": [1.0, 3.0, 2.0, 4.0, 1.0],
+                       "rebuild_trained_state": [2.0, 2.0, 2.0, 2.0, 2.0],
+                       "renamed": [1.0] * 5})
+        parent = runs({"run_modeling": [2.0, 2.0, 4.0, 4.0, 2.0],
+                       "rebuild_trained_state": [1.0, 4.0, 1.0, 8.0, 2.0]})
+        fig = bench.figures({"train-novel": change}, {"train-novel": parent})["train-novel"]
+        # lower is better: 3.0 > 2.0 loses, 4.0 = 4.0 wins for neither
+        assert fig["ops_uncalibrated_pairs"] == {
+            "run_modeling": {"pairs_won": 3, "ratios": [0.5, 1.5, 0.5, 1.0, 0.5]},
+            "rebuild_trained_state": {"pairs_won": 2, "ratios": [2.0, 0.5, 2.0, 0.25, 1.0]}}
+        assert fig["ops_uncalibrated_s"]["run_modeling"]["median"] == 2.0
+        assert "ops_uncalibrated_pairs" not in bench.figures({"train-novel": change})["train-novel"]
+
     def test_host_parallel_is_twice_the_loop_time_alone_over_its_shared_time(self, monkeypatch):
         bench = load("bench")
         times = iter([0.3, 0.6])

@@ -2,6 +2,8 @@
 
 import dataclasses
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -314,6 +316,145 @@ class TestSameBitsAsTheFrozenChunkLoop:
             train_matrix(fast, mats, targets)
         chunked_train(frozen, [X[:cap] for X in mats], targets[:cap])
         assert fast.n_minterms == cap and states_equal(fast, frozen)
+
+
+def lane_updates(monkeypatch, count, cut=None):
+    """Run at score_lanes() = count, at in_lane's cut if given; returns the list that
+    collects the arguments of each w_out update handed to the lanes' pool from here on."""
+    monkeypatch.setattr(fuzzy, "score_lanes", lambda: count)
+    if cut is not None:
+        monkeypatch.setattr(fuzzy, "LANE_WORK_MIN", cut)
+    handed, real = [], fuzzy._pool
+
+    class Counted:
+        def __init__(self, pool):
+            self.pool = pool
+
+        def submit(self, fn, *args):
+            if fn is network._hebbian:
+                handed.append(args)
+            return self.pool.submit(fn, *args)
+    monkeypatch.setattr(fuzzy, "_pool", lambda lanes: Counted(real(lanes)))
+    return handed
+
+
+def noisy_g2_stream():
+    cfg = experiments.paper_modeling_config("g2", n_train=2000, noise_variance=0.01)
+    pts, targets = experiments._training_data(cfg)
+    return cfg.net, NetworkState(cfg.net).fuzzify(pts), targets
+
+
+def lane_cases():
+    """(name, cfg, mats, targets, faults, prefix): streams whose every update is below
+    the default cut, and the noisy g2 stream, most of whose updates reach it."""
+    n = 3 * C + 1
+    cfg, mats, targets = block_stream(range(1, n), n)
+    yield "all-novel", cfg, mats, targets, None, None
+    yield "all-novel-faulted", cfg, mats, targets, faults_for(cfg, n), None
+    prefixed = config(threshold=0.1)
+    yield ("prefix", prefixed, *random_stream(prefixed, 11, 3 * C + 7), None,
+           random_stream(prefixed, 12, C))
+    cfg, mats, targets = block_stream((5, 6, 7, 8), 20)
+    yield "stuck-out-cells-mid-chunk", cfg, mats, targets, mid_chunk_faults(cfg), None
+    yield "noisy-g2-2000", *noisy_g2_stream(), None, None
+
+
+LANE_CASES = {case[0]: case[1:] for case in lane_cases()}
+
+
+class TestTheUpdateInALane:
+    @pytest.mark.parametrize("cut", [None, 0], ids=["default-cut", "every-update"])
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("case", LANE_CASES)
+    def test_same_bits_as_the_frozen_loop(self, monkeypatch, case, count, cut):
+        cfg, mats, targets, faults, prefix = LANE_CASES[case]
+        handed = lane_updates(monkeypatch, count, cut)
+        assert_same_bits_as_frozen_loop(cfg, mats, targets, faults, prefix)
+        if count == 1:
+            assert handed == []
+        elif cut == 0 or case == "noisy-g2-2000":
+            assert len(handed) >= 1
+        else:
+            assert handed == []     # every update of these streams is below the default cut
+
+    @pytest.mark.parametrize("held", [False, True], ids=["free-lane", "held-lane"])
+    def test_capacity_exceeded_mid_chunk_leaves_the_frozen_loops_state(self, monkeypatch,
+                                                                       held):
+        # chunk 0's update goes to a lane and is joined before chunk 1's outputs; chunk 1
+        # raises at sample C + 5, after its update went to a lane, which the raise joins
+        # (with the lane held, only that join runs it)
+        n, cap = 2 * C, C + 5
+        cfg, mats, targets = block_stream(range(1, n), n)
+        faults = faults_for(cfg, cap)
+        fast, frozen = NetworkState(cfg, faults=faults), NetworkState(cfg, faults=faults)
+        chunked_train(frozen, [X[:cap] for X in mats], targets[:cap])
+        handed = lane_updates(monkeypatch, 2, cut=0)
+        fuzzy.in_lane(1, lambda: None)()               # makes the pool, if no test has
+        release = threading.Event()
+        if held:
+            fuzzy._POOLS[2].submit(release.wait, 10.0)
+        try:
+            with pytest.raises(CapacityExceeded, match=rf"^sample {cap}: .*all are in use$"):
+                train_matrix(fast, mats, targets)
+            assert fast.n_minterms == cap and states_equal(fast, frozen)
+        finally:
+            release.set()
+        assert len(handed) == 2
+
+    def test_a_queued_update_runs_in_the_caller(self, monkeypatch):
+        # the pool's one thread is held, so every update is still queued at its join
+        cfg, mats, targets, _, _ = LANE_CASES["all-novel"]
+        want = NetworkState(cfg)
+        train_matrix(want, mats, targets)
+        handed = lane_updates(monkeypatch, 2, cut=0)
+        train_matrix(NetworkState(cfg), mats, targets)     # makes the pool, if no test has
+        threads, real = [], network._hebbian
+        monkeypatch.setattr(network, "_hebbian", lambda *a: threads.append(
+            threading.get_ident()) or real(*a))
+        release = threading.Event()
+        held = fuzzy._POOLS[2].submit(release.wait, 10.0)
+        handed.clear()
+        try:
+            got = NetworkState(cfg)
+            train_matrix(got, mats, targets)
+            assert not held.done()
+        finally:
+            release.set()
+        assert held.result()
+        # one update a chunk, each handed to the lane and run here
+        assert len(handed) == 4 and threads == [threading.get_ident()] * 4
+        assert states_equal(got, want)
+
+    def test_threads_training_at_once(self, monkeypatch):
+        # four callers share the one pool thread; each state is its serial result
+        cfg = config(threshold=0.1)
+        streams = [random_stream(cfg, s, 3 * C + 7) for s in range(4)]
+        want = [NetworkState(cfg) for _ in streams]
+        for state, stream in zip(want, streams):
+            train_matrix(state, *stream)
+        handed = lane_updates(monkeypatch, 2, cut=0)
+        got = [NetworkState(cfg) for _ in streams]
+        start, errors = threading.Barrier(4), []
+
+        def train(k):
+            try:
+                start.wait(10.0)
+                train_matrix(got[k], *streams[k])
+            except BaseException as e:
+                errors.append(e)
+        threads = [threading.Thread(target=train, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert len(handed) >= 4
+        assert all(states_equal(a, b) for a, b in zip(got, want))
 
 
 def test_one_row_store_per_chunk_with_adds(monkeypatch):
