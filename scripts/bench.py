@@ -20,7 +20,10 @@ time, read from the result file each run writes, without nfbench's calibration.
 With --baseline, ops_uncalibrated_pairs holds, per operation, each seed-matched
 pair's raw-time ratio (this checkout's over the baseline's) and the pairs this
 checkout won (the lower time wins), so a claim shows which operation moved.
-Per-layer (traced) figures are not recorded.
+After the timed runs, each checkout runs `nfbench/run.py --trace 1` once per
+workload, on seed --repeats + 1, which no timed run used; per_layer holds the
+per-layer figures that run reports, as reported, with the baseline's value
+beside each, and whether the traced run was correct.
 
     python scripts/bench.py --out BENCH_<n>.json [--seconds 20] [--repeats 5] \\
         [--workloads train-novel,readout] [--baseline DIR]
@@ -47,14 +50,14 @@ def run(checkout: Path, argv, **env):
     return proc.returncode, proc.stdout.splitlines(), proc.stderr
 
 
-def nfbench(checkout: Path, workload: str, seed: int, seconds: float):
-    """(machine info, result) of one untraced nfbench run: its last two output lines,
-    the result with op_s, op_seconds of the result file the run wrote."""
+def nfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0):
+    """(machine info, result) of one nfbench run, untraced unless trace is 1: its last
+    two output lines, the result with op_s, op_seconds of the result file the run wrote."""
     rc, lines, err = run(checkout, ["nfbench/run.py", "--workload", workload, "--seed", str(seed),
-                                    "--seconds", str(seconds), "--trace", "0"])
+                                    "--seconds", str(seconds), "--trace", str(trace)])
     if rc != 0 or len(lines) < 2:
         raise SystemExit(f"{checkout}: nfbench {workload} seed {seed} exited {rc}\n{err}")
-    path = checkout / "nfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    path = checkout / "nfbench" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
     result = {**json.loads(lines[-1]), "op_s": op_seconds(json.loads(path.read_text()))}
     return json.loads(lines[-2])["machine"], result
 
@@ -188,6 +191,20 @@ def figures(results: dict, baseline: dict | None = None) -> dict:
     return out
 
 
+def per_layer(traced: dict, baseline: dict | None = None) -> dict:
+    """Per workload: whether its traced run was correct, and each per-layer figure it
+    reported, with the baseline's traced value beside it when there is one."""
+    out = {}
+    for workload, result in traced.items():
+        metrics = {name: dict(m) for name, m in result["metrics"].items()}
+        if baseline is not None:
+            for name, m in metrics.items():
+                m["baseline"] = baseline[workload]["metrics"].get(name, {}).get("value")
+        out[workload] = {"correct": result["correct"], "failed": result["failed"],
+                         "metrics": metrics}
+    return out
+
+
 def op_times(runs) -> dict:
     """Each operation's op_s over the runs, in run (seed) order."""
     ops = {}
@@ -235,12 +252,20 @@ def main(argv=None) -> int:
                 results[c][workload].append(result)
                 print(f"{c.name} {workload} seed {seed}: correct {result['correct']}, "
                       f"failed {result['failed']}", file=sys.stderr)
+    traced_seed, traced = args.repeats + 1, {c: {} for c in checkouts}
+    for workload in workloads:
+        for c in checkouts:
+            result = traced[c][workload] = nfbench(c, workload, traced_seed, args.seconds, 1)[1]
+            print(f"{c.name} {workload} seed {traced_seed} traced: correct {result['correct']}, "
+                  f"failed {result['failed']}", file=sys.stderr)
     baseline = results[checkouts[1]] if args.baseline else None
     report = {"seconds": args.seconds, "seeds": list(range(1, args.repeats + 1)),
               "machine": machine, "fingerprint": fingerprint(ROOT), "src_lines": src_lines(ROOT),
               "host_parallel": {"start": parallel_at_start, "end": host_parallel()},
               "cpu_seconds": {"start": cpus_at_start, "end": cpu_seconds()},
-              "workloads": figures(results[ROOT], baseline)}
+              "workloads": figures(results[ROOT], baseline),
+              "per_layer": {"seed": traced_seed, "workloads": per_layer(
+                  traced[ROOT], traced[checkouts[1]] if args.baseline else None)}}
     if args.baseline:
         report["baseline"] = {"commit": commit(checkouts[1]), "src_lines": src_lines(checkouts[1]),
                               "workloads": figures(baseline)}

@@ -15,10 +15,9 @@ configuration error, 2 runtime failure.
 import argparse
 import configparser
 import csv
-import io
+import functools
 import os
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -173,9 +172,11 @@ def _out_dir(args) -> Path:
 
 
 def atomic_write(path: Path, data: str | bytes) -> None:
-    """Write via temp file + rename so interrupted runs never truncate output,
-    then log the write; every file but the streaming suite CSVs is written here."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    """Write via a new temp file (mode 0o666, so the umask applies) + rename, so
+    interrupted runs never truncate output, then log the write; every file but
+    the streaming suite CSVs is written here."""
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with (os.fdopen(fd, "wb") if isinstance(data, bytes)
               else os.fdopen(fd, "w", newline="")) as fh:
@@ -190,14 +191,16 @@ def atomic_write(path: Path, data: str | bytes) -> None:
 
 def _write_csv(path: Path, header, rows) -> str:
     """Write a CSV file atomically, headed unless header is None; returns its text.
-    The csv module writes a Python float as its repr, so every float round-trips."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if header is not None:
-        writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write(path, buf.getvalue())
-    return buf.getvalue()
+    Floats are written as repr; a float64 table formats each distinct bit pattern once."""
+    if isinstance(rows, np.ndarray):        # by bit pattern: -0.0 keeps its sign, unlike 0.0
+        bits, at = np.unique(rows.view(np.int64), return_inverse=True)
+        texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        rows = texts[at].reshape(rows.shape).tolist()
+    else:                                   # str, int and float fields: none needs quoting
+        rows = [list(map(str, row)) for row in rows]
+    text = "".join(",".join(row) + "\n" for row in ([header] if header else []) + rows)
+    atomic_write(path, text)
+    return text
 
 
 # --- subcommands --------------------------------------------------------------
@@ -217,7 +220,7 @@ def cmd_model(args, file_cfg) -> int:
                                 REPORT_COLUMNS, [report.csv_row(with_runtime=args.timing)]))
     if getattr(args, "surface", False):
         _write_csv(out_dir / f"surface_{cfg.function}.csv",
-                   ["x", "y", "predicted", "actual"], experiments.surface_grid(cfg, state).tolist())
+                   ["x", "y", "predicted", "actual"], experiments.surface_grid(cfg, state))
     if state_path is not None:
         atomic_write(state_path, network.serialize(state))
     return 0
@@ -282,7 +285,7 @@ def cmd_crossbar_compare(args, file_cfg) -> int:
     cfg = None if args.sweep_only else resolve(args, file_cfg)
     sweep = np.column_stack(crossbar.delta_weight_sweep(_crossbar_setup(file_cfg)["device"]))
     out_dir = _out_dir(args)
-    _write_csv(out_dir / "device_weight_sweep.csv", ["voltage", "delta_weight"], sweep.tolist())
+    _write_csv(out_dir / "device_weight_sweep.csv", ["voltage", "delta_weight"], sweep)
     if args.sweep_only:
         return 0
     _progress(f"training ideal {cfg.function} model for crossbar comparison")
@@ -298,7 +301,7 @@ def cmd_crossbar_compare(args, file_cfg) -> int:
     rel = np.abs(cb_out - ideal_out) / denom
     _write_csv(out_dir / f"crossbar_compare_{cfg.function}.csv",
                ["probe", "max_rel_deviation", "mean_rel_deviation"],
-               ([i, float(r.max()), float(r.mean())] for i, r in enumerate(rel)))
+               [[i, float(r.max()), float(r.mean())] for i, r in enumerate(rel)])
     print(f"max relative output deviation over {n_probes} probes: {rel.max():.3e}")
     return 0
 
@@ -315,7 +318,7 @@ def cmd_dump_state(args, file_cfg) -> int:
               f"x {grp.universe.count}, half_support {grp.half_support}")
         tables.append((f"state_w_in_{grp.name}.csv", state.w_in(g)))
     for name, rows in tables + [("state_w_out.csv", state.w_out)]:
-        _write_csv(out_dir / name, None, rows.tolist())
+        _write_csv(out_dir / name, None, rows)
     return 0
 
 
@@ -347,6 +350,7 @@ def _add_model_flags(sub):
     sub.add_argument("--threshold", type=float)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="neurofuzzy",
                                      description=__doc__.splitlines()[0])
@@ -358,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_model.add_argument("--surface", action="store_true",
                          help="also write a (x,y,predicted,actual) grid CSV")
     p_model.add_argument("--save-state", help="serialize the trained network here")
-    p_model.set_defaults(func=cmd_model)
+    p_model.set_defaults(func=cmd_model.__name__)
 
     p_classify = subs.add_parser("classify", help="run one classification set")
     _add_common(p_classify)
@@ -366,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--n-train", type=int, dest="n_train")
     p_classify.add_argument("--n-test", type=int, dest="n_test")
     p_classify.add_argument("--threshold", type=float)
-    p_classify.set_defaults(func=cmd_model)
+    p_classify.set_defaults(func=cmd_model.__name__)
 
     # noise and fault: modeling runs whose study key defaults below the file and the flag
     for name, text, key, default in [
@@ -376,14 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p_study)
         _add_model_flags(p_study)
         p_study.add_argument("--" + key.replace("_", "-"), type=float, dest=key)
-        p_study.set_defaults(func=cmd_model, study_default={key: default})
+        p_study.set_defaults(func=cmd_model.__name__, study_default={key: default})
 
     p_suite = subs.add_parser("suite", help="reproduce every table")
     _add_common(p_suite)
     p_suite.add_argument("--only", help="run a single table "
                          "(table1, table3, classification, noise, fault)")
     p_suite.add_argument("--jobs", type=int, help="worker pool size")
-    p_suite.set_defaults(func=cmd_suite)
+    p_suite.set_defaults(func=cmd_suite.__name__)
 
     p_cmp = subs.add_parser("crossbar-compare",
                             help="map a trained model onto crossbars and compare")
@@ -392,22 +396,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--sweep-only", action="store_true",
                        help="only emit the device weight-change sweep CSV")
     p_cmp.add_argument("--n-probes", type=int, help="probe points (default 100)")
-    p_cmp.set_defaults(func=cmd_crossbar_compare, study_default={"backend": "crossbar"})
+    p_cmp.set_defaults(func=cmd_crossbar_compare.__name__, study_default={"backend": "crossbar"})
 
     p_dump = subs.add_parser("dump-state", help="inspect a serialized network")
     _add_out_dir(p_dump)
     p_dump.add_argument("--state", required=True, help="serialized state file")
-    p_dump.set_defaults(func=cmd_dump_state)
+    p_dump.set_defaults(func=cmd_dump_state.__name__)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: the first call builds the parser; each finds its function by name."""
+    args = build_parser().parse_args(argv)
     try:
         file_cfg = load_config_file(args.config) if getattr(args, "config", None) else {}
-        return args.func(args, file_cfg)
+        return globals()[args.func](args, file_cfg)
     except (ConfigError, UnknownDatasetId, FileNotFoundError, FileExistsError,
             IsADirectoryError, NotADirectoryError, PermissionError) as e:  # a bad path given
         print(f"error: {e}", file=sys.stderr)

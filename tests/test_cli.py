@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import csv
 import functools
 import io
 import json
@@ -960,3 +962,146 @@ class TestEntryPoint:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
         assert proc.returncode == 0
         assert "fvu_or_rate" in proc.stdout
+
+
+def _csv_module_text(header, rows) -> str:
+    """What csv.writer writes for a header (None: none) and rows: _write_csv's reference."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows(rows.tolist() if isinstance(rows, np.ndarray) else rows)
+    return buf.getvalue()
+
+
+class TestCsvWriter:
+    """_write_csv writes the bytes csv.writer writes on the same rows."""
+
+    def test_every_table_the_commands_write(self, tmp_path, monkeypatch):
+        from neurofuzzy import experiments, network
+
+        written, real = [], cli._write_csv
+
+        def checked(path, header, rows):
+            text = real(path, header, rows)
+            assert text == _csv_module_text(header, rows), path.name
+            assert path.read_bytes() == text.encode()
+            written.append((path.name, text))
+            return text
+        monkeypatch.setattr(cli, "_write_csv", checked)
+        state, empty = tmp_path / "g1.state", tmp_path / "empty.state"
+        empty.write_bytes(network.serialize(network.NetworkState(
+            experiments.paper_modeling_config("g1").net)))
+        for argv in (["model", "--fn", "g1", "--surface", "--save-state", str(state)],
+                     ["model", "--fn", "g1", "--p", "3"] + FAST,
+                     ["dump-state", "--state", str(state)],
+                     ["dump-state", "--state", str(empty)],
+                     ["crossbar-compare", "--fn", "g1", "--n-probes", "20"]):
+            assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
+        dump = ["state_w_in_x.csv", "state_w_in_y.csv", "state_w_out.csv"]
+        assert [name for name, _ in written] == (
+            ["model_g1.csv", "surface_g1.csv", "model_g1.csv"] + dump * 2
+            + ["device_weight_sweep.csv", "crossbar_compare_g1.csv"])
+        texts = [text for _, text in written]
+        assert len(texts[1].splitlines()) == 1 + 101 * 101
+        # the 40-sample report has no paper reference, and --timing is off
+        assert texts[2].endswith(",,\n") and not texts[0].endswith(",,\n")
+        # the untrained state's w_in are (0, 100), its w_out (116, 0)
+        assert texts[6:9] == ["", "", "\n" * 116]
+
+    def test_a_float_table_keeps_every_bit_pattern_apart(self, tmp_path):
+        nan_a, nan_b = np.array([0x7FF8000000000001, -0x8000000000000], np.int64).view(np.float64)
+        rows = np.array([[0.0, nan_a, np.inf, 1e300],
+                         [-0.0, nan_b, -np.inf, 5e-324],
+                         [0.0, nan_a, 1e300, 0.1],
+                         [-0.0, 1 / 3, 1 / 3, 0.1]])
+        assert len(np.unique(rows[:, 1].view(np.int64))) == 3     # both NaN payloads kept
+        header = ["a", "b", "c", "d"]
+        text = cli._write_csv(tmp_path / "t.csv", header, rows)
+        assert text == _csv_module_text(header, rows)
+        assert [line.split(",")[0] for line in text.splitlines()[1:]] == ["0.0", "-0.0"] * 2
+        assert text.count("nan") == 3
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)])
+    def test_an_empty_table(self, tmp_path, shape):
+        rows = np.zeros(shape)
+        assert cli._write_csv(tmp_path / "t.csv", None, rows) == _csv_module_text(None, rows)
+
+
+class TestOneParser:
+    """main builds its parser once, and no call's flags or defaults reach the next."""
+
+    def test_the_parser_is_built_once(self, tmp_path, monkeypatch):
+        built, real = [], argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        cli.build_parser.cache_clear()
+        try:
+            sweep = ["crossbar-compare", "--sweep-only", "--out-dir", str(tmp_path)]
+            assert cli.main(sweep) == 0
+            once = len(built)
+            assert built.count("neurofuzzy") == 1     # the top-level parser and its subparsers
+            assert cli.main(["model", "--fn", "g1", "--out-dir", str(tmp_path)] + FAST) == 0
+            assert cli.main(sweep) == 0
+            assert len(built) == once
+        finally:
+            cli.build_parser.cache_clear()
+
+    def test_flags_of_one_call_do_not_reach_the_next(self, tmp_path):
+        def p_of(out):
+            row = (out / "model_g1.csv").read_text().splitlines()[1].split(",")
+            return row[cli.REPORT_COLUMNS.index("p")]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli.main(["model", "--fn", "g1", "--p", "3", "--surface",
+                         "--out-dir", str(first)] + FAST) == 0
+        assert cli.main(["model", "--fn", "g1", "--out-dir", str(second)] + FAST) == 0
+        assert p_of(first) == "3" and p_of(second) == "7"
+        assert sorted(p.name for p in second.iterdir()) == ["model_g1.csv"]
+
+    def test_each_study_gets_its_own_default(self, tmp_path, monkeypatch):
+        from neurofuzzy import experiments
+
+        seen, real = [], experiments.train_and_score
+        monkeypatch.setattr(experiments, "train_and_score", lambda cfg: seen.append(cfg) or real(cfg))
+        for command in ("noise", "fault", "noise"):
+            assert cli.main([command, "--fn", "g1", "--out-dir", str(tmp_path)] + FAST) == 0
+        assert [(c.noise_variance, c.fault_fraction) for c in seen] == [
+            (0.01, 0.0), (0.0, 0.2), (0.01, 0.0)]
+        assert cli.build_parser().parse_args(["noise"]).study_default == {"noise_variance": 0.01}
+
+    def test_a_command_replaced_after_the_first_call_is_the_one_run(self, tmp_path, monkeypatch):
+        assert cli.main(["model", "--fn", "g1", "--out-dir", str(tmp_path)] + FAST) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_model", lambda args, file_cfg: calls.append(args.command) or 0)
+        assert cli.main(["classify", "--dataset", "1"]) == 0
+        assert calls == ["classify"]
+
+    def test_a_usage_error_leaves_the_next_call_working(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["model", "--fn", "g1", "--p", "three"])
+        assert info.value.code == 2
+        assert cli.main(["crossbar-compare", "--sweep-only", "--out-dir", str(tmp_path)]) == 0
+
+
+def test_every_file_written_takes_the_umask(tmp_path, monkeypatch):
+    from neurofuzzy import experiments
+
+    monkeypatch.setattr(experiments, "SUITE", _TINY_SUITE)
+    state, sweep = str(tmp_path / "g1.state"), str(tmp_path / "sweep")
+    old = os.umask(0o027)
+    try:
+        for argv in (["model", "--fn", "g1", "--surface", "--save-state", state] + FAST,
+                     ["dump-state", "--state", state],
+                     ["crossbar-compare", "--fn", "g1", "--n-train", "40", "--n-probes", "10"],
+                     ["suite", "--only", "tiny", "--jobs", "1"]):
+            assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
+        assert cli.main(["crossbar-compare", "--sweep-only", "--out-dir", sweep]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.relative_to(tmp_path).as_posix(): p.stat().st_mode & 0o777
+             for p in tmp_path.rglob("*") if p.is_file()}
+    assert len(modes) == 10 and "suite_tiny.csv" in modes
+    assert modes == dict.fromkeys(modes, 0o666 & ~0o027)

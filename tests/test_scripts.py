@@ -138,6 +138,42 @@ class TestBench:
         assert report["src_lines"] == ours > 1000
 
 
+    def test_records_one_traced_run_per_workload_and_checkout_on_a_fresh_seed(
+            self, monkeypatch, tmp_path):
+        bench = load("bench")
+        calls = []
+
+        def fake_nfbench(checkout, workload, seed, seconds, trace=0):
+            calls.append((checkout.name, workload, seed, trace))
+            ours = checkout == bench.ROOT
+            metrics = ({"cli.self_s": {"value": 0.04 if ours else 0.06, "unit": "s"},
+                        "network.samples": {"value": 0, "unit": "count"}} if trace else
+                       {"run_s": {"value": 1.0 if ours else 1.2, "unit": "s"}})
+            return {"cpus": 1}, {"metrics": metrics, "correct": True, "failed": 0}
+        monkeypatch.setattr(bench, "nfbench", fake_nfbench)
+        monkeypatch.setattr(bench, "fingerprint", lambda checkout: {"exit": 0, "summary": []})
+        monkeypatch.setattr(bench, "commit", lambda checkout: "parent")
+        monkeypatch.setattr(bench, "cpu_seconds", lambda: None)
+        monkeypatch.setattr(bench, "host_parallel", lambda: 2.0)
+        (tmp_path / "parent").mkdir()
+        out = tmp_path / "bench.json"
+        assert bench.main(["--out", str(out), "--workloads", "readout,cli-session",
+                           "--baseline", str(tmp_path / "parent")]) == 0
+        traced = [c for c in calls if c[3] == 1]
+        assert sorted(traced) == sorted((name, w, 6, 1) for name in (bench.ROOT.name, "parent")
+                                         for w in ("readout", "cli-session"))
+        assert calls[-len(traced):] == traced          # after every timed run
+        assert {c[2] for c in calls if c[3] == 0} == {1, 2, 3, 4, 5}
+        report = json.loads(out.read_text())
+        assert report["per_layer"]["seed"] == 6
+        cli_session = report["per_layer"]["workloads"]["cli-session"]
+        assert cli_session["correct"] and cli_session["failed"] == 0
+        # recorded as reported, a figure the tracer leaves at 0 too
+        assert cli_session["metrics"] == {
+            "cli.self_s": {"value": 0.04, "unit": "s", "baseline": 0.06},
+            "network.samples": {"value": 0, "unit": "count", "baseline": 0}}
+        assert "run_s" not in cli_session["metrics"]
+
     def test_records_each_operations_median_raw_time_first_pass_dropped(self, monkeypatch,
                                                                        tmp_path):
         bench = load("bench")
